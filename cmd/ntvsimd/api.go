@@ -33,6 +33,7 @@ const (
 	codeShardFailed          = "shard_failed"          // sweep failed: shard failures exceeded the budget
 	codeStreamingUnsupported = "streaming_unsupported" // transport cannot flush SSE
 	codeDeprecatedParameter  = "deprecated_parameter"  // retired query parameter (e.g. experiments format=ids)
+	codeEndpointRetired      = "endpoint_retired"      // retired route (e.g. GET /metrics/expvar)
 	codeInternal             = "internal"              // unexpected server-side failure
 )
 

@@ -101,6 +101,17 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 `,
 		},
 		{
+			name: "retired expvar dump", method: http.MethodGet, path: "/metrics/expvar",
+			wantStatus: http.StatusGone,
+			wantBody: `{
+  "error": {
+    "code": "endpoint_retired",
+    "message": "GET /metrics/expvar was retired in revision 13; read the Prometheus exposition at GET /metrics instead"
+  }
+}
+`,
+		},
+		{
 			name: "invalid query", method: http.MethodGet, path: "/v1/jobs?state=sleeping",
 			wantStatus: http.StatusBadRequest,
 			wantBody: `{

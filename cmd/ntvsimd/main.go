@@ -62,11 +62,10 @@
 //	POST /v1/cluster/complete      worker shard-result upload
 //	GET  /debug/trace/{id}         span tree of a job or sweep (?format=chrome for Perfetto)
 //	GET  /metrics                  Prometheus text exposition
-//	GET  /metrics/expvar           legacy expvar JSON dump
 //	GET  /healthz                  liveness probe
 //
-// With -debug-addr set, net/http/pprof and /debug/vars are served on a
-// separate listener so profiling never shares the public port.
+// With -debug-addr set, net/http/pprof is served on a separate listener
+// so profiling never shares the public port.
 package main
 
 import (
@@ -119,7 +118,7 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 0, "shard lease time-to-live before the coordinator re-queues it (coordinator role; 0: default 30s)")
 	leaseBatch := flag.Int("lease-batch", 2, "max shard leases a worker claims per poll (worker role)")
 	addr := flag.String("addr", ":8080", "listen address of the public API")
-	debugAddr := flag.String("debug-addr", "", "optional listen address for pprof and /debug/vars (empty: disabled)")
+	debugAddr := flag.String("debug-addr", "", "optional listen address for pprof (empty: disabled)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent experiment jobs")
 	queue := flag.Int("queue", 64, "pending-job queue depth")
 	cacheSize := flag.Int("cache", 256, "max cached experiment results (0: unbounded)")
@@ -253,13 +252,7 @@ func main() {
 	stop()
 	<-drained // the drain goroutine owns the worker pool's shutdown
 	// Jobs have drained, so every record is on disk; seal the shard
-	// journal and the run ledger last.
-	if s.cluster != nil {
-		if err := s.cluster.Close(); err != nil {
-			logger.Warn("cluster close failed", "error", err.Error())
-		}
-	}
-	if err := s.ledger.Close(); err != nil {
-		logger.Warn("ledger close failed", "error", err.Error())
-	}
+	// journal and the run ledger last (close's pool shutdown is a no-op
+	// after the drain).
+	s.close()
 }

@@ -7,7 +7,6 @@ package main
 // requires both to agree).
 
 import (
-	"expvar"
 	"net/http"
 
 	"github.com/ntvsim/ntvsim/internal/buildinfo"
@@ -16,7 +15,7 @@ import (
 
 // apiVersion is the current revision of the v1 surface: the PR
 // numbering of CHANGES.md, which docs/API.md's since-markers reference.
-const apiVersion = 9
+const apiVersion = 13
 
 // route is one mux registration plus the surface metadata GET /v1
 // serves for it.
@@ -58,9 +57,7 @@ func (s *server) routeTable() []route {
 		{"POST", "/v1/cluster/complete", 9, "requires -role coordinator", s.handleClusterComplete},
 		{"GET", "/debug/trace/{id}", 2, "", s.handleTrace},
 		{"GET", "/metrics", 2, "", s.handleMetrics},
-		{"GET", "/metrics/expvar", 2, "", func(w http.ResponseWriter, r *http.Request) {
-			expvar.Handler().ServeHTTP(w, r)
-		}},
+		{"GET", "/metrics/expvar", 2, "retired in revision 13: answers 410 endpoint_retired", s.handleRetiredExpvar},
 	}
 }
 

@@ -4,7 +4,7 @@ package main
 // (internal/ledger) to the job manager and the sweep engine, captures
 // optional per-job pprof profiles, and serves the recorded provenance
 // on GET /v1/runs. Everything here is inert when the daemon runs
-// without -data-dir: the observer is never installed, recordSweep is
+// without -data-dir: no job carries an OnDone hook, recordSweep is
 // never spawned, and the handlers answer with a typed ledger_disabled
 // envelope.
 
@@ -16,7 +16,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"github.com/ntvsim/ntvsim/internal/experiments"
@@ -27,66 +26,22 @@ import (
 	"github.com/ntvsim/ntvsim/internal/sweep"
 )
 
-// jobMeta is the submit-side provenance of one API job — everything the
-// jobs.Snapshot delivered to the observer cannot know.
-type jobMeta struct {
-	experiment string
-	config     experiments.Config
-	specHash   string
-}
-
-// registerJobMeta records the submit-side provenance for a job the
-// observer will eventually report. The job may already have finalized —
-// tiny quick runs can finish before SubmitWith returns to the handler —
-// in which case the parked snapshot is consumed and recorded now.
-func (s *server) registerJobMeta(id string, m jobMeta) {
-	if s.ledger == nil {
-		return
-	}
-	s.metaMu.Lock()
-	if snap, done := s.pendingJobs[id]; done {
-		delete(s.pendingJobs, id)
-		s.metaMu.Unlock()
-		s.recordJob(snap, m)
-		return
-	}
-	s.jobMeta[id] = &m
-	s.metaMu.Unlock()
-}
-
-// observeJob is the jobs.Manager observer: called once per finalized
-// job, outside the manager lock. Sweep shard jobs are skipped — their
-// provenance lands in the owning sweep's record — and a job whose meta
-// has not been registered yet is parked for registerJobMeta to finish.
-func (s *server) observeJob(snap jobs.Snapshot) {
-	if strings.HasPrefix(snap.Name, "sweep:") {
-		return
-	}
-	s.metaMu.Lock()
-	m, ok := s.jobMeta[snap.ID]
-	if !ok {
-		s.pendingJobs[snap.ID] = snap
-		s.metaMu.Unlock()
-		return
-	}
-	delete(s.jobMeta, snap.ID)
-	s.metaMu.Unlock()
-	s.recordJob(snap, *m)
-}
-
-// recordJob appends one job's terminal record to the run ledger.
-func (s *server) recordJob(snap jobs.Snapshot, m jobMeta) {
-	spec, err := json.Marshal(m.config)
+// recordJob is an API job's OnDone hook: it appends the job's terminal
+// record to the run ledger, joining the outcome in snap to the
+// submit-side provenance the handler closed over. profiles is the slot
+// the job filed its captured profile paths in (nil: not profiled).
+func (s *server) recordJob(snap jobs.Snapshot, expID string, cfg experiments.Config, specHash string, profiles *[]string) {
+	spec, err := json.Marshal(cfg)
 	if err != nil {
 		spec = nil
 	}
 	rec := ledger.Record{
 		RunID:    snap.ID,
 		Kind:     "job",
-		Name:     m.experiment,
-		SpecHash: m.specHash,
+		Name:     expID,
+		SpecHash: specHash,
 		Spec:     spec,
-		Seed:     m.config.Seed,
+		Seed:     cfg.Seed,
 		State:    string(snap.State),
 		Error:    snap.Error,
 		Created:  snap.Created,
@@ -95,7 +50,9 @@ func (s *server) recordJob(snap jobs.Snapshot, m jobMeta) {
 		Samples:  snap.Progress.Done,
 		Attempts: snap.Attempts,
 		Panicked: snap.Stack != "",
-		Profiles: s.takeProfilePaths(snap.ID),
+	}
+	if profiles != nil {
+		rec.Profiles = *profiles
 	}
 	if !snap.Started.IsZero() {
 		rec.DurationMS = float64(snap.Finished.Sub(snap.Started).Microseconds()) / 1e3
@@ -203,9 +160,9 @@ var cpuProfileActive atomic.Bool
 // beginJobProfiles starts profile capture for one job and returns the
 // finish func the job closure calls after the run: it stops the CPU
 // profile (when this job held the slot) and writes a post-run heap
-// profile, then files the captured paths for the job's ledger record.
-// Paths are recorded relative to the data dir.
-func (s *server) beginJobProfiles(jobID string) (finish func()) {
+// profile, then files the captured paths in dst for the job's ledger
+// record. Paths are recorded relative to the data dir.
+func (s *server) beginJobProfiles(jobID string, dst *[]string) (finish func()) {
 	dir := filepath.Join(s.ledger.Dir(), "profiles")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		s.log.Warn("profile dir creation failed", "error", err.Error())
@@ -251,21 +208,8 @@ func (s *server) beginJobProfiles(jobID string) (finish func()) {
 			}
 			f.Close()
 		}
-		if len(paths) > 0 {
-			s.metaMu.Lock()
-			s.profilePath[jobID] = paths
-			s.metaMu.Unlock()
-		}
+		*dst = paths
 	}
-}
-
-// takeProfilePaths consumes the profile paths captured for a job.
-func (s *server) takeProfilePaths(jobID string) []string {
-	s.metaMu.Lock()
-	defer s.metaMu.Unlock()
-	paths := s.profilePath[jobID]
-	delete(s.profilePath, jobID)
-	return paths
 }
 
 // runListPayload is the typed GET /v1/runs response: one page of the

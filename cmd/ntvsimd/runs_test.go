@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -9,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/ntvsim/ntvsim/internal/ledger"
 )
 
 // newLedgerServer builds a server recording into a fresh temp data dir
@@ -154,6 +160,120 @@ func TestRunLedgerEndToEnd(t *testing.T) {
 	ev0, _ := events[0].(map[string]any)
 	if ev0["ph"] != "X" || ev0["pid"].(float64) != 1 {
 		t.Errorf("event shape: %v", ev0)
+	}
+}
+
+// holdSubmitted is a slog handler that stops the submit handler at its
+// "job submitted" log line — the first thing it does after SubmitWith
+// returns — and runs hold with the new job's id before letting it go on.
+type holdSubmitted struct {
+	slog.Handler
+	hold func(jobID string)
+}
+
+func (h holdSubmitted) Handle(ctx context.Context, r slog.Record) error {
+	if r.Message == "job submitted" {
+		r.Attrs(func(a slog.Attr) bool {
+			if a.Key == "job" {
+				h.hold(a.Value.String())
+			}
+			return true
+		})
+	}
+	return h.Handler.Handle(ctx, r)
+}
+
+// journalRecords decodes every line of the run-ledger file under dir.
+func journalRecords(t *testing.T, dir string) []ledger.Record {
+	t.Helper()
+	f, err := os.Open(filepath.Join(dir, ledger.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var recs []ledger.Record
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<24)
+	for sc.Scan() {
+		var rec ledger.Record
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("ledger line %q: %v", sc.Text(), err)
+		}
+		recs = append(recs, rec)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// TestRunLedgerJobDoneBeforeSubmitReturns pins the ordering a tiny job
+// can hit on its own: the job finishes, and its OnDone hook writes its
+// record, while the handler that submitted it has not yet got past
+// SubmitWith's return. The record must already be complete, and the
+// file must hold exactly one record for it. A sweep run alongside adds
+// exactly one sweep record and none for its shard jobs.
+func TestRunLedgerJobDoneBeforeSubmitReturns(t *testing.T) {
+	dir := t.TempDir()
+	var s *server
+	recorded := make(chan ledger.Record, 1)
+	hold := func(jobID string) {
+		deadline := time.Now().Add(time.Minute)
+		for time.Now().Before(deadline) {
+			if rec, ok := s.ledger.Get(jobID); ok {
+				recorded <- rec
+				return
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		close(recorded)
+	}
+	s, err := newServerWith(serverConfig{
+		workers: 2, queueDepth: 16, cacheSize: 32, dataDir: dir,
+		logger: slog.New(holdSubmitted{Handler: slog.NewTextHandler(io.Discard, nil), hold: hold}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.close()
+	})
+
+	code, out := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", map[string]any{"experiment": "fig9", "quick": true})
+	if code != http.StatusAccepted {
+		t.Fatalf("POST job: status %d (%v)", code, out)
+	}
+	id, _ := out["id"].(string)
+	rec, ok := <-recorded
+	if !ok {
+		t.Fatal("the job's record never landed while its submit handler was held")
+	}
+	if rec.RunID != id || rec.Kind != "job" || rec.Name != "fig9" || rec.State != "done" {
+		t.Errorf("record identity: %+v", rec)
+	}
+	if rec.SpecHash == "" || rec.Seed == 0 || len(rec.Spec) == 0 {
+		t.Errorf("record lost its submit-side provenance: hash=%q seed=%d spec=%s", rec.SpecHash, rec.Seed, rec.Spec)
+	}
+
+	code, out = doJSON(t, http.MethodPost, ts.URL+"/v1/sweeps", tinySweep)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST sweep: status %d (%v)", code, out)
+	}
+	sweepID, _ := out["id"].(string)
+	pollSweepDone(t, ts.URL, sweepID, 2*time.Minute)
+	pollRunTotal(t, ts.URL, "?kind=sweep", 1)
+
+	kinds := map[string]int{}
+	for _, r := range journalRecords(t, dir) {
+		kinds[r.Kind]++
+		if r.Kind == "job" && r.RunID != id {
+			t.Errorf("unexpected job record %s (%s)", r.RunID, r.Name)
+		}
+	}
+	if kinds["job"] != 1 || kinds["sweep"] != 1 || len(kinds) != 2 {
+		t.Errorf("ledger file holds %v records by kind, want one job and one sweep", kinds)
 	}
 }
 

@@ -4,13 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,31 +17,15 @@ import (
 	"github.com/ntvsim/ntvsim/internal/experiments"
 	"github.com/ntvsim/ntvsim/internal/jobs"
 	"github.com/ntvsim/ntvsim/internal/ledger"
-	"github.com/ntvsim/ntvsim/internal/montecarlo"
 	"github.com/ntvsim/ntvsim/internal/resultcache"
 	"github.com/ntvsim/ntvsim/internal/sweep"
 	"github.com/ntvsim/ntvsim/internal/telemetry"
 )
 
-// Service-wide expvar metrics, exposed verbatim at GET /metrics/expvar.
-// They are process-global (expvar names are a single namespace), so
-// multiple server instances — e.g. in tests — share and accumulate into
-// them.
-var (
-	evJobsStarted   = expvar.NewInt("ntvsimd_jobs_started")
-	evJobsCompleted = expvar.NewInt("ntvsimd_jobs_completed")
-	evJobsFailed    = expvar.NewInt("ntvsimd_jobs_failed")
-	evJobsCancelled = expvar.NewInt("ntvsimd_jobs_cancelled")
-	evCacheHits     = expvar.NewInt("ntvsimd_cache_hits")
-	evCacheMisses   = expvar.NewInt("ntvsimd_cache_misses")
-	evExpRuns       = expvar.NewMap("ntvsimd_experiment_runs")
-	evExpSeconds    = expvar.NewMap("ntvsimd_experiment_seconds")
-)
-
 // active points at the most recently constructed server; the
-// process-global gauges below (expvar and Prometheus names are single
-// namespaces) read live queue/cache state through it, so rebuilding the
-// server — tests do — transparently repoints them.
+// process-global gauges below (Prometheus names are a single namespace)
+// read live queue/cache state through it, so rebuilding the server —
+// tests do — transparently repoints them.
 var active atomic.Pointer[server]
 
 // expDurationBuckets spans HTTP-fast cache hits through multi-minute
@@ -75,31 +57,6 @@ func init() {
 	telemetry.RegisterRuntimeMetrics()
 	bi := buildinfo.Read()
 	promBuildInfo.With(bi.Version, bi.Go, bi.Revision).Set(1)
-
-	// Gauge for the shared Monte-Carlo engine: total sample evaluations
-	// across every experiment run in this process. (The Prometheus twin,
-	// ntvsim_mc_samples_evaluated_total, is registered by montecarlo.)
-	expvar.Publish("ntvsimd_mc_samples_evaluated", expvar.Func(func() any {
-		return montecarlo.SamplesEvaluated()
-	}))
-	expvar.Publish("ntvsimd_jobs_queue_depth", expvar.Func(func() any {
-		if s := active.Load(); s != nil {
-			return s.jobs.QueueDepth()
-		}
-		return 0
-	}))
-	expvar.Publish("ntvsimd_jobs_running", expvar.Func(func() any {
-		if s := active.Load(); s != nil {
-			return s.jobs.Running()
-		}
-		return 0
-	}))
-	expvar.Publish("ntvsimd_cache_evictions", expvar.Func(func() any {
-		if s := active.Load(); s != nil {
-			return s.cache.Evictions()
-		}
-		return 0
-	}))
 
 	gauge := func(name, help string, fn func(s *server) float64) {
 		telemetry.Default.GaugeFunc(name, help, func() float64 {
@@ -175,14 +132,6 @@ type server struct {
 	// `profile` knob. Either way profiling needs the ledger's data dir.
 	profileJobs bool
 
-	// metaMu guards the job-provenance rendezvous between handleSubmit
-	// (which learns the spec/hash/seed) and the jobs observer (which
-	// learns the outcome); see registerJobMeta/observeJob in runs.go.
-	metaMu      sync.Mutex
-	jobMeta     map[string]*jobMeta
-	pendingJobs map[string]jobs.Snapshot
-	profilePath map[string][]string
-
 	// base is the parent context of every job and sweep; tests thread a
 	// faults.Injector through it.
 	base context.Context
@@ -249,15 +198,6 @@ func newServerWith(cfg serverConfig) (*server, error) {
 		base:        context.Background(),
 	}
 	s.sweeps = sweep.NewEngine(s.jobs, s.cache, s.traces)
-	if s.ledger != nil {
-		// The observer fires once per finalized job, outside the manager
-		// lock; with the ledger disabled it is never installed, keeping
-		// the nil path allocation-free.
-		s.jobMeta = make(map[string]*jobMeta)
-		s.pendingJobs = make(map[string]jobs.Snapshot)
-		s.profilePath = make(map[string][]string)
-		s.jobs.SetObserver(s.observeJob)
-	}
 	switch cfg.role {
 	case "", "standalone":
 		s.role = "standalone"
@@ -273,8 +213,7 @@ func newServerWith(cfg serverConfig) (*server, error) {
 			Log:      logger,
 		})
 		if err != nil {
-			s.jobs.Close()
-			s.ledger.Close()
+			s.close()
 			return nil, err
 		}
 		s.cluster = co
@@ -377,16 +316,21 @@ func (r *statusRecorder) Flush() {
 }
 
 // handleMetrics serves the telemetry registry in Prometheus text
-// exposition format. The legacy expvar JSON dump stays available at
-// /metrics/expvar (and /debug/vars on the debug listener).
+// exposition format — the daemon's only metrics surface.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = telemetry.Default.WritePrometheus(w)
 }
 
-// debugMux serves net/http/pprof and the raw expvar dump on a separate
-// listener so profiling endpoints never share a port with the public
-// API.
+// handleRetiredExpvar answers the retired expvar JSON dump with a typed
+// envelope naming its replacement (docs/API.md deprecation policy).
+func (s *server) handleRetiredExpvar(w http.ResponseWriter, r *http.Request) {
+	writeAPIError(w, http.StatusGone, codeEndpointRetired,
+		"GET /metrics/expvar was retired in revision 13; read the Prometheus exposition at GET /metrics instead")
+}
+
+// debugMux serves net/http/pprof on a separate listener so profiling
+// endpoints never share a port with the public API.
 func debugMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -394,7 +338,6 @@ func debugMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
 	return mux
 }
 
@@ -587,7 +530,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	key := resultcache.Key(jobKey{ID: req.Experiment, Config: cfg})
 	if res, ok := s.cache.Get(key); ok {
-		evCacheHits.Add(1)
 		s.log.Info("job served from cache", "experiment", req.Experiment)
 		writeJSON(w, http.StatusOK, jobPayload{
 			Experiment: req.Experiment,
@@ -597,14 +539,19 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	evCacheMisses.Add(1)
 
 	opts := jobs.SubmitOpts{Parent: s.base, MaxRetries: req.MaxRetries}
 	if req.TimeoutSec > 0 {
 		opts.Deadline = time.Now().Add(time.Duration(req.TimeoutSec * float64(time.Second)))
 	}
-	profile := req.Profile || (s.profileJobs && s.ledger != nil)
-	id, err := s.jobs.SubmitWith(req.Experiment, s.runJob(req.Experiment, cfg, key, profile), opts)
+	var profiles *[]string // the job's captured profile paths; nil: no profiling
+	if req.Profile || (s.profileJobs && s.ledger != nil) {
+		profiles = new([]string)
+	}
+	if s.ledger != nil {
+		opts.OnDone = func(snap jobs.Snapshot) { s.recordJob(snap, req.Experiment, cfg, key, profiles) }
+	}
+	id, err := s.jobs.SubmitWith(req.Experiment, s.runJob(req.Experiment, cfg, key, profiles), opts)
 	if err != nil {
 		status, code := http.StatusInternalServerError, codeInternal
 		switch {
@@ -617,8 +564,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, status, code, err.Error())
 		return
 	}
-	evJobsStarted.Add(1)
-	s.registerJobMeta(id, jobMeta{experiment: req.Experiment, config: cfg, specHash: key})
 	s.log.Info("job submitted", "job", id, "experiment", req.Experiment,
 		"queue_depth", s.jobs.QueueDepth())
 	writeJSON(w, http.StatusAccepted, jobPayload{
@@ -629,16 +574,16 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // runJob builds the worker-pool closure for one experiment run: execute
-// under the job's context with a fresh trace, optionally under CPU/heap
-// profiling, record per-experiment latency, and populate the result
-// cache on success.
-func (s *server) runJob(expID string, cfg experiments.Config, key string, profile bool) jobs.Func {
+// under the job's context with a fresh trace, under CPU/heap profiling
+// when profiles is non-nil (filing the captured paths there), record
+// per-experiment latency, and populate the result cache on success.
+func (s *server) runJob(expID string, cfg experiments.Config, key string, profiles *[]string) jobs.Func {
 	return func(ctx context.Context) (any, error) {
 		jobID := jobs.ContextID(ctx)
 		ctx, trace := s.traces.Start(ctx, jobID)
 		finishProfiles := func() {}
-		if profile {
-			finishProfiles = s.beginJobProfiles(jobID)
+		if profiles != nil {
+			finishProfiles = s.beginJobProfiles(jobID, profiles)
 		}
 		start := time.Now()
 		res, err := experiments.RunCtx(ctx, expID, cfg)
@@ -648,15 +593,10 @@ func (s *server) runJob(expID string, cfg experiments.Config, key string, profil
 		logArgs := []any{"job", jobID, "experiment", expID, "seconds", elapsed}
 		switch {
 		case ctx.Err() != nil:
-			evJobsCancelled.Add(1)
 			s.log.Info("job cancelled", logArgs...)
 		case err != nil:
-			evJobsFailed.Add(1)
 			s.log.Warn("job failed", append(logArgs, "error", err.Error())...)
 		default:
-			evJobsCompleted.Add(1)
-			evExpRuns.Add(expID, 1)
-			evExpSeconds.AddFloat(expID, elapsed)
 			promExpRuns.With(expID).Inc()
 			promExpDuration.With(expID).Observe(elapsed)
 			s.cache.Put(key, res)
@@ -767,12 +707,6 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.log.Info("job cancel requested", "job", id, "was", string(was))
-	if was == jobs.Queued {
-		// A running job's cancellation is counted when its runJob closure
-		// observes ctx and finalizes; a queued job never runs, so count it
-		// here — the Cancel call is authoritative about which case this is.
-		evJobsCancelled.Add(1)
-	}
 	snap, _ := s.jobs.Get(id)
 	writeJSON(w, http.StatusOK, snapshotPayload(snap))
 }

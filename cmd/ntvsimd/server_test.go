@@ -64,20 +64,10 @@ func pollDone(t *testing.T, base, id string, timeout time.Duration) map[string]a
 	return nil
 }
 
-// metric reads one scalar from the legacy expvar dump.
+// metric reads one unlabelled sample from the Prometheus exposition.
 func metric(t *testing.T, base, name string) float64 {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics/expvar")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var vars map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatal(err)
-	}
-	v, _ := vars[name].(float64)
-	return v
+	return validatePrometheus(t, fetch(t, base+"/metrics"))[name]
 }
 
 // tinyFig4 is a fast but real fig4 configuration for end-to-end tests.
@@ -133,7 +123,7 @@ func TestListExperiments(t *testing.T) {
 // request and require an immediate cache hit visible in /metrics.
 func TestSubmitRunCacheHit(t *testing.T) {
 	_, ts := newTestServer(t)
-	hitsBefore := metric(t, ts.URL, "ntvsimd_cache_hits")
+	hitsBefore := metric(t, ts.URL, "ntvsimd_cache_hits_total")
 
 	code, out := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", tinyFig4)
 	if code != http.StatusAccepted {
@@ -167,10 +157,10 @@ func TestSubmitRunCacheHit(t *testing.T) {
 	if out["cached"] != true || out["state"] != "done" || out["result"] == nil {
 		t.Fatalf("repeat POST not a cache hit: %v", out)
 	}
-	if hits := metric(t, ts.URL, "ntvsimd_cache_hits"); hits <= hitsBefore {
+	if hits := metric(t, ts.URL, "ntvsimd_cache_hits_total"); hits <= hitsBefore {
 		t.Errorf("cache hits %v not above baseline %v", hits, hitsBefore)
 	}
-	if metric(t, ts.URL, "ntvsimd_mc_samples_evaluated") == 0 {
+	if metric(t, ts.URL, "ntvsim_mc_samples_evaluated_total") == 0 {
 		t.Error("MC sample gauge never moved")
 	}
 }
@@ -283,17 +273,24 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestDebugMux: the debug listener serves pprof and nothing else;
+// /debug/vars, an expvar dump, stays unrouted because /metrics is the
+// only metrics surface.
 func TestDebugMux(t *testing.T) {
 	ts := httptest.NewServer(debugMux())
 	defer ts.Close()
-	for _, path := range []string{"/debug/pprof/", "/debug/vars", "/debug/pprof/cmdline"} {
+	for path, want := range map[string]int{
+		"/debug/pprof/":        http.StatusOK,
+		"/debug/pprof/cmdline": http.StatusOK,
+		"/debug/vars":          http.StatusNotFound,
+	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Errorf("%s: status %d, want %d", path, resp.StatusCode, want)
 		}
 	}
 }

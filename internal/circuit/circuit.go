@@ -27,13 +27,14 @@ func (c Chain) Delay(s *variation.Sampler, r *rng.Stream, vdd float64, d variati
 
 // Graph is a combinational timing DAG. Nodes are gates (or fixed-delay
 // cells built from several gate delays); edges point from driver to
-// receiver. Node IDs are dense indices assigned by AddGate. Graphs are
-// built once and evaluated many times under Monte-Carlo samples.
+// receiver. Node IDs are dense indices assigned by AddGate; since a
+// node's fan-ins must already exist, ID order is a topological order.
+// Graphs are built once and evaluated many times under Monte-Carlo
+// samples; evaluation only reads the graph, so concurrent samplers may
+// share one.
 type Graph struct {
-	fanin  [][]int
-	gates  []int // number of series gate delays within each node
-	order  []int // topological order, computed lazily
-	sorted bool
+	fanin [][]int
+	gates []int // number of series gate delays within each node
 }
 
 // NewGraph returns an empty timing graph.
@@ -53,7 +54,6 @@ func (g *Graph) AddGate(gateCount int, fanin ...int) int {
 	}
 	g.gates = append(g.gates, gateCount)
 	g.fanin = append(g.fanin, append([]int(nil), fanin...))
-	g.sorted = false
 	return len(g.gates) - 1
 }
 
@@ -70,26 +70,12 @@ func (g *Graph) NumGates() int {
 	return total
 }
 
-// topo computes (once) a topological order. Construction by AddGate
-// guarantees acyclicity: fan-ins always precede their node, so node IDs
-// are already topologically ordered.
-func (g *Graph) topo() []int {
-	if !g.sorted {
-		g.order = g.order[:0]
-		for i := range g.gates {
-			g.order = append(g.order, i)
-		}
-		g.sorted = true
-	}
-	return g.order
-}
-
 // Depth returns the maximum number of series gate delays along any path,
 // i.e. the critical-path length in units of nominal gates.
 func (g *Graph) Depth() int {
 	depth := make([]int, len(g.gates))
 	max := 0
-	for _, i := range g.topo() {
+	for i := range g.gates {
 		d := 0
 		for _, f := range g.fanin[i] {
 			if depth[f] > d {
@@ -110,7 +96,7 @@ func (g *Graph) Depth() int {
 func (g *Graph) Delay(s *variation.Sampler, r *rng.Stream, vdd float64, d variation.Die) float64 {
 	arrival := make([]float64, len(g.gates))
 	var worst float64
-	for _, i := range g.topo() {
+	for i := range g.gates {
 		var at float64
 		for _, f := range g.fanin[i] {
 			if arrival[f] > at {

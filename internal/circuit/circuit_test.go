@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"github.com/ntvsim/ntvsim/internal/device"
@@ -251,4 +252,39 @@ func TestMultiplierVariationBetweenBounds(t *testing.T) {
 	if stats.Mean(mulD) <= stats.Mean(chainD) {
 		t.Error("multiplier mean should exceed same-depth chain mean")
 	}
+}
+
+// TestGraphConcurrentEvaluation shares one freshly built graph between
+// four Monte-Carlo workers, as the experiments' sampling loops do. Each
+// worker's draws must match a serial evaluation with the same stream,
+// and under -race no evaluation may write the shared graph.
+func TestGraphConcurrentEvaluation(t *testing.T) {
+	s := testSampler()
+	g := RippleCarry(64)
+	const workers, samples = 4, 50
+	serial := make([][]float64, workers)
+	for w := range serial {
+		r := rng.NewSub(11, w)
+		for i := 0; i < samples; i++ {
+			serial[w] = append(serial[w], RippleCarry(64).Delay(s, r, 0.5, s.Die(r)))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := rng.NewSub(11, w)
+			for i := 0; i < samples; i++ {
+				if d := g.Delay(s, r, 0.5, s.Die(r)); d != serial[w][i] {
+					t.Errorf("worker %d sample %d: delay %v, serial %v", w, i, d, serial[w][i])
+					return
+				}
+			}
+			if g.Depth() != RippleCarry(64).Depth() {
+				t.Errorf("worker %d: depth changed under concurrent use", w)
+			}
+		}(w)
+	}
+	wg.Wait()
 }

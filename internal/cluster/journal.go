@@ -1,23 +1,18 @@
 package cluster
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
+	"github.com/ntvsim/ntvsim/internal/jsonlog"
 	"github.com/ntvsim/ntvsim/internal/sweep"
 )
 
-// Schema is the journal entry schema tag; bump it when Entry changes
-// incompatibly so replay can reject foreign shapes instead of
-// misreading them.
+// Schema is the journal entry schema tag Append stamps on entries that
+// carry none. Replay never reads it: every line that unmarshals into an
+// Entry is kept, whatever its tag.
 const Schema = "ntvsim.cluster/v1"
 
 // FileName is the shard journal file created under the data directory,
@@ -58,95 +53,42 @@ type Entry struct {
 	At time.Time `json:"at"`
 }
 
-// errJournalClosed is returned by Append after Close.
-var errJournalClosed = errors.New("cluster: journal closed")
-
 // Journal is the coordinator's append-only shard journal: a JSONL WAL
 // under the data directory with the same durability discipline as the
-// run ledger (internal/ledger). Append writes and fsyncs before
-// acknowledging; OpenJournal replays on boot, tolerating a torn tail —
-// the signature of a crash mid-write — by truncating it away, while
-// interior corruption is fatal because silently skipping records would
-// hide lost shard results.
+// run ledger, both built on internal/jsonlog. Append writes and fsyncs
+// before acknowledging; OpenJournal replays on boot, tolerating a torn
+// tail — the signature of a crash mid-write — by truncating it away,
+// while interior corruption is fatal because silently skipping records
+// would hide lost shard results.
 type Journal struct {
-	mu      sync.Mutex
-	f       *os.File
-	path    string
+	mu      sync.Mutex // held across the append and the entries update, so both keep file order
+	log     *jsonlog.Log
 	entries []Entry // replayed + appended, in journal order
 }
 
 // OpenJournal opens (creating if needed) the shard journal under dir
 // and replays it into memory.
 func OpenJournal(dir string) (*Journal, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("cluster: journal: %w", err)
-	}
-	path := filepath.Join(dir, FileName)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	j := &Journal{}
+	log, err := jsonlog.Open(dir, FileName, func(line []byte) error {
+		var e Entry
+		if err := json.Unmarshal(line, &e); err != nil {
+			return err
+		}
+		j.entries = append(j.entries, e)
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: journal: %w", err)
 	}
-	j := &Journal{f: f, path: path}
-	if err := j.replay(); err != nil {
-		f.Close()
-		return nil, err
-	}
+	j.log = log
 	return j, nil
-}
-
-// replay scans the journal, keeping every complete entry and truncating
-// a partial tail so the next append starts on a line boundary.
-func (j *Journal) replay() error {
-	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("cluster: journal: %w", err)
-	}
-	r := bufio.NewReaderSize(j.f, 1<<20)
-	var good int64 // byte offset just past the last complete entry
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			// No trailing newline: a torn final write. Leave it behind
-			// the truncation point.
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("cluster: journal replay: %w", err)
-		}
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) > 0 {
-			var e Entry
-			if uerr := json.Unmarshal(trimmed, &e); uerr != nil {
-				// A torn write can also leave a complete-looking line of
-				// garbage only at the very tail; interior corruption is
-				// fatal.
-				if isTail(r) {
-					break
-				}
-				return fmt.Errorf("cluster: journal replay: corrupt entry at offset %d: %w", good, uerr)
-			}
-			j.entries = append(j.entries, e)
-		}
-		good += int64(len(line))
-	}
-	if err := j.f.Truncate(good); err != nil {
-		return fmt.Errorf("cluster: journal: %w", err)
-	}
-	if _, err := j.f.Seek(good, io.SeekStart); err != nil {
-		return fmt.Errorf("cluster: journal: %w", err)
-	}
-	return nil
-}
-
-// isTail reports whether the reader has no further complete line — the
-// just-read bad line is the journal's tail.
-func isTail(r *bufio.Reader) bool {
-	_, err := r.ReadBytes('\n')
-	return err == io.EOF
 }
 
 // Append durably appends e — write, fsync, then index — stamping the
 // schema tag and timestamp when unset. An entry is only acknowledged
-// (nil error) once it is on disk.
+// (nil error) once it is on disk; after Close it fails with
+// jsonlog.ErrClosed.
 func (j *Journal) Append(e Entry) error {
 	if e.Schema == "" {
 		e.Schema = Schema
@@ -158,16 +100,9 @@ func (j *Journal) Append(e Entry) error {
 	if err != nil {
 		return fmt.Errorf("cluster: journal: %w", err)
 	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return errJournalClosed
-	}
-	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("cluster: journal: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
+	if err := j.log.Append(line); err != nil {
 		return fmt.Errorf("cluster: journal: %w", err)
 	}
 	j.entries = append(j.entries, e)
@@ -189,16 +124,4 @@ func (j *Journal) Len() int {
 }
 
 // Close syncs and closes the journal file; subsequent Appends fail.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Sync()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	j.f = nil
-	return err
-}
+func (j *Journal) Close() error { return j.log.Close() }

@@ -186,6 +186,13 @@ type SubmitOpts struct {
 	// re-run (total attempts = MaxRetries+1). Non-transient errors,
 	// panics and context ends are never retried. Negative means 0.
 	MaxRetries int
+	// OnDone, when set, is called exactly once with the job's terminal
+	// Snapshot after it finalizes, including a queued job cancelled
+	// before it ran. It runs outside the manager's lock, so it may call
+	// back into the Manager. It runs on the worker (or cancelling)
+	// goroutine, so it should be quick or hand off. The run ledger
+	// hangs off this hook; the Manager itself stays storage-agnostic.
+	OnDone func(Snapshot)
 }
 
 // Snapshot is a point-in-time copy of a job's externally visible state.
@@ -247,7 +254,6 @@ type Manager struct {
 	seq      uint64
 	backoff  Backoff
 	counters Counters
-	observer func(Snapshot)   // notified once per job on finalization
 	now      func() time.Time // injectable for tests
 }
 
@@ -281,19 +287,6 @@ func (m *Manager) SetBackoff(b Backoff) {
 	m.mu.Unlock()
 }
 
-// SetObserver installs fn to be called exactly once per job, with the
-// job's terminal Snapshot, after the job finalizes (including queued
-// jobs cancelled before they ran). The call is made outside the
-// manager's lock, so fn may call back into the Manager; it runs on the
-// worker (or cancelling) goroutine, so it should be quick or hand off.
-// The run ledger hangs off this hook — the Manager itself stays
-// storage-agnostic. Install before submitting; a nil fn disables it.
-func (m *Manager) SetObserver(fn func(Snapshot)) {
-	m.mu.Lock()
-	m.observer = fn
-	m.mu.Unlock()
-}
-
 // Submit enqueues fn under the given display name with default options
 // and returns the new job's id. It fails fast with ErrQueueFull when
 // the queue is at capacity and ErrClosed after Close or Drain.
@@ -302,7 +295,7 @@ func (m *Manager) Submit(name string, fn Func) (string, error) {
 }
 
 // SubmitWith is Submit with per-job options (parent context, deadline,
-// retry budget).
+// retry budget, completion hook).
 func (m *Manager) SubmitWith(name string, fn Func, opts SubmitOpts) (string, error) {
 	if opts.MaxRetries < 0 {
 		opts.MaxRetries = 0
@@ -403,7 +396,7 @@ func (m *Manager) Cancel(id string) (State, bool) {
 		j.err = context.Canceled.Error()
 		j.done = m.now()
 		m.counters.Cancelled++
-		notify, snap = m.observer, j.snapshot()
+		notify, snap = j.opts.OnDone, j.snapshot()
 	}
 	m.mu.Unlock()
 	if notify != nil {
@@ -635,7 +628,7 @@ func (m *Manager) finalize(j *job, value any, err error, stack []byte, attempts 
 		m.counters.Completed++
 	}
 	j.cancel() // release the context's resources
-	notify, snap := m.observer, j.snapshot()
+	notify, snap := j.opts.OnDone, j.snapshot()
 	m.mu.Unlock()
 	if notify != nil {
 		notify(snap)

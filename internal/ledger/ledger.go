@@ -10,43 +10,33 @@
 //
 // # Durability model
 //
-// Append marshals a record to one JSON line, writes it and fsyncs
-// before indexing it, so a record acknowledged in memory is on disk.
-// Open replays the journal on boot into an in-memory index, tolerating
-// a truncated tail: a crash mid-write leaves at most one partial final
-// line, which Open discards and truncates away so subsequent appends
-// start on a clean boundary. Every fully written record survives —
-// replayed records are byte-identical to what was appended (pinned by
-// the crash-replay property tests).
+// The journal is an internal/jsonlog file: Append marshals a record to
+// one JSON line, writes and fsyncs it before indexing it, so a record
+// acknowledged in memory is on disk. Open replays the journal on boot
+// into an in-memory index; the torn-tail and interior-corruption
+// policy is jsonlog's, shared with the cluster shard journal.
+// Replayed records are byte-identical to what was appended.
 //
 // A nil *Ledger is valid and inert: every method is a no-op, so the
 // daemon runs with the ledger disabled (no -data-dir) at zero cost and
 // call sites never branch.
-//
-// This journal is deliberately the shape a cluster-mode write-ahead log
-// needs (ROADMAP item 1): replay-on-boot here is the same mechanism a
-// restarted coordinator uses to recover shard leases.
 package ledger
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"github.com/ntvsim/ntvsim/internal/buildinfo"
 	"github.com/ntvsim/ntvsim/internal/importance"
+	"github.com/ntvsim/ntvsim/internal/jsonlog"
 	"github.com/ntvsim/ntvsim/internal/telemetry"
 )
 
-// Schema is the record schema tag; bump it when Record changes
-// incompatibly so replay can skip foreign shapes instead of
-// misreading them.
+// Schema is the record schema tag Append stamps on records that carry
+// none. Replay never reads it: every line that unmarshals into a Record
+// is indexed, whatever its tag.
 const Schema = "ntvsim.run/v1"
 
 // FileName is the journal file created under the data directory.
@@ -138,8 +128,8 @@ type ShardRecord struct {
 // index. All methods are safe for concurrent use and are no-ops on a
 // nil receiver.
 type Ledger struct {
-	mu    sync.Mutex
-	f     *os.File
+	mu    sync.Mutex // held across the append and the index update, so order is file order
+	log   *jsonlog.Log
 	dir   string
 	order []string           // run ids in append order (first appearance)
 	byID  map[string]*Record // latest record per run id
@@ -151,19 +141,19 @@ type Ledger struct {
 // malformed line is an error, because silently skipping interior
 // records would hide corruption.
 func Open(dir string) (*Ledger, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("ledger: %w", err)
-	}
-	path := filepath.Join(dir, FileName)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	l := &Ledger{dir: dir, byID: make(map[string]*Record)}
+	log, err := jsonlog.Open(dir, FileName, func(line []byte) error {
+		var rec Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		l.index(&rec)
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("ledger: %w", err)
 	}
-	l := &Ledger{f: f, dir: dir, byID: make(map[string]*Record)}
-	if err := l.replay(); err != nil {
-		f.Close()
-		return nil, err
-	}
+	l.log = log
 	return l, nil
 }
 
@@ -174,59 +164,6 @@ func (l *Ledger) Dir() string {
 		return ""
 	}
 	return l.dir
-}
-
-// Enabled reports whether the ledger is recording (non-nil).
-func (l *Ledger) Enabled() bool { return l != nil }
-
-// replay scans the journal, indexing every complete line and truncating
-// a partial tail so the next append starts on a line boundary.
-func (l *Ledger) replay() error {
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("ledger: %w", err)
-	}
-	r := bufio.NewReaderSize(l.f, 1<<20)
-	var good int64 // byte offset just past the last complete record
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			// No trailing newline: a torn final write. Leave it behind
-			// the truncation point.
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("ledger: replay: %w", err)
-		}
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) > 0 {
-			var rec Record
-			if uerr := json.Unmarshal(trimmed, &rec); uerr != nil {
-				// A torn write can also leave a complete-looking line of
-				// garbage only at the very tail; interior corruption is
-				// fatal.
-				if isTail(r) {
-					break
-				}
-				return fmt.Errorf("ledger: replay: corrupt record at offset %d: %w", good, uerr)
-			}
-			l.index(&rec)
-		}
-		good += int64(len(line))
-	}
-	if err := l.f.Truncate(good); err != nil {
-		return fmt.Errorf("ledger: %w", err)
-	}
-	if _, err := l.f.Seek(good, io.SeekStart); err != nil {
-		return fmt.Errorf("ledger: %w", err)
-	}
-	return nil
-}
-
-// isTail reports whether the reader has no further complete line — the
-// just-read bad line is the journal's tail.
-func isTail(r *bufio.Reader) bool {
-	_, err := r.ReadBytes('\n')
-	return err == io.EOF
 }
 
 // index records rec in the in-memory maps; callers hold l.mu or are
@@ -254,13 +191,9 @@ func (l *Ledger) Append(rec Record) error {
 	if err != nil {
 		return fmt.Errorf("ledger: %w", err)
 	}
-	line = append(line, '\n')
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.f.Write(line); err != nil {
-		return fmt.Errorf("ledger: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.log.Append(line); err != nil {
 		return fmt.Errorf("ledger: %w", err)
 	}
 	l.index(&rec)
@@ -332,21 +265,10 @@ func (l *Ledger) Len() int {
 	return len(l.byID)
 }
 
-// Close syncs and closes the journal file. The ledger must not be used
-// afterwards.
+// Close syncs and closes the journal file; later Appends fail.
 func (l *Ledger) Close() error {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Sync()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f = nil
-	return err
+	return l.log.Close()
 }
