@@ -40,6 +40,7 @@
 //	internal/resultcache content-addressed LRU for experiment results
 //	internal/telemetry   stdlib-only metrics, spans and progress reporters
 //	internal/faults      deterministic fault injection for robustness tests
+//	internal/memo        bounded process-wide memo for derived tables
 //	internal/optimize, internal/report   numerical/rendering substrate
 //
 //	cmd/ntvsim      CLI: regenerate any/all tables and figures, run sweeps

@@ -121,9 +121,9 @@ func Sample(p Params, seed uint64, n int, fn func(u float64) float64) (xs, ws []
 // (seed, i) rng sub-stream, so output is bit-identical across
 // GOMAXPROCS and cancellable via ctx. The flat (pointer-free) sampling
 // path matters at rare-event sample counts: tens of millions of draws
-// allocate two column slices and one slab, never a GC-scannable header
-// per sample. The returned slices are independently owned by the
-// caller.
+// allocate one slab and one column slice (the weights are compacted
+// into the slab), never a GC-scannable header per sample. The returned
+// slices do not overlap and are owned by the caller.
 func SampleCtx(ctx context.Context, p Params, seed uint64, n int, fn func(u float64) float64) (xs, ws []float64, err error) {
 	p, err = p.Normalized()
 	if err != nil {
@@ -137,10 +137,17 @@ func SampleCtx(ctx context.Context, p Params, seed uint64, n int, fn func(u floa
 	if err != nil {
 		return nil, nil, err
 	}
+	// Copy the values out, then compact the weights in place into the
+	// slab's front half: the write index i never passes the read index
+	// 2i+1, so no weight is overwritten before it is read, and the
+	// call peaks at 3n floats (slab plus values) instead of 4n.
 	xs = make([]float64, n)
-	ws = make([]float64, n)
 	for i := range xs {
-		xs[i], ws[i] = flat[2*i], flat[2*i+1]
+		xs[i] = flat[2*i]
+	}
+	ws = flat[:n:n]
+	for i := range ws {
+		ws[i] = flat[2*i+1]
 	}
 	samplesTotal.Add(float64(n))
 	return xs, ws, nil

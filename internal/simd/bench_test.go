@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/ntvsim/ntvsim/internal/rng"
+	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/tech"
 )
 
@@ -17,7 +18,7 @@ func BenchmarkBuildLaw(b *testing.B) {
 
 func BenchmarkSampleChipDelayFast(b *testing.B) {
 	dp := New(tech.N90)
-	dp.prepare(0.55)
+	dp.lawFor(0.55)
 	r := rng.New(1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -54,3 +55,27 @@ func BenchmarkSpareCurve(b *testing.B) {
 		dp.SpareCurve(1, 500, 0.55, alphas)
 	}
 }
+
+// BenchmarkChipQuantileTail inverts the chip CDF at the uniforms a
+// 3σ-shifted importance sampler draws, u = Φ(z) with z ~ N(3, 1): most
+// land in the last guide cells, where one cell spans many grid knots.
+func BenchmarkChipQuantileTail(b *testing.B) {
+	fn, err := New(tech.N32).ChipQuantileFn(0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(7)
+	std := stats.Normal{Mu: 0, Sigma: 1}
+	us := make([]float64, 4096)
+	for i := range us {
+		us[i] = std.CDF(3 + r.Norm())
+	}
+	b.ResetTimer()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += fn(us[i%len(us)])
+	}
+	benchSink = sink
+}
+
+var benchSink float64

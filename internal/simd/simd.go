@@ -23,6 +23,14 @@
 // spare-count and voltage-margin searches. A gate-level exact sampler
 // (Exact) remains available and is statistically indistinguishable (KS
 // tests in the package tests).
+//
+// The laws are pure functions of (node, geometry, Vdd), so one
+// process-wide memo (internal/memo) builds each once and every
+// Datapath, shard and sweep shares it. Each tabulated CDF carries a
+// guide table that brackets its inversion to a few knots, and a
+// zero-spare chip inverts only the lanes whose uniforms can reach the
+// maximum; both reproduce the plain binary-search inversion bit for
+// bit (the package's exactness tests pin this).
 package simd
 
 import (
@@ -31,13 +39,14 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"github.com/ntvsim/ntvsim/internal/device"
+	"github.com/ntvsim/ntvsim/internal/memo"
 	"github.com/ntvsim/ntvsim/internal/montecarlo"
 	"github.com/ntvsim/ntvsim/internal/rng"
 	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/tech"
+	"github.com/ntvsim/ntvsim/internal/telemetry"
 	"github.com/ntvsim/ntvsim/internal/variation"
 )
 
@@ -99,10 +108,6 @@ type Datapath struct {
 	CorrLanes float64
 	// Exact uses the gate-level path sampler (slow; for validation).
 	Exact bool
-
-	mu      sync.Mutex
-	laws    map[float64]*delayLaw    // iid-mode quantile tables, per supply
-	moments map[float64]*momentTable // spatial-mode conditional moments, per supply
 }
 
 // New returns the paper's canonical datapath (128 lanes × 100 paths of
@@ -136,9 +141,14 @@ func (dp *Datapath) FO4(vdd float64) float64 {
 // lanes) at one supply voltage.
 type delayLaw struct {
 	x     []float64 // delay grid, seconds, ascending
-	fPath []float64 // CDF of one path on the grid
-	fLane []float64 // CDF of the lane = fPath^PathsPerLane
-	fChip []float64 // CDF of the chip = fLane^Lanes (zero spares)
+	fPath column    // CDF of one path on the grid
+	fLane column    // CDF of the lane = fPath^PathsPerLane
+	fChip column    // CDF of the chip = fLane^Lanes (zero spares)
+
+	// maxDraw holds when the lane column is guided and the delay grid
+	// strictly increases from a non-negative origin: the conditions
+	// under which maxLane equals the max over every lane's inversion.
+	maxDraw bool
 }
 
 // lawGridPoints is the delay-grid resolution of the numerical law. The
@@ -189,12 +199,10 @@ func (dp *Datapath) buildLaw(vdd float64) *delayLaw {
 		xlo = 0
 	}
 
-	law := &delayLaw{
-		x:     make([]float64, lawGridPoints),
-		fPath: make([]float64, lawGridPoints),
-		fLane: make([]float64, lawGridPoints),
-		fChip: make([]float64, lawGridPoints),
-	}
+	xs := make([]float64, lawGridPoints)
+	fPath := make([]float64, lawGridPoints)
+	fLane := make([]float64, lawGridPoints)
+	fChip := make([]float64, lawGridPoints)
 	std := stats.Normal{Mu: 0, Sigma: 1}
 	pow := float64(dp.PathsPerLane)
 	lanes := float64(dp.Lanes)
@@ -210,10 +218,17 @@ func (dp *Datapath) buildLaw(vdd float64) *delayLaw {
 		if f > 1 {
 			f = 1
 		}
-		law.x[k] = x
-		law.fPath[k] = f
-		law.fLane[k] = math.Pow(f, pow)
-		law.fChip[k] = math.Pow(law.fLane[k], lanes)
+		xs[k] = x
+		fPath[k] = f
+		fLane[k] = math.Pow(f, pow)
+		fChip[k] = math.Pow(fLane[k], lanes)
+	}
+	law := &delayLaw{x: xs, fPath: newColumn(fPath), fLane: newColumn(fLane), fChip: newColumn(fChip)}
+	law.maxDraw = law.fLane.guide != nil && xs[0] >= 0
+	for k := 1; k < len(xs); k++ {
+		if !(xs[k] > xs[k-1]) {
+			law.maxDraw = false
+		}
 	}
 	return law
 }
@@ -252,25 +267,112 @@ func gaussGrid(sigma float64, n int) (grid, w []float64) {
 	return grid, w
 }
 
-// lawFor returns the cached delay law at vdd, building it on first use.
+// lawKey identifies one numerical law: the whole node value (so a
+// custom node never aliases a calibrated one of the same name), the
+// datapath geometry and the supply.
+type lawKey struct {
+	node                tech.Node
+	lanes, paths, chain int
+	vdd                 float64
+}
+
+// Memo bounds: a law is ≈40 KB (four 1024-point columns plus three
+// guides), a moment table ≈1 KB. Thirty-two supplies cover a sweep's
+// working set; a wider churn drops the map and rebuilds on demand.
+const (
+	lawMemoBound    = 32
+	momentMemoBound = 32
+)
+
+var (
+	laws    = memo.New[lawKey, *delayLaw](lawMemoBound)
+	moments = memo.New[lawKey, *momentTable](momentMemoBound)
+
+	mLawBuilds = telemetry.Default.Counter("ntvsim_simd_law_builds_total",
+		"Numerical chip-delay law tables built (misses in the process-wide simd law memo).")
+)
+
+// lawFor returns the delay law at vdd from the process-wide memo,
+// building it on first use.
 func (dp *Datapath) lawFor(vdd float64) *delayLaw {
-	dp.mu.Lock()
-	defer dp.mu.Unlock()
-	if dp.laws == nil {
-		dp.laws = make(map[float64]*delayLaw)
-	}
-	if law, ok := dp.laws[vdd]; ok {
-		return law
-	}
-	law := dp.buildLaw(vdd)
-	dp.laws[vdd] = law
+	key := lawKey{node: dp.Node, lanes: dp.Lanes, paths: dp.PathsPerLane, chain: dp.ChainLen, vdd: vdd}
+	law, _ := laws.Get(key, func() (*delayLaw, error) {
+		mLawBuilds.Inc()
+		return dp.buildLaw(vdd), nil
+	})
 	return law
+}
+
+// guideCells is the resolution of a column's guide table.
+const guideCells = 1024
+
+// column is one tabulated CDF of a delay law with its guide table:
+// guide[g] = sort.SearchFloat64s(f, g/guideCells). On a non-decreasing
+// column the first knot f[i] ≥ u lies between guide[g] and guide[g+1]
+// for g = ⌊u·guideCells⌋, so inverting u searches that bracket — one
+// or two knots across the body of the law, wider only in a far tail
+// where one guide cell spans many knots — and finds exactly the index
+// a binary search over the whole column returns. A column that is not
+// non-decreasing gets no guide and keeps the whole-column search.
+type column struct {
+	f     []float64
+	guide []uint16 // nil: f is not non-decreasing
+}
+
+func newColumn(f []float64) column {
+	for i := 1; i < len(f); i++ {
+		if !(f[i] >= f[i-1]) {
+			return column{f: f}
+		}
+	}
+	g := make([]uint16, guideCells)
+	for j := range g {
+		g[j] = uint16(sort.SearchFloat64s(f, float64(j)/guideCells))
+	}
+	return column{f: f, guide: g}
+}
+
+// search returns sort.SearchFloat64s(c.f, u) for a guided column and
+// u ∈ [0, 1). With g = ⌊u·guideCells⌋, g/guideCells ≤ u exactly (the
+// scaling is by a power of two) and u < (g+1)/guideCells, so the answer
+// is at least guide[g] and at most guide[g+1] (len(f) past the last
+// cell); the loop is the binary search restricted to that bracket.
+func (c column) search(u float64) int {
+	g := int(u * guideCells)
+	lo, hi := int(c.guide[g]), len(c.f)
+	if g+1 < guideCells {
+		hi = int(c.guide[g+1])
+	}
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c.f[m] < u {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// invert is invert(x, c.f, u), searched inside the guide's bracket
+// when the column has a guide and u lies in [0, 1); NaN and
+// out-of-range u take the whole-column search.
+func (c column) invert(x []float64, u float64) float64 {
+	if c.guide == nil || !(u >= 0 && u < 1) {
+		return invert(x, c.f, u)
+	}
+	return interp(x, c.f, c.search(u), u)
 }
 
 // invert samples the delay at CDF value u from the table by binary
 // search and linear interpolation.
 func invert(x, f []float64, u float64) float64 {
-	i := sort.SearchFloat64s(f, u)
+	return interp(x, f, sort.SearchFloat64s(f, u), u)
+}
+
+// interp interpolates the delay at CDF value u inside grid interval i,
+// the index the search for u in f returned.
+func interp(x, f []float64, i int, u float64) float64 {
 	switch {
 	case i <= 0:
 		return x[0]
@@ -284,14 +386,42 @@ func invert(x, f []float64, u float64) float64 {
 	return x[i-1] + (x[i]-x[i-1])*(u-f0)/(f1-f0)
 }
 
+// maxLane returns the slowest of the lanes drawn at the uniforms us —
+// the max of fLane.invert(x, u) over us — inverting only the lanes that
+// can reach it. Let i be the grid interval of the largest uniform.
+// Interpolation is monotone inside an interval and neighbouring
+// intervals disagree by at most an ulp at their shared knot, so a lane
+// with u ≤ fLane[i−2] lands at most an ulp above x[i−2], which is no
+// more than x[i−1], itself no more than the largest uniform's delay.
+// Such lanes cannot change the max and are skipped: typically one to
+// three inversions instead of one per lane. Requires l.maxDraw and
+// every u in [0, 1).
+func (l *delayLaw) maxLane(us []float64) float64 {
+	maxU := us[0]
+	for _, u := range us[1:] {
+		if u > maxU {
+			maxU = u
+		}
+	}
+	lane := l.fLane
+	floor := math.Inf(-1)
+	if i := lane.search(maxU); i >= 2 {
+		floor = lane.f[i-2]
+	}
+	worst := math.Inf(-1)
+	for _, u := range us {
+		if u > floor {
+			if d := interp(l.x, lane.f, lane.search(u), u); d > worst {
+				worst = d
+			}
+		}
+	}
+	return worst
+}
+
 // SamplePathDelay draws one critical-path delay (seconds) at supply vdd.
 func (dp *Datapath) SamplePathDelay(r *rng.Stream, vdd float64) float64 {
-	if dp.Exact {
-		s := variation.NewSampler(dp.Node.Dev, dp.Node.Var)
-		return s.FreshChainDelay(r, vdd, dp.ChainLen)
-	}
-	law := dp.lawFor(vdd)
-	return invert(law.x, law.fPath, r.Float64())
+	return dp.sampler(vdd).path(r)
 }
 
 // ErrNoAnalyticLaw is returned by the analytic chip-law accessors when
@@ -320,7 +450,7 @@ func (dp *Datapath) ChipQuantile(vdd, p float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return invert(law.x, law.fChip, p), nil
+	return law.fChip.invert(law.x, p), nil
 }
 
 // ChipCDF returns P(chip delay ≤ x) (zero spares) under the numerical
@@ -330,20 +460,21 @@ func (dp *Datapath) ChipCDF(vdd, x float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return interpCDF(law.x, law.fChip, x), nil
+	return interpCDF(law.x, law.fChip.f, x), nil
 }
 
 // ChipQuantileFn returns the chip-delay quantile function u ↦ delay
-// (seconds) as a closure over the cached law table, suitable as the
+// (seconds) as a closure over the memoized law table, suitable as the
 // monotone model handed to the importance-sampling engine: evaluating
-// it performs one binary search and no allocation. The law is built
-// eagerly so parallel samplers only read the cache.
+// it is one guide-table lookup, a binary search inside the bracket it
+// gives, and no allocation. The law is resolved eagerly so parallel
+// samplers only read it.
 func (dp *Datapath) ChipQuantileFn(vdd float64) (func(u float64) float64, error) {
 	law, err := dp.analyticLaw(vdd)
 	if err != nil {
 		return nil, err
 	}
-	return func(u float64) float64 { return invert(law.x, law.fChip, u) }, nil
+	return func(u float64) float64 { return law.fChip.invert(law.x, u) }, nil
 }
 
 // interpCDF evaluates a tabulated CDF at x by linear interpolation,
@@ -372,6 +503,51 @@ func interpCDF(xs, f []float64, x float64) float64 {
 // die-level variation draw; in Exact mode every gate of every path is
 // sampled individually.
 func (dp *Datapath) SampleLaneDelays(r *rng.Stream, vdd float64, dst []float64) {
+	dp.sampler(vdd).lanes(r, dst)
+}
+
+// sampler is a datapath's sampling state at one supply: the law or
+// moment table its mode reads, resolved once per Monte-Carlo call so
+// the per-chip draws never consult the memo.
+type sampler struct {
+	dp  *Datapath
+	vdd float64
+	law *delayLaw    // iid-paths, law-based
+	tbl *momentTable // spatial, law-based
+}
+
+// sampler resolves the tables dp samples from at vdd.
+func (dp *Datapath) sampler(vdd float64) sampler {
+	s := sampler{dp: dp, vdd: vdd}
+	if dp.Exact {
+		return s
+	}
+	switch dp.Corr {
+	case IIDPaths:
+		s.law = dp.lawFor(vdd)
+	case Spatial:
+		s.tbl = dp.momentsFor(vdd)
+	}
+	return s
+}
+
+// path draws one critical-path delay.
+func (s sampler) path(r *rng.Stream) float64 {
+	dp := s.dp
+	if dp.Exact {
+		vs := variation.NewSampler(dp.Node.Dev, dp.Node.Var)
+		return vs.FreshChainDelay(r, s.vdd, dp.ChainLen)
+	}
+	law := s.law
+	if law == nil {
+		law = dp.lawFor(s.vdd) // correlated modes draw single paths from the iid path law too
+	}
+	return law.fPath.invert(law.x, r.Float64())
+}
+
+// lanes draws the delays of len(dst) lanes of one chip into dst.
+func (s sampler) lanes(r *rng.Stream, dst []float64) {
+	dp, vdd := s.dp, s.vdd
 	if dp.Exact {
 		dp.sampleLanesExact(r, vdd, dst)
 		return
@@ -386,7 +562,7 @@ func (dp *Datapath) SampleLaneDelays(r *rng.Stream, vdd float64, dst []float64) 
 			dst[i] = law.mul * pathLaw.Quantile(u)
 		}
 	case Spatial:
-		tbl := dp.momentsFor(vdd)
+		tbl := s.tbl
 		pinv := 1.0 / float64(dp.PathsPerLane)
 		field := newLaneField(dp.Node.Var.SigmaVthD2D, dp.Node.Var.SigmaMulD2D, dp.CorrLanes, r)
 		for i := range dst {
@@ -396,9 +572,9 @@ func (dp *Datapath) SampleLaneDelays(r *rng.Stream, vdd float64, dst []float64) 
 			dst[i] = mul * stats.Normal{Mu: mu, Sigma: sigma}.Quantile(u)
 		}
 	default: // IIDPaths
-		law := dp.lawFor(vdd)
+		law := s.law
 		for i := range dst {
-			dst[i] = invert(law.x, law.fLane, r.Float64())
+			dst[i] = law.fLane.invert(law.x, r.Float64())
 		}
 	}
 }
@@ -517,18 +693,12 @@ func (t *momentTable) at(d float64) (mu, sigma float64) {
 	return t.mu[i] + f*(t.mu[i+1]-t.mu[i]), t.sigma[i] + f*(t.sigma[i+1]-t.sigma[i])
 }
 
-// momentsFor returns the cached moment table at vdd.
+// momentsFor returns the moment table at vdd from the process-wide
+// memo. The table does not depend on the lane geometry, so its key
+// leaves lanes and paths zero.
 func (dp *Datapath) momentsFor(vdd float64) *momentTable {
-	dp.mu.Lock()
-	defer dp.mu.Unlock()
-	if dp.moments == nil {
-		dp.moments = make(map[float64]*momentTable)
-	}
-	if t, ok := dp.moments[vdd]; ok {
-		return t
-	}
-	t := dp.buildMoments(vdd)
-	dp.moments[vdd] = t
+	key := lawKey{node: dp.Node, chain: dp.ChainLen, vdd: vdd}
+	t, _ := moments.Get(key, func() (*momentTable, error) { return dp.buildMoments(vdd), nil })
 	return t
 }
 
@@ -562,9 +732,34 @@ func (dp *Datapath) drawDie(r *rng.Stream, vdd float64) dieLaw {
 // slowest lanes have been replaced — i.e. the maximum of the dp.Lanes
 // fastest lanes out of dp.Lanes+spares.
 func (dp *Datapath) SampleChipDelay(r *rng.Stream, vdd float64, spares int) float64 {
-	total := dp.Lanes + spares
-	lanes := make([]float64, total)
-	dp.SampleLaneDelays(r, vdd, lanes)
+	return dp.sampler(vdd).chip(r, spares)
+}
+
+// maxStackLanes is the widest chip (lanes plus spares) drawn into a
+// stack array; wider chips allocate one slice per draw.
+const maxStackLanes = 256
+
+// chip draws one chip delay with the given spare count. A zero-spare
+// law-based chip draws its uniforms in lane order and inverts only the
+// lanes that can be slowest (maxLane); with spares, the chip delay is
+// the (spares+1)-th slowest lane, found by partial selection. Both
+// return exactly the value the full inversion and sort would.
+func (s sampler) chip(r *rng.Stream, spares int) float64 {
+	total := s.dp.Lanes + spares
+	var buf [maxStackLanes]float64
+	var lanes []float64
+	if total <= len(buf) {
+		lanes = buf[:total]
+	} else {
+		lanes = make([]float64, total)
+	}
+	if spares == 0 && s.law != nil && s.law.maxDraw {
+		for i := range lanes {
+			lanes[i] = r.Float64()
+		}
+		return s.law.maxLane(lanes)
+	}
+	s.lanes(r, lanes)
 	if spares == 0 {
 		worst := lanes[0]
 		for _, d := range lanes[1:] {
@@ -574,8 +769,52 @@ func (dp *Datapath) SampleChipDelay(r *rng.Stream, vdd float64, spares int) floa
 		}
 		return worst
 	}
-	sort.Float64s(lanes)
-	return lanes[dp.Lanes-1]
+	return kthSmallest(lanes, s.dp.Lanes-1)
+}
+
+// kthSmallest returns the value sort.Float64s(a) would leave at a[k],
+// partially reordering a in place: Hoare selection with a
+// median-of-three pivot, O(len(a)) on average. a must hold no NaN.
+func kthSmallest(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi] < a[lo] {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if a[hi] < a[mid] {
+			a[hi], a[mid] = a[mid], a[hi]
+		}
+		p := a[mid]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < p {
+				i++
+			}
+			for a[j] > p {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// a[lo..j] ≤ p ≤ a[i..hi], and everything strictly between
+		// equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
 }
 
 // ChipDelays runs an n-sample Monte-Carlo of the chip delay at supply
@@ -589,24 +828,10 @@ func (dp *Datapath) ChipDelays(seed uint64, n int, vdd float64, spares int) []fl
 // ChipDelaysCtx is ChipDelays with cooperative cancellation; results are
 // bit-identical to ChipDelays when ctx is never cancelled.
 func (dp *Datapath) ChipDelaysCtx(ctx context.Context, seed uint64, n int, vdd float64, spares int) ([]float64, error) {
-	dp.prepare(vdd)
+	s := dp.sampler(vdd)
 	return montecarlo.SampleCtx(ctx, seed, n, func(r *rng.Stream) float64 {
-		return dp.SampleChipDelay(r, vdd, spares)
+		return s.chip(r, spares)
 	})
-}
-
-// prepare builds the delay law before parallel sampling so workers only
-// read the cache.
-func (dp *Datapath) prepare(vdd float64) {
-	if dp.Exact {
-		return
-	}
-	switch dp.Corr {
-	case IIDPaths:
-		dp.lawFor(vdd)
-	case Spatial:
-		dp.momentsFor(vdd)
-	}
 }
 
 // ChipDelaysFO4 is ChipDelays normalized to FO4 delay units at vdd.
@@ -655,10 +880,10 @@ func (dp *Datapath) LaneDelays(seed uint64, n int, vdd float64) []float64 {
 
 // LaneDelaysCtx is LaneDelays with cooperative cancellation.
 func (dp *Datapath) LaneDelaysCtx(ctx context.Context, seed uint64, n int, vdd float64) ([]float64, error) {
-	dp.prepare(vdd)
+	s := dp.sampler(vdd)
 	return montecarlo.SampleCtx(ctx, seed, n, func(r *rng.Stream) float64 {
 		var lane [1]float64
-		dp.SampleLaneDelays(r, vdd, lane[:])
+		s.lanes(r, lane[:])
 		return lane[0]
 	})
 }
@@ -672,10 +897,8 @@ func (dp *Datapath) PathDelays(seed uint64, n int, vdd float64) []float64 {
 
 // PathDelaysCtx is PathDelays with cooperative cancellation.
 func (dp *Datapath) PathDelaysCtx(ctx context.Context, seed uint64, n int, vdd float64) ([]float64, error) {
-	dp.prepare(vdd)
-	return montecarlo.SampleCtx(ctx, seed, n, func(r *rng.Stream) float64 {
-		return dp.SamplePathDelay(r, vdd)
-	})
+	s := dp.sampler(vdd)
+	return montecarlo.SampleCtx(ctx, seed, n, s.path)
 }
 
 // SpareCurve returns the 99 % FO4 chip delay for each spare count in
@@ -699,10 +922,7 @@ func (dp *Datapath) SpareCurveCtx(ctx context.Context, seed uint64, n int, vdd f
 		}
 	}
 	total := dp.Lanes + maxA
-	dp.prepare(vdd)
-	rows, err := montecarlo.SampleVecCtx(ctx, seed, n, total, func(r *rng.Stream, dst []float64) {
-		dp.SampleLaneDelays(r, vdd, dst)
-	})
+	rows, err := montecarlo.SampleVecCtx(ctx, seed, n, total, dp.sampler(vdd).lanes)
 	if err != nil {
 		return nil, err
 	}

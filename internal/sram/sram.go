@@ -83,7 +83,7 @@ var (
 	mChips = telemetry.Default.Counter("ntvsim_sram_chips_sampled_total",
 		"Monte-Carlo chip draws through the SRAM bank-failure sampler.")
 	mTables = telemetry.Default.Counter("ntvsim_sram_tables_built_total",
-		"Die-shift failure-probability tables built (one per sampler construction).")
+		"Die-shift failure-probability tables built (one per sampler construction; the sweep kernels memoize samplers).")
 )
 
 // Op selects the access being timed.

@@ -198,7 +198,7 @@ func init() {
 			return v, nil, err
 		},
 		SSTA: func(node tech.Node, vdd float64, _ Options) (float64, error) {
-			return chipLaw(node, vdd).ChipQuantile(0.99) / simd.New(node).FO4(vdd), nil
+			return chipLaw(node, vdd).ChipQuantile(0.99) / node.Dev.NominalDelay(vdd), nil
 		},
 	})
 	registerKernel(Kernel{

@@ -5,6 +5,7 @@ import (
 
 	"github.com/ntvsim/ntvsim/internal/experiments"
 	"github.com/ntvsim/ntvsim/internal/importance"
+	"github.com/ntvsim/ntvsim/internal/memo"
 	"github.com/ntvsim/ntvsim/internal/montecarlo"
 	"github.com/ntvsim/ntvsim/internal/rng"
 	"github.com/ntvsim/ntvsim/internal/simd"
@@ -20,11 +21,35 @@ import (
 // SSTA path integrates the same conditional failure law analytically —
 // so mode: auto and the CI property tests compare like with like.
 
+// samplerKey identifies one SRAM chip sampler of the default memory
+// model on a calibrated node: its die table is a pure function of
+// (node, op, Vdd).
+type samplerKey struct {
+	node string
+	op   sram.Op
+	vdd  float64
+}
+
+// samplerMemoBound caps the sampler memo: a sampler is ≈2 KB (its
+// 257-point die table), and 64 covers every (op, Vdd) a sweep touches.
+const samplerMemoBound = 64
+
+var samplers = memo.New[samplerKey, *sram.ChipSampler](samplerMemoBound)
+
+// chipSampler returns the default-model SRAM chip sampler for
+// (node, op, Vdd) from the process memo, so repeated grid points — the
+// same point under fresh seeds above all — build its die table once.
+func chipSampler(node tech.Node, op sram.Op, vdd float64) *sram.ChipSampler {
+	smp, _ := samplers.Get(samplerKey{node: node.Name, op: op, vdd: vdd}, func() (*sram.ChipSampler, error) {
+		return sram.New(node).NewSampler(op, vdd), nil
+	})
+	return smp
+}
+
 // sramYieldEval is the shared MC estimator: the percentage of sampled
 // chips whose memory map is fully repairable for the given access.
 func sramYieldEval(ctx context.Context, node tech.Node, vdd float64, samples int, seed uint64, op sram.Op) (float64, error) {
-	smp := sram.New(node).NewSampler(op, vdd)
-	xs, err := montecarlo.SampleCtx(ctx, seed, samples, smp.Sample)
+	xs, err := montecarlo.SampleCtx(ctx, seed, samples, chipSampler(node, op, vdd).Sample)
 	if err != nil {
 		return 0, err
 	}
@@ -33,8 +58,8 @@ func sramYieldEval(ctx context.Context, node tech.Node, vdd float64, samples int
 
 // logicBudget returns the logic-path pass/fail delay threshold in
 // seconds: the shared budget rule of the memory-vs-logic comparison.
-func logicBudget(dp *simd.Datapath, vdd float64) float64 {
-	return sram.LogicMarginFO4 * float64(tech.ChainLength) * dp.FO4(vdd)
+func logicBudget(node tech.Node, vdd float64) float64 {
+	return sram.LogicMarginFO4 * float64(tech.ChainLength) * node.Dev.NominalDelay(vdd)
 }
 
 func init() {
@@ -67,13 +92,12 @@ func init() {
 		Kind: experiments.Architecture, Unit: "pp", DefaultSamples: 10000,
 		Description: "memory read yield minus logic-path yield at the shared margin rule, in percentage points (negative: memory limits the chip)",
 		Eval: func(ctx context.Context, node tech.Node, vdd float64, samples int, seed uint64, _ Options) (float64, *importance.Diagnostics, error) {
-			dp := simd.New(node)
-			fn, err := dp.ChipQuantileFn(vdd)
+			fn, err := simd.New(node).ChipQuantileFn(vdd)
 			if err != nil {
 				return 0, nil, err
 			}
-			budget := logicBudget(dp, vdd)
-			smp := sram.New(node).NewSampler(sram.OpRead, vdd)
+			budget := logicBudget(node, vdd)
+			smp := chipSampler(node, sram.OpRead, vdd)
 			xs, err := montecarlo.SampleCtx(ctx, seed, samples, func(r *rng.Stream) float64 {
 				mem := smp.Sample(r)
 				logic := 0.0
@@ -89,7 +113,7 @@ func init() {
 		},
 		SSTA: func(node tech.Node, vdd float64, _ Options) (float64, error) {
 			memYield := sram.New(node).Yield(sram.OpRead, vdd)
-			logicYield := 1 - chipLaw(node, vdd).ChipTail(logicBudget(simd.New(node), vdd))
+			logicYield := 1 - chipLaw(node, vdd).ChipTail(logicBudget(node, vdd))
 			return 100 * (memYield - logicYield), nil
 		},
 	})

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
+	"github.com/ntvsim/ntvsim/internal/memo"
 	"github.com/ntvsim/ntvsim/internal/simd"
 	"github.com/ntvsim/ntvsim/internal/ssta"
 	"github.com/ntvsim/ntvsim/internal/tech"
@@ -46,48 +46,18 @@ var (
 	mSSTAEvals = telemetry.Default.Counter("ntvsim_ssta_evals_total",
 		"Grid points answered by the analytic SSTA estimator (mode ssta, or auto points it resolved).")
 	mSSTALawBuilds = telemetry.Default.Counter("ntvsim_ssta_law_builds_total",
-		"Analytic chip-delay law constructions (cache misses in the per-(node, Vdd) law cache).")
+		"Analytic chip-delay law constructions (misses in the per-(node, Vdd) law memo).")
 	mAutoRefined = telemetry.Default.Counter("ntvsim_auto_mc_refined_total",
 		"Auto-mode grid points inside the decision band, refined with Monte-Carlo shards.")
 )
 
-// lawCacheKey identifies one analytic chip law: the laws the sweep
-// kernels use are all built for the default datapath geometry, so
-// (node, Vdd) is the full identity.
-type lawCacheKey struct {
+// lawKey identifies one analytic chip law: the laws the sweep kernels
+// use are all built for the default datapath geometry on a calibrated
+// node (specs name nodes, resolved by tech.ByName), so (node name,
+// Vdd) is the full identity.
+type lawKey struct {
 	node string
 	vdd  float64
-}
-
-var (
-	lawMu sync.Mutex
-	laws  = map[lawCacheKey]*ssta.Law{}
-)
-
-// lawCacheBound caps the law cache; a sweep grid is bounded by
-// MaxShards, but the cache is process-global, so pathological knob
-// churn across many sweeps is shed by dropping the whole (cheaply
-// rebuildable) map.
-const lawCacheBound = 1024
-
-// chipLaw returns the analytic chip-delay law for the default SIMD
-// datapath on node at vdd, built once per (node, Vdd) and shared across
-// shards, sweeps and the auto-mode screen.
-func chipLaw(node tech.Node, vdd float64) *ssta.Law {
-	k := lawCacheKey{node: node.Name, vdd: vdd}
-	lawMu.Lock()
-	defer lawMu.Unlock()
-	if l, ok := laws[k]; ok {
-		return l
-	}
-	l := ssta.NewLaw(node.Dev, node.Var, vdd, tech.ChainLength,
-		simd.DefaultPathsPerLane, simd.DefaultLanes)
-	mSSTALawBuilds.Inc()
-	if len(laws) >= lawCacheBound {
-		laws = map[lawCacheKey]*ssta.Law{}
-	}
-	laws[k] = l
-	return l
 }
 
 // sstaValKey identifies one analytic kernel evaluation. The value is a
@@ -99,35 +69,37 @@ type sstaValKey struct {
 	vdd, tailSigma float64
 }
 
+// memoBound caps the analytic law and value memos; a sweep grid is
+// bounded by MaxShards, but the memos are process-global, so
+// pathological knob churn across many sweeps is shed by dropping the
+// whole (cheaply rebuildable) map.
+const memoBound = 1024
+
 var (
-	sstaValMu sync.Mutex
-	sstaVals  = map[sstaValKey]float64{}
+	laws     = memo.New[lawKey, *ssta.Law](memoBound)
+	sstaVals = memo.New[sstaValKey, float64](memoBound)
 )
 
-// sstaEval evaluates k.SSTA through a process-global value cache. An
+// chipLaw returns the analytic chip-delay law for the default SIMD
+// datapath on node at vdd, built once per (node, Vdd) and shared across
+// shards, sweeps and the auto-mode screen.
+func chipLaw(node tech.Node, vdd float64) *ssta.Law {
+	l, _ := laws.Get(lawKey{node: node.Name, vdd: vdd}, func() (*ssta.Law, error) {
+		mSSTALawBuilds.Inc()
+		return ssta.NewLaw(node.Dev, node.Var, vdd, tech.ChainLength,
+			simd.DefaultPathsPerLane, simd.DefaultLanes), nil
+	})
+	return l
+}
+
+// sstaEval evaluates k.SSTA through a process-global value memo. An
 // auto-mode sweep consults the screen for the same point several times
 // (cache keying, dispatch accounting, merge stamping) and again when
-// the shard evaluates analytically; the cache collapses all of them to
+// the shard evaluates analytically; the memo collapses all of them to
 // one computation per (kernel, node, Vdd, tail target).
 func sstaEval(k Kernel, node tech.Node, vdd float64, opt Options) (float64, error) {
 	key := sstaValKey{kernel: k.ID, node: node.Name, vdd: vdd, tailSigma: opt.TailSigma}
-	sstaValMu.Lock()
-	v, ok := sstaVals[key]
-	sstaValMu.Unlock()
-	if ok {
-		return v, nil
-	}
-	v, err := k.SSTA(node, vdd, opt)
-	if err != nil {
-		return 0, err
-	}
-	sstaValMu.Lock()
-	if len(sstaVals) >= lawCacheBound {
-		sstaVals = map[sstaValKey]float64{}
-	}
-	sstaVals[key] = v
-	sstaValMu.Unlock()
-	return v, nil
+	return sstaVals.Get(key, func() (float64, error) { return k.SSTA(node, vdd, opt) })
 }
 
 // pointMode resolves which estimator evaluates one grid point of a

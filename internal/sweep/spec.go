@@ -328,6 +328,9 @@ func (s Spec) Normalized() (Spec, error) {
 	} else if s.AutoBand != 0 || s.AutoThreshold != 0 {
 		return Spec{}, fmt.Errorf("sweep: auto_band/auto_threshold apply only to mode %q", ModeAuto)
 	}
+	// Fill and canonicalize a copy: the caller's backing array may be
+	// shared by concurrent evaluations of the same spec.
+	s.Nodes = append([]string(nil), s.Nodes...)
 	if len(s.Nodes) == 0 {
 		for _, n := range tech.Nodes() {
 			s.Nodes = append(s.Nodes, n.Name)

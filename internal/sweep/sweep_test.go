@@ -63,6 +63,16 @@ func TestNormalizedDefaults(t *testing.T) {
 	if ns.Nodes[0] != "22nm PTM HP" {
 		t.Errorf("node not canonicalized: %q", ns.Nodes[0])
 	}
+
+	// Canonicalization writes a copy, never the caller's slice (which
+	// concurrent evaluations of one spec share).
+	nodes := []string{"22nm"}
+	if _, err := (Spec{Metric: "gate3sigma", Nodes: nodes}).Normalized(); err != nil {
+		t.Fatal(err)
+	}
+	if nodes[0] != "22nm" {
+		t.Errorf("Normalized rewrote the caller's Nodes to %q", nodes[0])
+	}
 }
 
 func TestNormalizedRejects(t *testing.T) {
