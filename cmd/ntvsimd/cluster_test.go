@@ -19,6 +19,7 @@ import (
 
 	"github.com/ntvsim/ntvsim/internal/cluster"
 	"github.com/ntvsim/ntvsim/internal/jobs"
+	"github.com/ntvsim/ntvsim/internal/ledger"
 	"github.com/ntvsim/ntvsim/internal/sweep"
 )
 
@@ -420,6 +421,40 @@ func TestCoordinatorDaemonRestartReplay(t *testing.T) {
 			t.Fatal("resumed sweep never reached the run ledger")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	stop()
+	ts2.Close()
+	s2.close() // idempotent: the cleanup newCoordinatorServer registered closes it again
+
+	// Lives 3–5: reboots after the sweep is recorded restore it from the
+	// journal as a finished sweep, and must not record it again. Whether
+	// the restored sweep is still running when the server scans it is a
+	// race, so reboot several times.
+	for life := 3; life <= 5; life++ {
+		s, ts := newCoordinatorServer(t, dir)
+		deadline = time.Now().Add(15 * time.Second)
+		for {
+			code, out = doJSON(t, http.MethodGet, ts.URL+"/v1/sweeps/"+id, nil)
+			if state, _ := out["state"].(string); code == http.StatusOK && state == "done" {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("life %d: restored sweep never finished: %d %v", life, code, out)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		time.Sleep(100 * time.Millisecond) // room for a stray recorder to append
+		ts.Close()
+		s.close()
+		n := 0
+		for _, rec := range journalRecords(t, dir) {
+			if rec.RunID == id {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Fatalf("life %d: %s holds %d records of sweep %s, want 1", life, ledger.FileName, n, id)
+		}
 	}
 }
 

@@ -226,14 +226,17 @@ func newServerWith(cfg serverConfig) (*server, error) {
 		if resumed > 0 {
 			logger.Info("cluster journal replayed", "resumed_sweeps", resumed)
 		}
-		// Sweeps resumed mid-flight still owe the run ledger their
-		// terminal record; re-attach the recorder the original boot lost.
+		// A restored sweep the run ledger holds no record of still owes
+		// it one, whether it resumed mid-flight or finished before the
+		// crash without being recorded; re-attach the recorder the
+		// original boot lost. A recorded sweep is never recorded twice.
 		if s.ledger != nil {
 			for _, snap := range s.sweeps.List() {
-				if snap.State == sweep.Running {
-					if sw, ok := s.sweeps.Get(snap.ID); ok {
-						go s.recordSweep(sw)
-					}
+				if _, recorded := s.ledger.Get(snap.ID); recorded {
+					continue
+				}
+				if sw, ok := s.sweeps.Get(snap.ID); ok {
+					go s.recordSweep(sw)
 				}
 			}
 		}

@@ -19,16 +19,17 @@
 //	internal/rng         splittable deterministic PRNG sub-streams
 //	internal/montecarlo  deterministic parallel MC engine (ctx-cancellable)
 //	internal/stats       streaming moments, quantiles, histograms, ECDFs
-//	internal/simd        lane/chip delay laws of the 128-wide datapath
+//	internal/simd        lane/chip delay sampling of the 128-wide datapath
 //	internal/sparing     spare-lane sizing and placement
 //	internal/margin      voltage/frequency margining, combined plans
 //	internal/power       energy-per-op, overhead models
 //	internal/xram        XRAM swizzle crossbar with fault bypass
 //	internal/soda        Diet SODA PE functional simulator + kernels
 //	internal/timingerr   timing-error injection and recovery policies
-//	internal/ssta        analytic chip-delay law: the sweep engine's
-//	                     SSTA estimator (mode ssta/auto) plus Clark
-//	                     moment algebra (docs/SSTA.md)
+//	internal/ssta        the one chip-delay law: the sweep engine's SSTA
+//	                     estimator (mode ssta/auto), the tabulated
+//	                     inverse internal/simd samples, Clark moment
+//	                     algebra (docs/SSTA.md)
 //	internal/corners     corner signoff with OCV derates
 //	internal/yield       parametric yield-vs-clock curves
 //	internal/importance  rare-event importance sampler: defensive-mixture

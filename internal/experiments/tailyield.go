@@ -80,8 +80,7 @@ func runTailYield(ctx context.Context, cfg Config) (Result, error) {
 	node := tech.N22
 	const vdd = 0.5
 	stdNormal := stats.Normal{Mu: 0, Sigma: 1}
-	dp := simd.New(node)
-	fn, err := dp.ChipQuantileFn(vdd)
+	fn, err := simd.New(node).ChipQuantileFn(vdd)
 	if err != nil {
 		return nil, err
 	}
@@ -93,10 +92,7 @@ func runTailYield(ctx context.Context, cfg Config) (Result, error) {
 	res := &TailYieldResult{Node: node, Vdd: vdd, MCSamples: nMC, ISSamples: nIS}
 	for i, k := range []float64{2, 3, 4} {
 		pTrue := 1 - stdNormal.CDF(k)
-		target, err := dp.ChipQuantile(vdd, stdNormal.CDF(k))
-		if err != nil {
-			return nil, err
-		}
+		target := fn(stdNormal.CDF(k))
 		seed := cfg.Seed + uint64(41+i)
 
 		mcCtx, done := phase(ctx, fmt.Sprintf("mc/%.0fsigma", k))

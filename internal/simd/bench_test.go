@@ -4,21 +4,24 @@ import (
 	"testing"
 
 	"github.com/ntvsim/ntvsim/internal/rng"
+	"github.com/ntvsim/ntvsim/internal/ssta"
 	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/tech"
 )
 
+// BenchmarkBuildLaw builds and tabulates the canonical chip law from
+// scratch: the one-time cost the law memo amortizes per (node, Vdd).
 func BenchmarkBuildLaw(b *testing.B) {
 	dp := New(tech.N90)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		dp.buildLaw(0.55)
+		ssta.NewLaw(dp.Node.Dev, dp.Node.Var, 0.55, dp.ChainLen, dp.PathsPerLane, dp.Lanes).Table()
 	}
 }
 
 func BenchmarkSampleChipDelayFast(b *testing.B) {
 	dp := New(tech.N90)
-	dp.lawFor(0.55)
+	dp.law(0.55)
 	r := rng.New(1)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -17,20 +17,20 @@
 // cannot fix a slow die — and Spatial interpolates between the extremes
 // with an AR(1) systematic field across the lane array.
 //
-// The default sampler draws lane delays by inverse-CDF sampling from a
-// numerically constructed lane-delay law (the path law raised to the
-// 100th power), which makes chip-level Monte Carlo cheap enough for the
-// spare-count and voltage-margin searches. A gate-level exact sampler
-// (Exact) remains available and is statistically indistinguishable (KS
-// tests in the package tests).
-//
-// The laws are pure functions of (node, geometry, Vdd), so one
-// process-wide memo (internal/memo) builds each once and every
-// Datapath, shard and sweep shares it. Each tabulated CDF carries a
-// guide table that brackets its inversion to a few knots, and a
-// zero-spare chip inverts only the lanes whose uniforms can reach the
-// maximum; both reproduce the plain binary-search inversion bit for
-// bit (the package's exactness tests pin this).
+// The default sampler draws lane delays by inverse-CDF sampling from
+// the lane law (the path law raised to the 100th power) of
+// internal/ssta's iid-paths chip-delay law, read through the law's
+// tabulated inverse (ssta.Table), which makes chip-level Monte Carlo cheap enough for the
+// spare-count and voltage-margin searches. The laws are pure functions
+// of (node parameters, geometry, Vdd), so the one process-wide law memo
+// (ssta.LawFor) builds and tabulates each once, and every Datapath,
+// shard, sweep and the SSTA estimator share it. A gate-level exact
+// sampler (Exact) remains available and is statistically
+// indistinguishable (KS tests in the package tests). A zero-spare chip
+// inverts only the lanes whose uniforms can reach the maximum, and a
+// spared chip partially selects its slowest kept lane; both reproduce
+// the full inversion and sort bit for bit (the package's exactness
+// tests pin this).
 package simd
 
 import (
@@ -44,9 +44,9 @@ import (
 	"github.com/ntvsim/ntvsim/internal/memo"
 	"github.com/ntvsim/ntvsim/internal/montecarlo"
 	"github.com/ntvsim/ntvsim/internal/rng"
+	"github.com/ntvsim/ntvsim/internal/ssta"
 	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/tech"
-	"github.com/ntvsim/ntvsim/internal/telemetry"
 	"github.com/ntvsim/ntvsim/internal/variation"
 )
 
@@ -136,287 +136,26 @@ func (dp *Datapath) FO4(vdd float64) float64 {
 	return dp.Node.Dev.NominalDelay(vdd)
 }
 
-// delayLaw holds inverse-CDF tables of the path delay, the lane delay
-// (max of PathsPerLane iid paths) and the chip delay (max of Lanes iid
-// lanes) at one supply voltage.
-type delayLaw struct {
-	x     []float64 // delay grid, seconds, ascending
-	fPath column    // CDF of one path on the grid
-	fLane column    // CDF of the lane = fPath^PathsPerLane
-	fChip column    // CDF of the chip = fLane^Lanes (zero spares)
-
-	// maxDraw holds when the lane column is guided and the delay grid
-	// strictly increases from a non-negative origin: the conditions
-	// under which maxLane equals the max over every lane's inversion.
-	maxDraw bool
+// momentKey identifies one Spatial moment table: the whole node value
+// (so a custom node never aliases a calibrated one), the chain length
+// and the supply.
+type momentKey struct {
+	node  tech.Node
+	chain int
+	vdd   float64
 }
 
-// lawGridPoints is the delay-grid resolution of the numerical law. The
-// chip p99 needs the lane CDF resolved to ~1e-4; 1024 points across a
-// ±(5σ D2D × 8σ WID) span resolve it well below the Monte-Carlo noise
-// floor (the KS tests against gate-level sampling validate this).
-const lawGridPoints = 1024
+// momentMemoBound caps the moment-table memo: a table is ≈1 KB and
+// thirty-two supplies cover a sweep's working set; a wider churn drops
+// the map and rebuilds on demand.
+const momentMemoBound = 32
 
-// outerQuadPoints is the grid size for the two correlated (die-level)
-// integration dimensions of the path law. The integrands are smooth
-// Gaussian mixtures; 17-point normalized Simpson over ±5σ is accurate
-// to ≪ the lane-CDF resolution.
-const outerQuadPoints = 17
+var moments = memo.New[momentKey, *momentTable](momentMemoBound)
 
-// buildLaw constructs the numerical path/lane delay law at supply vdd:
-//
-//	path = exp(g) · Normal(μ(d), σ(d)),  d ~ N(0, σ_vth,D2D),
-//	                                     g ~ N(0, σ_mul,D2D),
-//
-// where μ(d), σ(d) are the die-conditional chain moments (quadrature
-// over the within-die variation) from internal/device.
-func (dp *Datapath) buildLaw(vdd float64) *delayLaw {
-	v := dp.Node.Var
-	p := dp.Node.Dev
-
-	// Outer grids with Gaussian weights (normalized Simpson).
-	dGrid, dW := gaussGrid(v.SigmaVthD2D, outerQuadPoints)
-	gGrid, gW := gaussGrid(v.SigmaMulD2D, outerQuadPoints)
-
-	type cond struct{ mu, sigma, mul, w float64 }
-	conds := make([]cond, 0, len(dGrid)*len(gGrid))
-	xlo, xhi := math.Inf(1), math.Inf(-1)
-	for i, d := range dGrid {
-		m, vr := device.ChainConditionalMoments(p, v, vdd, dp.ChainLen, d)
-		s := math.Sqrt(vr)
-		for j, g := range gGrid {
-			mul := math.Exp(g)
-			conds = append(conds, cond{mu: m, sigma: s, mul: mul, w: dW[i] * gW[j]})
-			if lo := (m - 8*s) * mul; lo < xlo {
-				xlo = lo
-			}
-			if hi := (m + 10*s) * mul; hi > xhi {
-				xhi = hi
-			}
-		}
-	}
-	if xlo < 0 {
-		xlo = 0
-	}
-
-	xs := make([]float64, lawGridPoints)
-	fPath := make([]float64, lawGridPoints)
-	fLane := make([]float64, lawGridPoints)
-	fChip := make([]float64, lawGridPoints)
-	std := stats.Normal{Mu: 0, Sigma: 1}
-	pow := float64(dp.PathsPerLane)
-	lanes := float64(dp.Lanes)
-	for k := 0; k < lawGridPoints; k++ {
-		x := xlo + (xhi-xlo)*float64(k)/float64(lawGridPoints-1)
-		var f float64
-		for _, c := range conds {
-			f += c.w * std.CDF((x/c.mul-c.mu)/c.sigma)
-		}
-		if f < 0 {
-			f = 0
-		}
-		if f > 1 {
-			f = 1
-		}
-		xs[k] = x
-		fPath[k] = f
-		fLane[k] = math.Pow(f, pow)
-		fChip[k] = math.Pow(fLane[k], lanes)
-	}
-	law := &delayLaw{x: xs, fPath: newColumn(fPath), fLane: newColumn(fLane), fChip: newColumn(fChip)}
-	law.maxDraw = law.fLane.guide != nil && xs[0] >= 0
-	for k := 1; k < len(xs); k++ {
-		if !(xs[k] > xs[k-1]) {
-			law.maxDraw = false
-		}
-	}
-	return law
-}
-
-// gaussGrid returns a quadrature grid over ±5σ with normalized Simpson ×
-// Gaussian-density weights. For σ = 0 it degenerates to a point mass.
-func gaussGrid(sigma float64, n int) (grid, w []float64) {
-	if sigma == 0 {
-		return []float64{0}, []float64{1}
-	}
-	if n%2 == 0 {
-		n++
-	}
-	grid = make([]float64, n)
-	w = make([]float64, n)
-	lo, hi := -5*sigma, 5*sigma
-	h := (hi - lo) / float64(n-1)
-	var sum float64
-	for i := range grid {
-		x := lo + float64(i)*h
-		grid[i] = x
-		c := 2.0
-		switch {
-		case i == 0 || i == n-1:
-			c = 1
-		case i%2 == 1:
-			c = 4
-		}
-		z := x / sigma
-		w[i] = c * math.Exp(-0.5*z*z)
-		sum += w[i]
-	}
-	for i := range w {
-		w[i] /= sum
-	}
-	return grid, w
-}
-
-// lawKey identifies one numerical law: the whole node value (so a
-// custom node never aliases a calibrated one of the same name), the
-// datapath geometry and the supply.
-type lawKey struct {
-	node                tech.Node
-	lanes, paths, chain int
-	vdd                 float64
-}
-
-// Memo bounds: a law is ≈40 KB (four 1024-point columns plus three
-// guides), a moment table ≈1 KB. Thirty-two supplies cover a sweep's
-// working set; a wider churn drops the map and rebuilds on demand.
-const (
-	lawMemoBound    = 32
-	momentMemoBound = 32
-)
-
-var (
-	laws    = memo.New[lawKey, *delayLaw](lawMemoBound)
-	moments = memo.New[lawKey, *momentTable](momentMemoBound)
-
-	mLawBuilds = telemetry.Default.Counter("ntvsim_simd_law_builds_total",
-		"Numerical chip-delay law tables built (misses in the process-wide simd law memo).")
-)
-
-// lawFor returns the delay law at vdd from the process-wide memo,
-// building it on first use.
-func (dp *Datapath) lawFor(vdd float64) *delayLaw {
-	key := lawKey{node: dp.Node, lanes: dp.Lanes, paths: dp.PathsPerLane, chain: dp.ChainLen, vdd: vdd}
-	law, _ := laws.Get(key, func() (*delayLaw, error) {
-		mLawBuilds.Inc()
-		return dp.buildLaw(vdd), nil
-	})
-	return law
-}
-
-// guideCells is the resolution of a column's guide table.
-const guideCells = 1024
-
-// column is one tabulated CDF of a delay law with its guide table:
-// guide[g] = sort.SearchFloat64s(f, g/guideCells). On a non-decreasing
-// column the first knot f[i] ≥ u lies between guide[g] and guide[g+1]
-// for g = ⌊u·guideCells⌋, so inverting u searches that bracket — one
-// or two knots across the body of the law, wider only in a far tail
-// where one guide cell spans many knots — and finds exactly the index
-// a binary search over the whole column returns. A column that is not
-// non-decreasing gets no guide and keeps the whole-column search.
-type column struct {
-	f     []float64
-	guide []uint16 // nil: f is not non-decreasing
-}
-
-func newColumn(f []float64) column {
-	for i := 1; i < len(f); i++ {
-		if !(f[i] >= f[i-1]) {
-			return column{f: f}
-		}
-	}
-	g := make([]uint16, guideCells)
-	for j := range g {
-		g[j] = uint16(sort.SearchFloat64s(f, float64(j)/guideCells))
-	}
-	return column{f: f, guide: g}
-}
-
-// search returns sort.SearchFloat64s(c.f, u) for a guided column and
-// u ∈ [0, 1). With g = ⌊u·guideCells⌋, g/guideCells ≤ u exactly (the
-// scaling is by a power of two) and u < (g+1)/guideCells, so the answer
-// is at least guide[g] and at most guide[g+1] (len(f) past the last
-// cell); the loop is the binary search restricted to that bracket.
-func (c column) search(u float64) int {
-	g := int(u * guideCells)
-	lo, hi := int(c.guide[g]), len(c.f)
-	if g+1 < guideCells {
-		hi = int(c.guide[g+1])
-	}
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if c.f[m] < u {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
-// invert is invert(x, c.f, u), searched inside the guide's bracket
-// when the column has a guide and u lies in [0, 1); NaN and
-// out-of-range u take the whole-column search.
-func (c column) invert(x []float64, u float64) float64 {
-	if c.guide == nil || !(u >= 0 && u < 1) {
-		return invert(x, c.f, u)
-	}
-	return interp(x, c.f, c.search(u), u)
-}
-
-// invert samples the delay at CDF value u from the table by binary
-// search and linear interpolation.
-func invert(x, f []float64, u float64) float64 {
-	return interp(x, f, sort.SearchFloat64s(f, u), u)
-}
-
-// interp interpolates the delay at CDF value u inside grid interval i,
-// the index the search for u in f returned.
-func interp(x, f []float64, i int, u float64) float64 {
-	switch {
-	case i <= 0:
-		return x[0]
-	case i >= len(f):
-		return x[len(x)-1]
-	}
-	f0, f1 := f[i-1], f[i]
-	if f1 == f0 {
-		return x[i]
-	}
-	return x[i-1] + (x[i]-x[i-1])*(u-f0)/(f1-f0)
-}
-
-// maxLane returns the slowest of the lanes drawn at the uniforms us —
-// the max of fLane.invert(x, u) over us — inverting only the lanes that
-// can reach it. Let i be the grid interval of the largest uniform.
-// Interpolation is monotone inside an interval and neighbouring
-// intervals disagree by at most an ulp at their shared knot, so a lane
-// with u ≤ fLane[i−2] lands at most an ulp above x[i−2], which is no
-// more than x[i−1], itself no more than the largest uniform's delay.
-// Such lanes cannot change the max and are skipped: typically one to
-// three inversions instead of one per lane. Requires l.maxDraw and
-// every u in [0, 1).
-func (l *delayLaw) maxLane(us []float64) float64 {
-	maxU := us[0]
-	for _, u := range us[1:] {
-		if u > maxU {
-			maxU = u
-		}
-	}
-	lane := l.fLane
-	floor := math.Inf(-1)
-	if i := lane.search(maxU); i >= 2 {
-		floor = lane.f[i-2]
-	}
-	worst := math.Inf(-1)
-	for _, u := range us {
-		if u > floor {
-			if d := interp(l.x, lane.f, lane.search(u), u); d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
+// law returns the sampling table of the datapath's iid-paths chip law
+// at vdd, from the process-wide law memo (internal/ssta).
+func (dp *Datapath) law(vdd float64) *ssta.Table {
+	return ssta.LawFor(dp.Node.Dev, dp.Node.Var, vdd, dp.ChainLen, dp.PathsPerLane, dp.Lanes).Table()
 }
 
 // SamplePathDelay draws one critical-path delay (seconds) at supply vdd.
@@ -426,72 +165,44 @@ func (dp *Datapath) SamplePathDelay(r *rng.Stream, vdd float64) float64 {
 
 // ErrNoAnalyticLaw is returned by the analytic chip-law accessors when
 // the datapath is configured for gate-level (Exact) or correlated
-// sampling, where no closed-form chip CDF is tabulated.
+// sampling, where the chip delay does not follow the iid-paths law.
 var ErrNoAnalyticLaw = errors.New("simd: analytic chip law requires the default iid-paths law-based sampler")
 
-// analyticLaw returns the cached law tables when the datapath samples
-// from them (the paper's default iid-paths mode, zero spares).
-func (dp *Datapath) analyticLaw(vdd float64) (*delayLaw, error) {
+// analyticLaw returns the law's sampling table when the datapath
+// samples from it (the paper's default iid-paths mode, zero spares).
+func (dp *Datapath) analyticLaw(vdd float64) (*ssta.Table, error) {
 	if dp.Exact || dp.Corr != IIDPaths {
 		return nil, ErrNoAnalyticLaw
 	}
-	return dp.lawFor(vdd), nil
+	return dp.law(vdd), nil
 }
 
 // ChipQuantile returns the p-quantile (seconds) of the zero-spare chip
-// delay under the numerical iid-paths law: the inverse of
-// F_chip = F_lane^Lanes on the tabulated delay grid. It is the analytic
-// counterpart of a Monte-Carlo chip-delay quantile and the reference
-// used to place high-sigma tail-yield targets (see internal/importance
-// and docs/SAMPLING.md). Only the default law-based sampler has one;
-// Exact or correlated datapaths return ErrNoAnalyticLaw.
+// delay read off the law's sampling table: ChipQuantileFn(vdd)(p), the
+// quantile map the Monte-Carlo chip draws and the importance sampler
+// push uniforms through (see internal/importance and docs/SAMPLING.md).
+// Only the default law-based sampler has one; Exact or correlated
+// datapaths return ErrNoAnalyticLaw.
 func (dp *Datapath) ChipQuantile(vdd, p float64) (float64, error) {
-	law, err := dp.analyticLaw(vdd)
+	tbl, err := dp.analyticLaw(vdd)
 	if err != nil {
 		return 0, err
 	}
-	return law.fChip.invert(law.x, p), nil
-}
-
-// ChipCDF returns P(chip delay ≤ x) (zero spares) under the numerical
-// iid-paths law, by linear interpolation of the tabulated chip CDF.
-func (dp *Datapath) ChipCDF(vdd, x float64) (float64, error) {
-	law, err := dp.analyticLaw(vdd)
-	if err != nil {
-		return 0, err
-	}
-	return interpCDF(law.x, law.fChip.f, x), nil
+	return tbl.Chip(p), nil
 }
 
 // ChipQuantileFn returns the chip-delay quantile function u ↦ delay
-// (seconds) as a closure over the memoized law table, suitable as the
-// monotone model handed to the importance-sampling engine: evaluating
-// it is one guide-table lookup, a binary search inside the bracket it
-// gives, and no allocation. The law is resolved eagerly so parallel
-// samplers only read it.
+// (seconds) of the memoized law table, suitable as the monotone model
+// handed to the importance-sampling engine: evaluating it is one
+// guide-table lookup, a binary search inside the bracket it gives, and
+// no allocation. The table is resolved eagerly so parallel samplers
+// only read it.
 func (dp *Datapath) ChipQuantileFn(vdd float64) (func(u float64) float64, error) {
-	law, err := dp.analyticLaw(vdd)
+	tbl, err := dp.analyticLaw(vdd)
 	if err != nil {
 		return nil, err
 	}
-	return func(u float64) float64 { return law.fChip.invert(law.x, u) }, nil
-}
-
-// interpCDF evaluates a tabulated CDF at x by linear interpolation,
-// clamping outside the grid.
-func interpCDF(xs, f []float64, x float64) float64 {
-	i := sort.SearchFloat64s(xs, x)
-	switch {
-	case i <= 0:
-		return f[0]
-	case i >= len(xs):
-		return f[len(f)-1]
-	}
-	x0, x1 := xs[i-1], xs[i]
-	if x1 == x0 {
-		return f[i]
-	}
-	return f[i-1] + (f[i]-f[i-1])*(x-x0)/(x1-x0)
+	return tbl.Chip, nil
 }
 
 // SampleLaneDelays draws the delays of len(dst) lanes of one chip at
@@ -510,10 +221,10 @@ func (dp *Datapath) SampleLaneDelays(r *rng.Stream, vdd float64, dst []float64) 
 // moment table its mode reads, resolved once per Monte-Carlo call so
 // the per-chip draws never consult the memo.
 type sampler struct {
-	dp  *Datapath
-	vdd float64
-	law *delayLaw    // iid-paths, law-based
-	tbl *momentTable // spatial, law-based
+	dp      *Datapath
+	vdd     float64
+	law     *ssta.Table  // iid-paths, law-based
+	moments *momentTable // spatial, law-based
 }
 
 // sampler resolves the tables dp samples from at vdd.
@@ -524,9 +235,9 @@ func (dp *Datapath) sampler(vdd float64) sampler {
 	}
 	switch dp.Corr {
 	case IIDPaths:
-		s.law = dp.lawFor(vdd)
+		s.law = dp.law(vdd)
 	case Spatial:
-		s.tbl = dp.momentsFor(vdd)
+		s.moments = dp.momentsFor(vdd)
 	}
 	return s
 }
@@ -540,9 +251,9 @@ func (s sampler) path(r *rng.Stream) float64 {
 	}
 	law := s.law
 	if law == nil {
-		law = dp.lawFor(s.vdd) // correlated modes draw single paths from the iid path law too
+		law = dp.law(s.vdd) // correlated modes draw single paths from the iid path law too
 	}
-	return law.fPath.invert(law.x, r.Float64())
+	return law.Path(r.Float64())
 }
 
 // lanes draws the delays of len(dst) lanes of one chip into dst.
@@ -562,7 +273,7 @@ func (s sampler) lanes(r *rng.Stream, dst []float64) {
 			dst[i] = law.mul * pathLaw.Quantile(u)
 		}
 	case Spatial:
-		tbl := s.tbl
+		tbl := s.moments
 		pinv := 1.0 / float64(dp.PathsPerLane)
 		field := newLaneField(dp.Node.Var.SigmaVthD2D, dp.Node.Var.SigmaMulD2D, dp.CorrLanes, r)
 		for i := range dst {
@@ -574,7 +285,7 @@ func (s sampler) lanes(r *rng.Stream, dst []float64) {
 	default: // IIDPaths
 		law := s.law
 		for i := range dst {
-			dst[i] = law.fLane.invert(law.x, r.Float64())
+			dst[i] = law.Lane(r.Float64())
 		}
 	}
 }
@@ -694,10 +405,9 @@ func (t *momentTable) at(d float64) (mu, sigma float64) {
 }
 
 // momentsFor returns the moment table at vdd from the process-wide
-// memo. The table does not depend on the lane geometry, so its key
-// leaves lanes and paths zero.
+// memo. The table does not depend on the lane geometry.
 func (dp *Datapath) momentsFor(vdd float64) *momentTable {
-	key := lawKey{node: dp.Node, chain: dp.ChainLen, vdd: vdd}
+	key := momentKey{node: dp.Node, chain: dp.ChainLen, vdd: vdd}
 	t, _ := moments.Get(key, func() (*momentTable, error) { return dp.buildMoments(vdd), nil })
 	return t
 }
@@ -741,9 +451,9 @@ const maxStackLanes = 256
 
 // chip draws one chip delay with the given spare count. A zero-spare
 // law-based chip draws its uniforms in lane order and inverts only the
-// lanes that can be slowest (maxLane); with spares, the chip delay is
-// the (spares+1)-th slowest lane, found by partial selection. Both
-// return exactly the value the full inversion and sort would.
+// lanes that can be slowest (ssta.Table.MaxLane); with spares, the chip
+// delay is the (spares+1)-th slowest lane, found by partial selection.
+// Both return exactly the value the full inversion and sort would.
 func (s sampler) chip(r *rng.Stream, spares int) float64 {
 	total := s.dp.Lanes + spares
 	var buf [maxStackLanes]float64
@@ -753,11 +463,11 @@ func (s sampler) chip(r *rng.Stream, spares int) float64 {
 	} else {
 		lanes = make([]float64, total)
 	}
-	if spares == 0 && s.law != nil && s.law.maxDraw {
+	if spares == 0 && s.law != nil {
 		for i := range lanes {
 			lanes[i] = r.Float64()
 		}
-		return s.law.maxLane(lanes)
+		return s.law.MaxLane(lanes)
 	}
 	s.lanes(r, lanes)
 	if spares == 0 {
@@ -937,8 +647,7 @@ func (dp *Datapath) SpareCurveCtx(ctx context.Context, seed uint64, n int, vdd f
 			// lanes; use the first Lanes+a samples (exchangeable) and
 			// keep the Lanes fastest.
 			copy(scratch[:k], row[:k])
-			sort.Float64s(scratch[:k])
-			delays[i] = scratch[dp.Lanes-1] / fo4
+			delays[i] = kthSmallest(scratch[:k], dp.Lanes-1) / fo4
 		}
 		sort.Float64s(delays)
 		out[ai] = quantileSorted(delays, 0.99)

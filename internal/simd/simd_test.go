@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/ntvsim/ntvsim/internal/rng"
+	"github.com/ntvsim/ntvsim/internal/ssta"
 	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/tech"
 )
@@ -178,19 +179,6 @@ func TestCorrelatedFastMatchesCorrelatedExact(t *testing.T) {
 	}
 }
 
-func TestInvertTable(t *testing.T) {
-	x := []float64{0, 1, 2, 3}
-	f := []float64{0, 0.25, 0.75, 1}
-	cases := []struct{ u, want float64 }{
-		{0, 0}, {0.25, 1}, {0.5, 1.5}, {1, 3}, {-0.1, 0}, {1.1, 3},
-	}
-	for _, c := range cases {
-		if got := invert(x, f, c.u); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("invert(%v) = %v, want %v", c.u, got, c.want)
-		}
-	}
-}
-
 func TestP99ConsistentWithSortedSample(t *testing.T) {
 	dp := New(tech.N90)
 	ds := dp.ChipDelaysFO4(16, 2000, 0.6, 0)
@@ -305,15 +293,16 @@ func TestCorrelationModelString(t *testing.T) {
 // rngFor returns a deterministic stream for test sample i.
 func rngFor(i uint64) *rng.Stream { return rng.NewSub(777, int(i)) }
 
-// TestChipLawMatchesMonteCarlo validates the analytic chip CDF/quantile
-// against the Monte-Carlo chip-delay sampler they summarize: the
-// analytic p-quantile must land inside the distribution-free CI of the
-// sampled quantile, and CDF∘Quantile must be close to identity.
+// TestChipLawMatchesMonteCarlo validates the tabulated chip quantile
+// against the Monte-Carlo chip-delay sampler it summarizes: the
+// p-quantile must land inside the distribution-free CI of the sampled
+// quantile, and the law's CDF∘Quantile must be close to identity.
 func TestChipLawMatchesMonteCarlo(t *testing.T) {
 	dp := testPath()
 	const vdd = 0.55
 	ds := dp.ChipDelays(11, 4000, vdd, 0)
 	sort.Float64s(ds)
+	law := ssta.LawFor(dp.Node.Dev, dp.Node.Var, vdd, dp.ChainLen, dp.PathsPerLane, dp.Lanes)
 	for _, p := range []float64{0.5, 0.9, 0.99} {
 		q, err := dp.ChipQuantile(vdd, p)
 		if err != nil {
@@ -323,11 +312,7 @@ func TestChipLawMatchesMonteCarlo(t *testing.T) {
 		if q < lo || q > hi {
 			t.Errorf("ChipQuantile(%g) = %g outside MC CI [%g, %g]", p, q, lo, hi)
 		}
-		f, err := dp.ChipCDF(vdd, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(f-p) > 0.01 {
+		if f := law.ChipCDF(q); math.Abs(f-p) > 0.01 {
 			t.Errorf("ChipCDF(ChipQuantile(%g)) = %g", p, f)
 		}
 	}
@@ -369,9 +354,6 @@ func TestAnalyticLawUnavailable(t *testing.T) {
 	for _, dp := range []*Datapath{exact, corr} {
 		if _, err := dp.ChipQuantile(0.5, 0.99); err != ErrNoAnalyticLaw {
 			t.Errorf("%v/%v: err = %v, want ErrNoAnalyticLaw", dp.Exact, dp.Corr, err)
-		}
-		if _, err := dp.ChipCDF(0.5, 1e-9); err != ErrNoAnalyticLaw {
-			t.Errorf("ChipCDF err = %v, want ErrNoAnalyticLaw", err)
 		}
 		if _, err := dp.ChipQuantileFn(0.5); err != ErrNoAnalyticLaw {
 			t.Errorf("ChipQuantileFn err = %v, want ErrNoAnalyticLaw", err)

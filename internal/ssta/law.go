@@ -2,9 +2,12 @@ package ssta
 
 import (
 	"math"
+	"sync"
 
 	"github.com/ntvsim/ntvsim/internal/device"
+	"github.com/ntvsim/ntvsim/internal/memo"
 	"github.com/ntvsim/ntvsim/internal/stats"
+	"github.com/ntvsim/ntvsim/internal/telemetry"
 )
 
 // Law is the analytic chip-delay law of an iid-paths SIMD datapath at
@@ -24,28 +27,31 @@ import (
 //
 //	F_lane = F_path^paths,   F_chip = F_path^(paths·lanes)
 //
-// This is the same statistical model internal/simd samples from; the
-// Law evaluates its quantiles and tail probabilities directly — no
-// sampling, no tabulated grid — so a kernel answered here carries no
-// Monte-Carlo noise and costs microseconds. Construction is pure; a
-// Law is immutable and safe for concurrent use.
+// The Law evaluates its quantiles and tail probabilities directly, so
+// a kernel answered here carries no Monte-Carlo noise and costs
+// microseconds; its Table is the tabulated inverse internal/simd and
+// the importance sampler push uniforms through. Construction is pure;
+// a Law is safe for concurrent use.
 type Law struct {
 	paths, lanes int
 	mu, sigma, w []float64 // mixture components of the path law
 	lo, hi       float64   // quantile search bracket
+
+	once  sync.Once
+	table *Table // sampling view, tabulated on first use
 }
 
 // lawQuadPoints is the quadrature grid size per die-level axis. The
 // integrands are smooth Gaussian mixtures; 17-point normalized Simpson
-// over ±5σ matches internal/simd's law construction and resolves the
-// chip CDF well below Monte-Carlo noise at any practical sample count.
+// over ±5σ resolves the chip CDF well below Monte-Carlo noise at any
+// practical sample count.
 const lawQuadPoints = 17
 
 // NewLaw builds the analytic law for chains of chainLen gates, paths
 // critical paths per lane and lanes lanes, at supply vdd.
 func NewLaw(dev device.Params, v device.Variation, vdd float64, chainLen, paths, lanes int) *Law {
-	dGrid, dW := lawGaussGrid(v.SigmaVthD2D, lawQuadPoints)
-	gGrid, gW := lawGaussGrid(v.SigmaMulD2D, lawQuadPoints)
+	dGrid, dW := dieGrid(v.SigmaVthD2D, lawQuadPoints)
+	gGrid, gW := dieGrid(v.SigmaMulD2D, lawQuadPoints)
 
 	l := &Law{
 		paths: paths, lanes: lanes,
@@ -76,11 +82,9 @@ func NewLaw(dev device.Params, v device.Variation, vdd float64, chainLen, paths,
 	return l
 }
 
-// lawGaussGrid returns a quadrature grid over ±5σ with normalized
-// Simpson × Gaussian-density weights; σ = 0 degenerates to a point
-// mass. It mirrors internal/simd's outer quadrature so the two
-// constructions describe the same mixture.
-func lawGaussGrid(sigma float64, n int) (grid, w []float64) {
+// dieGrid returns a quadrature grid over ±5σ with normalized Simpson ×
+// Gaussian-density weights; σ = 0 degenerates to a point mass.
+func dieGrid(sigma float64, n int) (grid, w []float64) {
 	if sigma == 0 {
 		return []float64{0}, []float64{1}
 	}
@@ -110,6 +114,41 @@ func lawGaussGrid(sigma float64, n int) (grid, w []float64) {
 		w[i] /= sum
 	}
 	return grid, w
+}
+
+// lawKey is NewLaw's argument list: the whole device and variation
+// parameter values, so a custom node never aliases a calibrated one.
+type lawKey struct {
+	dev                    device.Params
+	v                      device.Variation
+	vdd                    float64
+	chainLen, paths, lanes int
+}
+
+// lawMemoBound caps the law memo. An unsampled law is ≈7 KB and a
+// sampled one ≈45 KB with its Table; past the bound the memo drops
+// every entry and rebuilds on demand.
+const lawMemoBound = 1024
+
+var (
+	laws = memo.New[lawKey, *Law](lawMemoBound)
+
+	mLawBuilds = telemetry.Default.Counter("ntvsim_ssta_law_builds_total",
+		"Chip-delay laws built (misses in the one process-wide law memo Monte-Carlo, importance sampling and SSTA share).")
+)
+
+// LawFor returns NewLaw(dev, v, vdd, chainLen, paths, lanes) from the
+// process-wide memo, building it on first use. It is the one source of
+// chip-delay laws: internal/simd samples its Table and the sweep
+// kernels evaluate it in closed form, so each (parameters, Vdd) law is
+// built, and tabulated, once while it stays in the memo.
+func LawFor(dev device.Params, v device.Variation, vdd float64, chainLen, paths, lanes int) *Law {
+	key := lawKey{dev: dev, v: v, vdd: vdd, chainLen: chainLen, paths: paths, lanes: lanes}
+	l, _ := laws.Get(key, func() (*Law, error) {
+		mLawBuilds.Inc()
+		return NewLaw(dev, v, vdd, chainLen, paths, lanes), nil
+	})
+	return l
 }
 
 // PathCDF returns P(path delay ≤ x): the Gaussian-mixture CDF.

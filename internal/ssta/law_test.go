@@ -1,4 +1,4 @@
-package ssta
+package ssta_test
 
 import (
 	"math"
@@ -7,6 +7,7 @@ import (
 
 	"github.com/ntvsim/ntvsim/internal/device"
 	"github.com/ntvsim/ntvsim/internal/simd"
+	"github.com/ntvsim/ntvsim/internal/ssta"
 	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/tech"
 )
@@ -16,8 +17,8 @@ import (
 // sweep service's ssta mode answers over.
 var lawGridVdds = []float64{0.50, 0.55, 0.60}
 
-func defaultLaw(node tech.Node, vdd float64) *Law {
-	return NewLaw(node.Dev, node.Var, vdd, tech.ChainLength,
+func defaultLaw(node tech.Node, vdd float64) *ssta.Law {
+	return ssta.NewLaw(node.Dev, node.Var, vdd, tech.ChainLength,
 		simd.DefaultPathsPerLane, simd.DefaultLanes)
 }
 
@@ -197,7 +198,7 @@ func TestLawDegenerateD2D(t *testing.T) {
 	node := tech.N45
 	v := node.Var
 	v.SigmaVthD2D, v.SigmaMulD2D = 0, 0
-	law := NewLaw(node.Dev, v, 0.55, tech.ChainLength, 100, 128)
+	law := ssta.NewLaw(node.Dev, v, 0.55, tech.ChainLength, 100, 128)
 	m, vr := device.ChainConditionalMoments(node.Dev, v, 0.55, tech.ChainLength, 0)
 	want := stats.Normal{Mu: m, Sigma: math.Sqrt(vr)}.Quantile(math.Pow(0.99, 1.0/12800))
 	got := law.ChipQuantile(0.99)
@@ -210,7 +211,7 @@ func TestLawDegenerateD2D(t *testing.T) {
 // construction.
 func TestChipModelLaw(t *testing.T) {
 	node := tech.N32
-	m := ChipModel{Paths: 100, Lanes: 128, Dev: node.Dev, Var: node.Var, ChainLen: tech.ChainLength}
+	m := ssta.ChipModel{Paths: 100, Lanes: 128, Dev: node.Dev, Var: node.Var, ChainLen: tech.ChainLength}
 	if got, want := m.Law(0.55).ChipQuantile(0.99), defaultLaw(node, 0.55).ChipQuantile(0.99); got != want {
 		t.Errorf("ChipModel.Law quantile %v != NewLaw %v", got, want)
 	}

@@ -18,12 +18,17 @@
 //     CLT, so the unconditional path law is a Gaussian mixture and the
 //     lane/chip laws are powers of its CDF under the iid-paths model.
 //
-// The Law answers the same questions as the Monte-Carlo kernels
-// (p99 chip clock, k-sigma tail loss, 3σ/μ) in microseconds and is the
-// engine behind the sweep service's `mode: "ssta"` and `mode: "auto"`
+// The Law is the repository's one chip-delay law. In closed form it
+// answers the same questions as the Monte-Carlo kernels (p99 chip
+// clock, k-sigma tail loss, 3σ/μ) in microseconds and is the engine
+// behind the sweep service's `mode: "ssta"` and `mode: "auto"`
 // estimators (docs/SSTA.md documents the model and its error
-// contract); the pure-Clark ChipP99 summary is kept as the cheaper,
-// skew-blind bound whose tail-underestimation the tests document.
+// contract). Its Table, tabulated lazily on first use, is the inverse
+// internal/simd's Monte-Carlo sampler and the importance sampler push
+// uniforms through, and LawFor serves every estimator from one
+// process-wide memo. The pure-Clark ChipP99 summary is kept as the
+// cheaper, skew-blind bound whose tail-underestimation the tests
+// document.
 package ssta
 
 import (
@@ -122,7 +127,7 @@ func (g Gaussian) Quantile(p float64) float64 {
 
 // ChipModel carries the analytic datapath description: the per-path
 // delay moments conditional on the die-level variation, plus the
-// die-level spreads, mirroring internal/simd's sampler structure.
+// die-level spreads — the geometry internal/simd samples.
 type ChipModel struct {
 	Paths int // critical paths per lane
 	Lanes int

@@ -1,4 +1,4 @@
-package ssta
+package ssta_test
 
 import (
 	"math"
@@ -7,24 +7,25 @@ import (
 
 	"github.com/ntvsim/ntvsim/internal/rng"
 	"github.com/ntvsim/ntvsim/internal/simd"
+	"github.com/ntvsim/ntvsim/internal/ssta"
 	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/tech"
 )
 
 func TestClarkAgainstMC(t *testing.T) {
 	cases := []struct {
-		x, y Gaussian
+		x, y ssta.Gaussian
 		rho  float64
 	}{
-		{Gaussian{0, 1}, Gaussian{0, 1}, 0},
-		{Gaussian{0, 1}, Gaussian{1, 2}, 0},
-		{Gaussian{5, 0.5}, Gaussian{4, 1.5}, 0.3},
-		{Gaussian{-2, 1}, Gaussian{2, 1}, -0.5},
+		{ssta.Gaussian{Mu: 0, Sigma: 1}, ssta.Gaussian{Mu: 0, Sigma: 1}, 0},
+		{ssta.Gaussian{Mu: 0, Sigma: 1}, ssta.Gaussian{Mu: 1, Sigma: 2}, 0},
+		{ssta.Gaussian{Mu: 5, Sigma: 0.5}, ssta.Gaussian{Mu: 4, Sigma: 1.5}, 0.3},
+		{ssta.Gaussian{Mu: -2, Sigma: 1}, ssta.Gaussian{Mu: 2, Sigma: 1}, -0.5},
 	}
 	r := rng.New(1)
 	const n = 400000
 	for _, c := range cases {
-		got := Clark(c.x, c.y, c.rho)
+		got := ssta.Clark(c.x, c.y, c.rho)
 		var sum, sum2 float64
 		for i := 0; i < n; i++ {
 			z1 := r.Norm()
@@ -47,22 +48,22 @@ func TestClarkAgainstMC(t *testing.T) {
 }
 
 func TestClarkDegenerate(t *testing.T) {
-	x := Gaussian{3, 1}
-	got := Clark(x, x, 1) // identical, perfectly correlated
+	x := ssta.Gaussian{Mu: 3, Sigma: 1}
+	got := ssta.Clark(x, x, 1) // identical, perfectly correlated
 	if got != x {
 		t.Errorf("max of identical correlated variables = %+v, want %+v", got, x)
 	}
-	y := Gaussian{5, 1}
-	if got := Clark(x, y, 1); got != y {
+	y := ssta.Gaussian{Mu: 5, Sigma: 1}
+	if got := ssta.Clark(x, y, 1); got != y {
 		t.Errorf("dominated correlated max = %+v, want %+v", got, y)
 	}
 }
 
 func TestMaxIIDAgainstMC(t *testing.T) {
-	g := Gaussian{Mu: 10, Sigma: 2}
+	g := ssta.Gaussian{Mu: 10, Sigma: 2}
 	r := rng.New(2)
 	for _, n := range []int{1, 2, 10, 100} {
-		got := MaxIID(g, n)
+		got := ssta.MaxIID(g, n)
 		const trials = 200000
 		var sum, sum2 float64
 		for i := 0; i < trials; i++ {
@@ -106,10 +107,10 @@ func TestMaxIIDAgainstMC(t *testing.T) {
 }
 
 func TestMaxIIDMonotoneInN(t *testing.T) {
-	g := Gaussian{Mu: 0, Sigma: 1}
+	g := ssta.Gaussian{Mu: 0, Sigma: 1}
 	prev := math.Inf(-1)
 	for _, n := range []int{1, 2, 4, 16, 128, 1024} {
-		mu := MaxIID(g, n).Mu
+		mu := ssta.MaxIID(g, n).Mu
 		if mu <= prev {
 			t.Fatalf("E[max of %d] = %v not above smaller n", n, mu)
 		}
@@ -136,7 +137,7 @@ func TestChipP99AgainstMonteCarlo(t *testing.T) {
 
 	// 90 nm: tight agreement at both voltages.
 	dp90 := simd.New(tech.N90)
-	m90 := ChipModel{
+	m90 := ssta.ChipModel{
 		Paths: dp90.PathsPerLane, Lanes: dp90.Lanes,
 		Dev: tech.N90.Dev, Var: tech.N90.Var, ChainLen: dp90.ChainLen,
 	}
@@ -150,7 +151,7 @@ func TestChipP99AgainstMonteCarlo(t *testing.T) {
 
 	// 22 nm near threshold: bounded underestimate of the skewed tail.
 	dp22 := simd.New(tech.N22)
-	m22 := ChipModel{
+	m22 := ssta.ChipModel{
 		Paths: dp22.PathsPerLane, Lanes: dp22.Lanes,
 		Dev: tech.N22.Dev, Var: tech.N22.Var, ChainLen: dp22.ChainLen,
 	}
@@ -166,7 +167,7 @@ func TestChipP99AgainstMonteCarlo(t *testing.T) {
 }
 
 func TestGaussianQuantile(t *testing.T) {
-	g := Gaussian{Mu: 2, Sigma: 3}
+	g := ssta.Gaussian{Mu: 2, Sigma: 3}
 	if got := g.Quantile(0.5); math.Abs(got-2) > 1e-12 {
 		t.Errorf("median = %v", got)
 	}

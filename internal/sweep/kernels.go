@@ -113,21 +113,19 @@ func Kernels() []Kernel {
 }
 
 // tailYieldEval evaluates the k-sigma tail loss in ppm — the fraction
-// of chips slower than the Φ(k) quantile of the analytic chip-delay
-// law — with the given proposal. Params{Mix: 1} is the plain-MC twin
-// (unit weights); a shifted defensive mixture is the IS estimator.
-// Both share one estimand, one rng layout, and one reduction, so their
-// estimates agree within CI tolerance at any sigma where MC converges.
+// of chips slower than the Φ(k) quantile of the chip-delay law — with
+// the given proposal. Params{Mix: 1} is the plain-MC twin (unit
+// weights); a shifted defensive mixture is the IS estimator. Both share
+// one estimand, one rng layout, and one reduction, so their estimates
+// agree within CI tolerance at any sigma where MC converges. The target
+// is the quantile map's own Φ(k) point, so the threshold and the
+// samples it judges come from one approximation of the law.
 func tailYieldEval(ctx context.Context, node tech.Node, vdd float64, samples int, seed uint64, p importance.Params, tailSigma float64) (float64, *importance.Diagnostics, error) {
-	dp := simd.New(node)
-	fn, err := dp.ChipQuantileFn(vdd)
+	fn, err := simd.New(node).ChipQuantileFn(vdd)
 	if err != nil {
 		return 0, nil, err
 	}
-	target, err := dp.ChipQuantile(vdd, stdNormal.CDF(tailSigma))
-	if err != nil {
-		return 0, nil, err
-	}
+	target := fn(stdNormal.CDF(tailSigma))
 	xs, ws, err := importance.SampleCtx(ctx, p, seed, samples, fn)
 	if err != nil {
 		return 0, nil, err
@@ -138,15 +136,12 @@ func tailYieldEval(ctx context.Context, node tech.Node, vdd float64, samples int
 }
 
 // tailYieldSSTA is the analytic twin of tailYieldEval: the k-sigma tail
-// loss in ppm read off the chip law's survival function at the same
-// Φ(k) chip-delay quantile the sampled estimators threshold against, so
-// all three estimators share one estimand.
+// loss in ppm, the chip law's survival at its own closed-form Φ(k)
+// quantile — 1−Φ(k) up to the quantile solver's tolerance, with no
+// tabulated step in between.
 func tailYieldSSTA(node tech.Node, vdd, tailSigma float64) (float64, error) {
-	target, err := simd.New(node).ChipQuantile(vdd, stdNormal.CDF(tailSigma))
-	if err != nil {
-		return 0, err
-	}
-	return chipLaw(node, vdd).ChipTail(target) * 1e6, nil
+	law := chipLaw(node, vdd)
+	return law.ChipTail(law.ChipQuantile(stdNormal.CDF(tailSigma))) * 1e6, nil
 }
 
 func init() {

@@ -45,20 +45,9 @@ var ErrModeUnsupported = errors.New("metric has no analytic (SSTA) law")
 var (
 	mSSTAEvals = telemetry.Default.Counter("ntvsim_ssta_evals_total",
 		"Grid points answered by the analytic SSTA estimator (mode ssta, or auto points it resolved).")
-	mSSTALawBuilds = telemetry.Default.Counter("ntvsim_ssta_law_builds_total",
-		"Analytic chip-delay law constructions (misses in the per-(node, Vdd) law memo).")
 	mAutoRefined = telemetry.Default.Counter("ntvsim_auto_mc_refined_total",
 		"Auto-mode grid points inside the decision band, refined with Monte-Carlo shards.")
 )
-
-// lawKey identifies one analytic chip law: the laws the sweep kernels
-// use are all built for the default datapath geometry on a calibrated
-// node (specs name nodes, resolved by tech.ByName), so (node name,
-// Vdd) is the full identity.
-type lawKey struct {
-	node string
-	vdd  float64
-}
 
 // sstaValKey identifies one analytic kernel evaluation. The value is a
 // pure function of these coordinates (the Options beyond TailSigma only
@@ -69,27 +58,19 @@ type sstaValKey struct {
 	vdd, tailSigma float64
 }
 
-// memoBound caps the analytic law and value memos; a sweep grid is
-// bounded by MaxShards, but the memos are process-global, so
-// pathological knob churn across many sweeps is shed by dropping the
-// whole (cheaply rebuildable) map.
+// memoBound caps the analytic value memo; a sweep grid is bounded by
+// MaxShards, but the memo is process-global, so pathological knob
+// churn across many sweeps is shed by dropping the whole (cheaply
+// rebuildable) map.
 const memoBound = 1024
 
-var (
-	laws     = memo.New[lawKey, *ssta.Law](memoBound)
-	sstaVals = memo.New[sstaValKey, float64](memoBound)
-)
+var sstaVals = memo.New[sstaValKey, float64](memoBound)
 
-// chipLaw returns the analytic chip-delay law for the default SIMD
-// datapath on node at vdd, built once per (node, Vdd) and shared across
-// shards, sweeps and the auto-mode screen.
+// chipLaw returns the chip-delay law of the default SIMD datapath on
+// node at vdd from the one process-wide law memo (ssta.LawFor), the
+// same law the Monte-Carlo and importance-sampling kernels sample.
 func chipLaw(node tech.Node, vdd float64) *ssta.Law {
-	l, _ := laws.Get(lawKey{node: node.Name, vdd: vdd}, func() (*ssta.Law, error) {
-		mSSTALawBuilds.Inc()
-		return ssta.NewLaw(node.Dev, node.Var, vdd, tech.ChainLength,
-			simd.DefaultPathsPerLane, simd.DefaultLanes), nil
-	})
-	return l
+	return ssta.LawFor(node.Dev, node.Var, vdd, tech.ChainLength, simd.DefaultPathsPerLane, simd.DefaultLanes)
 }
 
 // sstaEval evaluates k.SSTA through a process-global value memo. An

@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/ntvsim/ntvsim/internal/device"
+	"github.com/ntvsim/ntvsim/internal/tech"
 )
 
 // sstaSpec is a small two-node p99 sweep answered analytically.
@@ -457,6 +460,37 @@ func TestSSTADeterministicAcrossSeeds(t *testing.T) {
 		if a.Points[i].Value != b.Points[i].Value {
 			t.Errorf("point %d: ssta value depends on seed/samples: %v vs %v",
 				i, a.Points[i].Value, b.Points[i].Value)
+		}
+	}
+}
+
+// TestTailYieldSSTAIsItsEstimand: the analytic tail kernel reads the
+// chip law's survival at the law's own Φ(k) quantile, so it returns
+// (1−Φ(k))·10⁶ up to the quantile solver's tolerance — on every
+// calibrated node with its variation scaled ½× to 2×, from 0.30 V to
+// 1.10 V, at k = 2, 3, 4.
+func TestTailYieldSSTAIsItsEstimand(t *testing.T) {
+	k := kernels["tailyield"]
+	for _, base := range tech.Nodes() {
+		for _, s := range []float64{0.5, 0.75, 1, 1.5, 2} {
+			node := base
+			node.Var = device.Variation{
+				SigmaVthWID: s * base.Var.SigmaVthWID, SigmaVthD2D: s * base.Var.SigmaVthD2D,
+				SigmaMulWID: s * base.Var.SigmaMulWID, SigmaMulD2D: s * base.Var.SigmaMulD2D,
+			}
+			for i := 0; i <= 16; i++ {
+				vdd := 0.30 + 0.05*float64(i)
+				for _, sigma := range []float64{2, 3, 4} {
+					got, err := k.SSTA(node, vdd, Options{TailSigma: sigma})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := (1 - stdNormal.CDF(sigma)) * 1e6
+					if rel := math.Abs(got-want) / want; !(rel <= 1e-6) {
+						t.Errorf("%s σ×%g vdd %.2f k=%g: %v ppm, want %v (%.3g relative)", base.Name, s, vdd, sigma, got, want, rel)
+					}
+				}
+			}
 		}
 	}
 }
