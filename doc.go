@@ -18,7 +18,8 @@
 //	internal/circuit     inverter chains, timing DAGs, adders, multiplier
 //	internal/rng         splittable deterministic PRNG sub-streams
 //	internal/montecarlo  deterministic parallel MC engine (ctx-cancellable)
-//	internal/stats       streaming moments, quantiles, histograms, ECDFs
+//	internal/stats       streaming moments, quantiles, histograms, ECDFs,
+//	                     binomial CDF, Gauss–Hermite and Simpson rules
 //	internal/simd        lane/chip delay sampling of the 128-wide datapath
 //	internal/sparing     spare-lane sizing and placement
 //	internal/margin      voltage/frequency margining, combined plans

@@ -15,6 +15,12 @@
 // so the delay sensitivity to threshold-voltage variation —
 // ∂lnτ/∂V_th — grows exponentially as Vdd approaches Vth, which is the
 // phenomenon the paper studies.
+//
+// GateMoments, ChainMoments and ChainConditionalMoments integrate that
+// delay over the D2D + WID threshold split with the 24-node
+// Gauss–Hermite rule of internal/stats, built once at package init:
+// one pass over the WID nodes yields both raw moments, and one pass
+// over the D2D nodes integrates both, so no moment call allocates.
 package device
 
 import (

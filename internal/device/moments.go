@@ -3,6 +3,8 @@ package device
 import (
 	"fmt"
 	"math"
+
+	"github.com/ntvsim/ntvsim/internal/stats"
 )
 
 // Variation describes the statistical variation model applied on top of
@@ -40,49 +42,25 @@ func (v Variation) Validate() error {
 	return nil
 }
 
-// quadIntervals is the number of composite-Simpson intervals used for
-// Gaussian expectations. Integrands here are smooth ratios of logs and
-// exponentials; 160 intervals over ±8σ give ≥ 10 significant digits.
-const quadIntervals = 160
+// quadNodes is the Gauss–Hermite order of every moment integral here.
+// The integrands are smooth ratios of logs and exponentials in V_th, so
+// 24 nodes agree with a 64-node rule to ≈1e-9 relative even at twice
+// the calibrated σ.
+const quadNodes = 24
 
-// gaussExpect returns E[f(X)] for X ~ Normal(0, sigma) by composite
-// Simpson quadrature over ±8σ. For sigma == 0 it returns f(0).
-func gaussExpect(f func(float64) float64, sigma float64) float64 {
-	if sigma == 0 {
-		return f(0)
-	}
-	const span = 8.0
-	lo, hi := -span*sigma, span*sigma
-	h := (hi - lo) / quadIntervals
-	inv := 1 / (sigma * math.Sqrt(2*math.Pi))
-	dens := func(x float64) float64 {
-		z := x / sigma
-		return inv * math.Exp(-0.5*z*z)
-	}
-	sum := f(lo)*dens(lo) + f(hi)*dens(hi)
-	for i := 1; i < quadIntervals; i++ {
-		x := lo + float64(i)*h
-		w := 2.0
-		if i%2 == 1 {
-			w = 4.0
-		}
-		sum += w * f(x) * dens(x)
-	}
-	return sum * h / 3
-}
+var gaussHermite = stats.GaussHermite(quadNodes)
 
-// gateRawMoments returns E[τ0] and E[τ0²] over the WID V_th distribution
-// for a gate whose die-level threshold shift is d (multiplicative factors
-// excluded; they are handled analytically).
-func gateRawMoments(p Params, v Variation, vdd, d float64) (m1, m2 float64) {
+// rawMoments returns E[τ0] and E[τ0²] over the WID V_th law, in one
+// pass over its nodes, for a gate whose die-level threshold shift is d
+// (multiplicative factors excluded; they are handled analytically).
+func rawMoments(p Params, v Variation, vdd, d float64) (m1, m2 float64) {
 	vth := p.Vth0 + d
-	m1 = gaussExpect(func(w float64) float64 {
-		return p.Delay(vdd, vth+w)
-	}, v.SigmaVthWID)
-	m2 = gaussExpect(func(w float64) float64 {
-		t := p.Delay(vdd, vth+w)
-		return t * t
-	}, v.SigmaVthWID)
+	q := gaussHermite.For(v.SigmaVthWID)
+	for i, z := range q.X {
+		t := p.Delay(vdd, vth+v.SigmaVthWID*z)
+		m1 += q.W[i] * t
+		m2 += q.W[i] * t * t
+	}
 	return m1, m2
 }
 
@@ -94,14 +72,13 @@ func GateMoments(p Params, v Variation, vdd float64) (mean, variance float64) {
 	emD := math.Exp(v.SigmaMulD2D * v.SigmaMulD2D / 2)
 	e2W := math.Exp(2 * v.SigmaMulWID * v.SigmaMulWID)
 	e2D := math.Exp(2 * v.SigmaMulD2D * v.SigmaMulD2D)
-	m1 := gaussExpect(func(d float64) float64 {
-		a, _ := gateRawMoments(p, v, vdd, d)
-		return a
-	}, v.SigmaVthD2D)
-	m2 := gaussExpect(func(d float64) float64 {
-		_, b := gateRawMoments(p, v, vdd, d)
-		return b
-	}, v.SigmaVthD2D)
+	var m1, m2 float64
+	q := gaussHermite.For(v.SigmaVthD2D)
+	for i, z := range q.X {
+		a, b := rawMoments(p, v, vdd, v.SigmaVthD2D*z)
+		m1 += q.W[i] * a
+		m2 += q.W[i] * b
+	}
 	mean = emW * emD * m1
 	variance = e2W*e2D*m2 - mean*mean
 	return mean, variance
@@ -116,7 +93,7 @@ func GateMoments(p Params, v Variation, vdd float64) (mean, variance float64) {
 // variation, so the chain mean is n·E[gate] and the chain variance is
 // n·Var[gate], both conditional on d.
 func ChainConditionalMoments(p Params, v Variation, vdd float64, n int, d float64) (mean, variance float64) {
-	a, b := gateRawMoments(p, v, vdd, d)
+	a, b := rawMoments(p, v, vdd, d)
 	emW := math.Exp(v.SigmaMulWID * v.SigmaMulWID / 2)
 	e2W := math.Exp(2 * v.SigmaMulWID * v.SigmaMulWID)
 	gm := emW * a
@@ -129,14 +106,13 @@ func ChainConditionalMoments(p Params, v Variation, vdd float64, n int, d float6
 func ChainMoments(p Params, v Variation, vdd float64, n int) (mean, variance float64) {
 	emD := math.Exp(v.SigmaMulD2D * v.SigmaMulD2D / 2)
 	e2D := math.Exp(2 * v.SigmaMulD2D * v.SigmaMulD2D)
-	m1 := gaussExpect(func(d float64) float64 {
-		m, _ := ChainConditionalMoments(p, v, vdd, n, d)
-		return m
-	}, v.SigmaVthD2D)
-	m2 := gaussExpect(func(d float64) float64 {
-		m, vr := ChainConditionalMoments(p, v, vdd, n, d)
-		return vr + m*m
-	}, v.SigmaVthD2D)
+	var m1, m2 float64
+	q := gaussHermite.For(v.SigmaVthD2D)
+	for i, z := range q.X {
+		m, vr := ChainConditionalMoments(p, v, vdd, n, v.SigmaVthD2D*z)
+		m1 += q.W[i] * m
+		m2 += q.W[i] * (vr + m*m)
+	}
 	mean = emD * m1
 	variance = e2D*m2 - mean*mean
 	return mean, variance

@@ -10,6 +10,7 @@ import (
 	"github.com/ntvsim/ntvsim/internal/montecarlo"
 	"github.com/ntvsim/ntvsim/internal/rng"
 	"github.com/ntvsim/ntvsim/internal/ssta"
+	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/tech"
 )
 
@@ -161,7 +162,7 @@ func TestSpareCurveMatchesSortLoop(t *testing.T) {
 				delays[i] = chip[dp.Lanes-1] / fo4
 			}
 			sort.Float64s(delays)
-			if want := quantileSorted(delays, 0.99); !sameBits(got[ai], want) {
+			if want := stats.QuantileSorted(delays, 0.99); !sameBits(got[ai], want) {
 				t.Errorf("%v alpha %d: SpareCurve %v, sort loop %v", corr, a, got[ai], want)
 			}
 		}

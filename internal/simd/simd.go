@@ -578,7 +578,7 @@ func (dp *Datapath) P99ChipDelayFO4Ctx(ctx context.Context, seed uint64, n int, 
 		return 0, err
 	}
 	sort.Float64s(ds)
-	return quantileSorted(ds, 0.99), nil
+	return stats.QuantileSorted(ds, 0.99), nil
 }
 
 // LaneDelays draws n independent one-lane samples (the paper's "1-wide"
@@ -650,23 +650,7 @@ func (dp *Datapath) SpareCurveCtx(ctx context.Context, seed uint64, n int, vdd f
 			delays[i] = kthSmallest(scratch[:k], dp.Lanes-1) / fo4
 		}
 		sort.Float64s(delays)
-		out[ai] = quantileSorted(delays, 0.99)
+		out[ai] = stats.QuantileSorted(delays, 0.99)
 	}
 	return out, nil
-}
-
-// quantileSorted mirrors stats.QuantileSorted for sorted ascending data;
-// duplicated locally to keep this hot path allocation-free and the
-// package dependency-light.
-func quantileSorted(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return math.NaN()
-	}
-	h := p * float64(n-1)
-	i := int(math.Floor(h))
-	if i >= n-1 {
-		return sorted[n-1]
-	}
-	return sorted[i] + (h-float64(i))*(sorted[i+1]-sorted[i])
 }

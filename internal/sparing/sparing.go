@@ -16,6 +16,7 @@ import (
 
 	"github.com/ntvsim/ntvsim/internal/rng"
 	"github.com/ntvsim/ntvsim/internal/simd"
+	"github.com/ntvsim/ntvsim/internal/stats"
 )
 
 // SearchResult reports a spare-count search.
@@ -181,49 +182,26 @@ func (l Local) Repairable(faulty []int) bool {
 func IndependentCoverage(pl Placement, lanes int, p float64) float64 {
 	switch v := pl.(type) {
 	case Global:
-		return binomialCDF(lanes, p, v.NumSpares)
+		return stats.BinomialCDF(lanes, p, v.NumSpares)
 	case Local:
 		clusters := lanes / v.ClusterSize
-		per := binomialCDF(v.ClusterSize, p, v.SparesPerCluster)
+		per := stats.BinomialCDF(v.ClusterSize, p, v.SparesPerCluster)
 		cov := math.Pow(per, float64(clusters))
 		if rem := lanes % v.ClusterSize; rem > 0 {
-			cov *= binomialCDF(rem, p, v.SparesPerCluster)
+			cov *= stats.BinomialCDF(rem, p, v.SparesPerCluster)
 		}
 		return cov
 	case Segmented:
 		segments := lanes / v.SegmentSize
-		per := binomialCDF(v.SegmentSize, p, v.SparesPerSegment)
+		per := stats.BinomialCDF(v.SegmentSize, p, v.SparesPerSegment)
 		cov := math.Pow(per, float64(segments))
 		if rem := lanes % v.SegmentSize; rem > 0 {
-			cov *= binomialCDF(rem, p, v.SparesPerSegment)
+			cov *= stats.BinomialCDF(rem, p, v.SparesPerSegment)
 		}
 		return cov
 	default:
 		panic(fmt.Sprintf("sparing: IndependentCoverage: unknown placement %T", pl))
 	}
-}
-
-// binomialCDF returns P(Bin(n, p) ≤ k).
-func binomialCDF(n int, p float64, k int) float64 {
-	if k >= n {
-		return 1
-	}
-	if k < 0 {
-		return 0
-	}
-	q := 1 - p
-	// Iterate pmf terms in log space for numerical robustness.
-	logP, logQ := math.Log(p), math.Log(q)
-	var cdf float64
-	logC := 0.0 // log C(n, 0)
-	for i := 0; i <= k; i++ {
-		cdf += math.Exp(logC + float64(i)*logP + float64(n-i)*logQ)
-		logC += math.Log(float64(n-i)) - math.Log(float64(i+1))
-	}
-	if cdf > 1 {
-		cdf = 1
-	}
-	return cdf
 }
 
 // BurstCoverage estimates by Monte Carlo the probability that a chip is

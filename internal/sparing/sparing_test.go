@@ -62,26 +62,6 @@ func TestMinSparesUnreachable(t *testing.T) {
 	}
 }
 
-func TestBinomialCDF(t *testing.T) {
-	cases := []struct {
-		n    int
-		p    float64
-		k    int
-		want float64
-	}{
-		{10, 0.5, 10, 1},
-		{10, 0.5, -1, 0},
-		{4, 0.5, 2, 11.0 / 16},
-		{3, 0.1, 0, 0.729},
-		{2, 0.3, 1, 0.91},
-	}
-	for _, c := range cases {
-		if got := binomialCDF(c.n, c.p, c.k); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("binomialCDF(%d,%v,%d) = %v, want %v", c.n, c.p, c.k, got, c.want)
-		}
-	}
-}
-
 func TestPlacementRepairable(t *testing.T) {
 	g := Global{NumSpares: 2}
 	if !g.Repairable([]int{5, 77}) || g.Repairable([]int{1, 2, 3}) {
@@ -121,6 +101,24 @@ func TestIndependentCoverageLocalExact(t *testing.T) {
 	want := per * per
 	if got := IndependentCoverage(l, 8, p); math.Abs(got-want) > 1e-12 {
 		t.Errorf("coverage = %v, want %v", got, want)
+	}
+}
+
+// TestIndependentCoverageCertainLanes pins the point-mass ends: with
+// no lane failing every placement covers the chip, and with every lane
+// failing none does while it has fewer spares than lanes.
+func TestIndependentCoverageCertainLanes(t *testing.T) {
+	for _, pl := range []Placement{
+		Global{NumSpares: 2},
+		Local{Lanes: 128, ClusterSize: 4, SparesPerCluster: 1},
+		Segmented{Lanes: 128, SegmentSize: 32, SparesPerSegment: 2},
+	} {
+		if got := IndependentCoverage(pl, 128, 0); got != 1 {
+			t.Errorf("%s: coverage at p = 0 is %v, want 1", pl.Name(), got)
+		}
+		if got := IndependentCoverage(pl, 128, 1); got != 0 {
+			t.Errorf("%s: coverage at p = 1 is %v, want 0", pl.Name(), got)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"github.com/ntvsim/ntvsim/internal/soda"
+	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/xram"
 )
 
@@ -58,7 +59,7 @@ func RowFailProb(pCell float64, cols int) float64 {
 // each cell fails independently with probability pCell: at most
 // SpareRows of its rows contain a failing cell.
 func (s Structure) Yield(pCell float64) float64 {
-	return binomialCDF(s.Rows, RowFailProb(pCell, s.Cols), s.SpareRows)
+	return stats.BinomialCDF(s.Rows, RowFailProb(pCell, s.Cols), s.SpareRows)
 }
 
 // MapYield returns the probability that every structure in the memory
@@ -114,33 +115,4 @@ func SODAMemoryMap(spareRows int) []Structure {
 		Cols: soda.Lanes * xram.DefaultSlots,
 	})
 	return m
-}
-
-// binomialCDF returns P(Bin(n, p) ≤ k), iterating pmf terms in log
-// space (the same kernel internal/sparing uses for lane coverage).
-func binomialCDF(n int, p float64, k int) float64 {
-	if k >= n {
-		return 1
-	}
-	if k < 0 {
-		return 0
-	}
-	if p <= 0 {
-		return 1
-	}
-	if p >= 1 {
-		return 0 // k < n failures cannot cover n certain failures
-	}
-	q := 1 - p
-	logP, logQ := math.Log(p), math.Log(q)
-	var cdf float64
-	logC := 0.0 // log C(n, 0)
-	for i := 0; i <= k; i++ {
-		cdf += math.Exp(logC + float64(i)*logP + float64(n-i)*logQ)
-		logC += math.Log(float64(n-i)) - math.Log(float64(i+1))
-	}
-	if cdf > 1 {
-		cdf = 1
-	}
-	return cdf
 }

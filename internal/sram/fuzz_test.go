@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/tech"
 )
 
@@ -59,7 +60,7 @@ func FuzzSRAMCellYield(f *testing.F) {
 // FuzzBankCompose asserts the composition layer's invariants for
 // arbitrary (cell fail prob, geometry, spares): every derived
 // probability stays in [0, 1] with no NaN/Inf, MapYield is insensitive
-// to structure order, and binomialCDF is non-decreasing in k.
+// to structure order, and stats.BinomialCDF is non-decreasing in k.
 func FuzzBankCompose(f *testing.F) {
 	f.Add(1e-6, uint16(64), uint16(128), uint8(2))
 	f.Add(0.3, uint16(7), uint16(3), uint8(0))
@@ -101,12 +102,12 @@ func FuzzBankCompose(f *testing.F) {
 
 		prev := 0.0
 		for k := 0; k <= spares; k++ {
-			c := binomialCDF(rows, pRow, k)
+			c := stats.BinomialCDF(rows, pRow, k)
 			if math.IsNaN(c) || c < 0 || c > 1 {
-				t.Fatalf("binomialCDF(%d, %v, %d) = %v", rows, pRow, k, c)
+				t.Fatalf("BinomialCDF(%d, %v, %d) = %v", rows, pRow, k, c)
 			}
 			if c < prev-1e-12 {
-				t.Fatalf("binomialCDF not monotone in k: %v at %d after %v", c, k, prev)
+				t.Fatalf("BinomialCDF not monotone in k: %v at %d after %v", c, k, prev)
 			}
 			prev = c
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"github.com/ntvsim/ntvsim/internal/rng"
+	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/tech"
 )
 
@@ -47,6 +48,11 @@ func (m Model) Budget(op Op, vdd float64) float64 {
 	return m.Cell.Budget(op, vdd, m.margin(op))
 }
 
+// chipRule is the quadrature of Yield's die-to-die integral:
+// 160-interval Simpson over ±8σ, evenly spaced for the same tail reason
+// as cellRule.
+var chipRule = stats.NormalSimpson(8, 160)
+
 // Yield returns the analytic chip-level memory yield for the access at
 // supply vdd: the probability that every structure in the map is
 // repairable, integrating the exact conditional cell failure
@@ -54,9 +60,9 @@ func (m Model) Budget(op Op, vdd float64) float64 {
 // of the Monte-Carlo sampler — same estimand, no sampling, no seed.
 func (m Model) Yield(op Op, vdd float64) float64 {
 	budget := m.Budget(op, vdd)
-	y := gaussExpect(func(die float64) float64 {
+	y := chipRule.Expect(m.Cell.SigmaD2D, func(die float64) float64 {
 		return MapYield(m.Map, m.Cell.FailProb(op, vdd, budget, die))
-	}, m.Cell.SigmaD2D, dieIntervals)
+	})
 	return clamp01(y)
 }
 

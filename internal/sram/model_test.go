@@ -56,10 +56,10 @@ func TestYieldMonotoneSpares(t *testing.T) {
 	ceiling := 1.0
 	m := New(tech.N32)
 	budget := m.Budget(OpRead, vdd)
-	ceiling = gaussExpect(func(die float64) float64 {
+	ceiling = chipRule.Expect(m.Cell.SigmaD2D, func(die float64) float64 {
 		p := m.Cell.FailProb(OpRead, vdd, budget, die)
 		return m.Map[4].Yield(p) * m.Map[5].Yield(p) // vrf × xram only
-	}, m.Cell.SigmaD2D, dieIntervals)
+	})
 	if y := New(tech.N32).WithSpareRows(64).Yield(OpRead, vdd); y > ceiling+1e-9 {
 		t.Errorf("yield %v above unspared-structure ceiling %v", y, ceiling)
 	}
@@ -72,9 +72,9 @@ func TestBinomialDrawInversion(t *testing.T) {
 	for _, k := range []int{0, 1, 4, 8} {
 		lo := 0.0
 		if k > 0 {
-			lo = binomialCDF(n, p, k-1)
+			lo = stats.BinomialCDF(n, p, k-1)
 		}
-		hi := binomialCDF(n, p, k)
+		hi := stats.BinomialCDF(n, p, k)
 		mid := (lo + hi) / 2
 		if got := binomialDraw(mid, n, p); got != k {
 			t.Errorf("binomialDraw(%v, %d, %v) = %d, want %d", mid, n, p, got, k)
@@ -93,10 +93,10 @@ func TestBinomialDrawInversion(t *testing.T) {
 			t.Fatalf("draw %d out of range", got)
 		}
 		// Verify via the inversion property against the CDF.
-		if got > 0 && binomialCDF(256, pHigh, got-1) >= u {
+		if got > 0 && stats.BinomialCDF(256, pHigh, got-1) >= u {
 			t.Errorf("u=%v: drew %d but CDF(%d) >= u", u, got, got-1)
 		}
-		if binomialCDF(256, pHigh, got) < u && got < 256 {
+		if stats.BinomialCDF(256, pHigh, got) < u && got < 256 {
 			t.Errorf("u=%v: drew %d but CDF(%d) < u", u, got, got)
 		}
 	}

@@ -3,6 +3,8 @@ package sram
 import (
 	"fmt"
 	"math"
+
+	"github.com/ntvsim/ntvsim/internal/stats"
 )
 
 // RowPlacement mirrors internal/sparing's Placement for the row-repair
@@ -76,13 +78,13 @@ func (b BankedRows) Repairable(faulty []int) bool {
 func RowCoverage(pl RowPlacement, rows int, pRow float64) float64 {
 	switch v := pl.(type) {
 	case PooledRows:
-		return binomialCDF(rows, pRow, v.SpareRows)
+		return stats.BinomialCDF(rows, pRow, v.SpareRows)
 	case BankedRows:
 		full := rows / v.RowsPerBank
-		per := binomialCDF(v.RowsPerBank, pRow, v.SparesPerBank)
+		per := stats.BinomialCDF(v.RowsPerBank, pRow, v.SparesPerBank)
 		cov := math.Pow(per, float64(full))
 		if rem := rows % v.RowsPerBank; rem > 0 {
-			cov *= binomialCDF(rem, pRow, v.SparesPerBank)
+			cov *= stats.BinomialCDF(rem, pRow, v.SparesPerBank)
 		}
 		return cov
 	default:

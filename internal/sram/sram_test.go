@@ -292,36 +292,6 @@ func TestWithSpareRows(t *testing.T) {
 	}
 }
 
-// TestBinomialCDFAgainstDirect checks the log-space iteration against a
-// direct summation at small n.
-func TestBinomialCDFAgainstDirect(t *testing.T) {
-	direct := func(n int, p float64, k int) float64 {
-		sum := 0.0
-		for i := 0; i <= k && i <= n; i++ {
-			c := 1.0
-			for j := 0; j < i; j++ {
-				c = c * float64(n-j) / float64(j+1)
-			}
-			sum += c * math.Pow(p, float64(i)) * math.Pow(1-p, float64(n-i))
-		}
-		return sum
-	}
-	for _, tc := range []struct {
-		n int
-		p float64
-		k int
-	}{{10, 0.3, 0}, {10, 0.3, 3}, {10, 0.3, 10}, {16, 0.01, 2}, {7, 0.9, 5}} {
-		got := binomialCDF(tc.n, tc.p, tc.k)
-		want := direct(tc.n, tc.p, tc.k)
-		if relDiff(got, want) > 1e-12 {
-			t.Errorf("binomialCDF(%d, %v, %d) = %v, want %v", tc.n, tc.p, tc.k, got, want)
-		}
-	}
-	if binomialCDF(5, 0, 0) != 1 || binomialCDF(5, 1, 4) != 0 || binomialCDF(5, 1, 5) != 1 {
-		t.Error("binomialCDF edge cases wrong")
-	}
-}
-
 func TestRowPlacementNames(t *testing.T) {
 	if !strings.Contains((PooledRows{4}).Name(), "4") || (PooledRows{4}).Spares() != 4 {
 		t.Error("pooled placement metadata")

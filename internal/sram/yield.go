@@ -11,41 +11,16 @@ import (
 // there is a single critical shift of the other at which the access
 // delay crosses the budget, found by bisection, and the failure mass
 // beyond it is a Gaussian tail. Integrating that tail over the first
-// device's WID law (Gauss–Simpson over ±8σ) gives the exact-to-
+// device's WID law (normal-weighted Simpson over ±8σ) gives the exact-to-
 // quadrature cell failure probability — no sampling.
 
-// quadIntervals is the Simpson interval count for the WID integral;
-// dieIntervals for the outer die-to-die integral (matching the moment
-// quadrature in internal/device).
-const (
-	quadIntervals = 64
-	dieIntervals  = 160
-	bisectIters   = 52
-)
+// cellRule is the quadrature of the cell-level integrals, FailProb's
+// WID integral and MarginalFailProb's die integral: 64-interval Simpson
+// over ±8σ. The failure mass sits several σ out, where Gauss–Hermite
+// places too few nodes, so the rule keeps its nodes evenly spaced.
+var cellRule = stats.NormalSimpson(8, 64)
 
-// gaussExpect approximates E[f(X)] for X ~ N(0, sigma) by composite
-// Simpson quadrature over ±8σ. sigma == 0 degenerates to f(0).
-func gaussExpect(f func(float64) float64, sigma float64, intervals int) float64 {
-	if sigma == 0 {
-		return f(0)
-	}
-	law := stats.Normal{Mu: 0, Sigma: sigma}
-	lo := -8 * sigma
-	h := 16 * sigma / float64(intervals)
-	var sum float64
-	for i := 0; i <= intervals; i++ {
-		x := lo + float64(i)*h
-		w := 2.0
-		switch {
-		case i == 0 || i == intervals:
-			w = 1
-		case i%2 == 1:
-			w = 4
-		}
-		sum += w * f(x) * law.PDF(x)
-	}
-	return sum * h / 3
-}
+const bisectIters = 52
 
 // bisectCrossing returns the shift at which the increasing delay(x)
 // crosses budget, given delay(lo) ≤ budget < delay(hi). A fixed
@@ -109,7 +84,7 @@ func (c Cell) FailProb(op Op, vdd, budget, die float64) float64 {
 		return 1 - wid.CDF(bisectCrossing(delay, budget, lo, hi))
 	}
 
-	p := gaussExpect(tail, sigma, quadIntervals)
+	p := cellRule.Expect(sigma, tail)
 	return clamp01(p)
 }
 
@@ -117,9 +92,9 @@ func (c Cell) FailProb(op Op, vdd, budget, die float64) float64 {
 // unconditional probability that a random cell on a random die misses
 // the budget.
 func (c Cell) MarginalFailProb(op Op, vdd, budget float64) float64 {
-	p := gaussExpect(func(die float64) float64 {
+	p := cellRule.Expect(c.SigmaD2D, func(die float64) float64 {
 		return c.FailProb(op, vdd, budget, die)
-	}, c.SigmaD2D, quadIntervals)
+	})
 	return clamp01(p)
 }
 

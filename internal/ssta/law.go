@@ -47,27 +47,29 @@ type Law struct {
 // practical sample count.
 const lawQuadPoints = 17
 
+// dieRule is the quadrature of both die-level axes.
+var dieRule = stats.NormalSimpson(5, lawQuadPoints-1)
+
 // NewLaw builds the analytic law for chains of chainLen gates, paths
 // critical paths per lane and lanes lanes, at supply vdd.
 func NewLaw(dev device.Params, v device.Variation, vdd float64, chainLen, paths, lanes int) *Law {
-	dGrid, dW := dieGrid(v.SigmaVthD2D, lawQuadPoints)
-	gGrid, gW := dieGrid(v.SigmaMulD2D, lawQuadPoints)
-
+	dq, gq := dieRule.For(v.SigmaVthD2D), dieRule.For(v.SigmaMulD2D)
+	n := len(dq.X) * len(gq.X)
 	l := &Law{
 		paths: paths, lanes: lanes,
-		mu:    make([]float64, 0, len(dGrid)*len(gGrid)),
-		sigma: make([]float64, 0, len(dGrid)*len(gGrid)),
-		w:     make([]float64, 0, len(dGrid)*len(gGrid)),
+		mu:    make([]float64, 0, n),
+		sigma: make([]float64, 0, n),
+		w:     make([]float64, 0, n),
 		lo:    math.Inf(1), hi: math.Inf(-1),
 	}
-	for i, d := range dGrid {
-		m, vr := device.ChainConditionalMoments(dev, v, vdd, chainLen, d)
+	for i, zd := range dq.X {
+		m, vr := device.ChainConditionalMoments(dev, v, vdd, chainLen, v.SigmaVthD2D*zd)
 		s := math.Sqrt(vr)
-		for j, g := range gGrid {
-			mul := math.Exp(g)
+		for j, zg := range gq.X {
+			mul := math.Exp(v.SigmaMulD2D * zg)
 			l.mu = append(l.mu, mul*m)
 			l.sigma = append(l.sigma, mul*s)
-			l.w = append(l.w, dW[i]*gW[j])
+			l.w = append(l.w, dq.W[i]*gq.W[j])
 			if lo := mul * (m - 9*s); lo < l.lo {
 				l.lo = lo
 			}
@@ -80,40 +82,6 @@ func NewLaw(dev device.Params, v device.Variation, vdd float64, chainLen, paths,
 		l.lo = 0
 	}
 	return l
-}
-
-// dieGrid returns a quadrature grid over ±5σ with normalized Simpson ×
-// Gaussian-density weights; σ = 0 degenerates to a point mass.
-func dieGrid(sigma float64, n int) (grid, w []float64) {
-	if sigma == 0 {
-		return []float64{0}, []float64{1}
-	}
-	if n%2 == 0 {
-		n++
-	}
-	grid = make([]float64, n)
-	w = make([]float64, n)
-	lo, hi := -5*sigma, 5*sigma
-	h := (hi - lo) / float64(n-1)
-	var sum float64
-	for i := range grid {
-		x := lo + float64(i)*h
-		grid[i] = x
-		c := 2.0
-		switch {
-		case i == 0 || i == n-1:
-			c = 1
-		case i%2 == 1:
-			c = 4
-		}
-		z := x / sigma
-		w[i] = c * math.Exp(-0.5*z*z)
-		sum += w[i]
-	}
-	for i := range w {
-		w[i] /= sum
-	}
-	return grid, w
 }
 
 // lawKey is NewLaw's argument list: the whole device and variation
@@ -259,58 +227,3 @@ func (l *Law) PathMoments() Gaussian {
 	}
 	return Gaussian{Mu: m1, Sigma: math.Sqrt(v)}
 }
-
-// momentsIntervals is the composite-Simpson resolution for the lane
-// and chip moment integrals; the integrands are smooth and compactly
-// concentrated inside [lo, hi], so 800 intervals give ≫ the accuracy
-// the MC cross-validation can distinguish.
-const momentsIntervals = 800
-
-// maxMomentsPow returns the moment-matched Gaussian of the max of n
-// iid paths by integrating x against its density n·f_path·F_path^(n−1)
-// with composite Simpson over the law's bracket.
-func (l *Law) maxMomentsPow(n int) Gaussian {
-	h := (l.hi - l.lo) / momentsIntervals
-	var z, m1, m2 float64
-	for i := 0; i <= momentsIntervals; i++ {
-		x := l.lo + float64(i)*h
-		w := 2.0
-		switch {
-		case i == 0 || i == momentsIntervals:
-			w = 1
-		case i%2 == 1:
-			w = 4
-		}
-		var f float64
-		for j := range l.mu {
-			f += l.w[j] * stats.Normal{Mu: l.mu[j], Sigma: l.sigma[j]}.PDF(x)
-		}
-		s := l.PathSurvival(x)
-		var d float64 // density of the n-fold max at x
-		if s < 1 {
-			d = float64(n) * f * math.Exp(float64(n-1)*math.Log1p(-s))
-		}
-		z += w * d
-		m1 += w * d * x
-		m2 += w * d * x * x
-	}
-	// Normalize by the integrated mass to absorb bracket truncation.
-	if z == 0 {
-		return Gaussian{}
-	}
-	m1 /= z
-	m2 /= z
-	v := m2 - m1*m1
-	if v < 0 {
-		v = 0
-	}
-	return Gaussian{Mu: m1, Sigma: math.Sqrt(v)}
-}
-
-// LaneMoments returns the moment-matched Gaussian of one lane's delay
-// (max over paths-per-lane iid paths).
-func (l *Law) LaneMoments() Gaussian { return l.maxMomentsPow(l.paths) }
-
-// ChipMoments returns the moment-matched Gaussian of the zero-spare
-// chip delay (max over paths·lanes iid paths).
-func (l *Law) ChipMoments() Gaussian { return l.maxMomentsPow(l.paths * l.lanes) }

@@ -65,38 +65,6 @@ func TestLawP99WithinMCConfidenceInterval(t *testing.T) {
 	}
 }
 
-// TestLawMomentsAgainstMC checks the relative μ and σ error of the
-// analytic chip law against Monte-Carlo over the full grid: the mean
-// must agree within 0.5 % and the standard deviation within 5 % —
-// bounds several MC standard errors wide at this sample count, yet far
-// tighter than any decision the sweep service makes on these values.
-func TestLawMomentsAgainstMC(t *testing.T) {
-	const samples = 6000
-	for _, node := range tech.Nodes() {
-		for _, vdd := range lawGridVdds {
-			law := defaultLaw(node, vdd)
-			m := law.ChipMoments()
-
-			ds := simd.New(node).ChipDelays(11, samples, vdd, 0)
-			var sum, sum2 float64
-			for _, d := range ds {
-				sum += d
-				sum2 += d * d
-			}
-			mean := sum / samples
-			sd := math.Sqrt(sum2/samples - mean*mean)
-			if rel := math.Abs(m.Mu-mean) / mean; rel > 0.005 {
-				t.Errorf("%s @%.2fV: SSTA mean %.6g vs MC %.6g (rel %.4f)",
-					node.Name, vdd, m.Mu, mean, rel)
-			}
-			if rel := math.Abs(m.Sigma-sd) / sd; rel > 0.05 {
-				t.Errorf("%s @%.2fV: SSTA sd %.6g vs MC %.6g (rel %.4f)",
-					node.Name, vdd, m.Sigma, sd, rel)
-			}
-		}
-	}
-}
-
 // TestLawTailAgainstTheory pins the tail identity that makes the
 // tail-yield kernel analytic: the probability mass above the law's own
 // p-quantile is exactly 1−p, at depths where float64 CDF arithmetic
@@ -175,19 +143,6 @@ func TestLawPathMomentsAgainstChainMoments(t *testing.T) {
 					node.Name, vdd, m.Sigma, math.Sqrt(variance))
 			}
 		}
-	}
-}
-
-// TestLawMomentOrdering: more iid draws shift the max's mean up and
-// narrow its spread — the lane/chip moment chain must reflect both.
-func TestLawMomentOrdering(t *testing.T) {
-	law := defaultLaw(tech.N22, 0.55)
-	path, lane, chip := law.PathMoments(), law.LaneMoments(), law.ChipMoments()
-	if !(path.Mu < lane.Mu && lane.Mu < chip.Mu) {
-		t.Errorf("mean not increasing path→lane→chip: %v, %v, %v", path.Mu, lane.Mu, chip.Mu)
-	}
-	if !(path.Sigma > lane.Sigma && lane.Sigma > chip.Sigma) {
-		t.Errorf("sd not decreasing path→lane→chip: %v, %v, %v", path.Sigma, lane.Sigma, chip.Sigma)
 	}
 }
 

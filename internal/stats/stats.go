@@ -1,7 +1,10 @@
 // Package stats provides the descriptive statistics, distributions and
 // hypothesis tests used throughout the Monte-Carlo variation study:
-// moments, quantiles, histograms, empirical CDFs, the Gaussian and
-// log-normal distributions, and the Kolmogorov–Smirnov test.
+// moments, quantiles, histograms, empirical CDFs, the Gaussian,
+// log-normal and binomial distributions, and the Kolmogorov–Smirnov
+// test. It is also the one home of the quadrature rules every Gaussian
+// expectation in the repository is integrated with: Gauss–Hermite for
+// smooth integrands and normal-weighted Simpson for tail-dominated ones.
 //
 // All functions operate on float64 samples. Unless stated otherwise they
 // do not modify their inputs; functions that need sorted data either sort

@@ -120,24 +120,46 @@ func TestScalingTrend(t *testing.T) {
 	}
 }
 
-// TestFitSmoke runs a reduced calibration fit — three anchors only — to
-// keep the fitting path covered without the multi-minute full fit, which
-// runs via cmd/calibrate.
-func TestFitSmoke(t *testing.T) {
+// TestFitReproducesCommittedNodes re-runs the full calibration of all
+// four nodes and holds each fitted parameter to its committed literal
+// within 5e-4 relative: the literals stay what cmd/calibrate produces
+// from the anchors, not hand edits.
+func TestFitReproducesCommittedNodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration fit is slow")
 	}
-	tg := Targets22()
-	tg.Anchors = []Anchor{tg.Anchors[0], tg.Anchors[4]}
-	tg.FitIter = 120
-	res := Fit(tg)
-	if res.Objective > 2 {
-		t.Errorf("fit objective %v too poor", res.Objective)
-	}
-	if err := res.Dev.Validate(); err != nil {
-		t.Errorf("fitted params invalid: %v", err)
-	}
-	if res.String() == "" {
-		t.Error("empty fit report")
+	for i, tg := range AllTargets() {
+		node := Nodes()[i]
+		res := Fit(tg)
+		if res.Objective > 2 {
+			t.Errorf("%s: fit objective %v too poor", node.Name, res.Objective)
+		}
+		if err := res.Dev.Validate(); err != nil {
+			t.Errorf("%s: fitted params invalid: %v", node.Name, err)
+		}
+		if err := res.Var.Validate(); err != nil {
+			t.Errorf("%s: fitted variation invalid: %v", node.Name, err)
+		}
+		if res.String() == "" {
+			t.Errorf("%s: empty fit report", node.Name)
+		}
+		for _, c := range []struct {
+			name           string
+			fit, committed float64
+		}{
+			{"Vth0", res.Dev.Vth0, node.Dev.Vth0},
+			{"N", res.Dev.N, node.Dev.N},
+			{"Kd", res.Dev.Kd, node.Dev.Kd},
+			{"SigmaVthWID", res.Var.SigmaVthWID, node.Var.SigmaVthWID},
+			{"SigmaVthD2D", res.Var.SigmaVthD2D, node.Var.SigmaVthD2D},
+			{"SigmaMulWID", res.Var.SigmaMulWID, node.Var.SigmaMulWID},
+			{"SigmaMulD2D", res.Var.SigmaMulD2D, node.Var.SigmaMulD2D},
+		} {
+			rel := math.Abs(c.fit-c.committed) / c.committed
+			t.Logf("%s %s: fit %.9g committed %.9g (rel %.2g)", node.Name, c.name, c.fit, c.committed, rel)
+			if rel > 5e-4 {
+				t.Errorf("%s %s: fit %.6g, committed %.6g (rel %.2g)", node.Name, c.name, c.fit, c.committed, rel)
+			}
+		}
 	}
 }
