@@ -34,6 +34,7 @@ const (
 	codeStreamingUnsupported = "streaming_unsupported" // transport cannot flush SSE
 	codeDeprecatedParameter  = "deprecated_parameter"  // retired query parameter (e.g. experiments format=ids)
 	codeEndpointRetired      = "endpoint_retired"      // retired route (e.g. GET /metrics/expvar)
+	codeEvicted              = "evicted"               // finished job or sweep evicted from memory; the ledger holds its record
 	codeInternal             = "internal"              // unexpected server-side failure
 )
 
@@ -57,6 +58,19 @@ func writeAPIError(w http.ResponseWriter, status int, code, message string) {
 // writeAPIErrorf is writeAPIError with a formatted message.
 func writeAPIErrorf(w http.ResponseWriter, status int, code, format string, args ...any) {
 	writeAPIError(w, status, code, fmt.Sprintf(format, args...))
+}
+
+// writeMissing answers a lookup of a job or sweep id the server does not
+// hold. A recorded run was evicted after it finished: 410 evicted, with
+// a message naming where its record lives, the way endpoint_retired
+// names a replacement route. Any other id is unknown: 404 notFound.
+func (s *server) writeMissing(w http.ResponseWriter, kind, id, notFound string) {
+	if s.ledger.Has(id) {
+		writeAPIErrorf(w, http.StatusGone, codeEvicted,
+			"%s %s finished and was evicted from memory; read its record at GET /v1/runs/%s", kind, id, id)
+		return
+	}
+	writeAPIError(w, http.StatusNotFound, notFound, "no such "+kind)
 }
 
 // healthPayload is the typed GET /healthz response. Status is the

@@ -13,6 +13,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -42,9 +44,16 @@ func tinyClusterSpec() sweep.Spec {
 // fresh (or given) data dir.
 func newCoordinatorServer(t *testing.T, dataDir string) (*server, *httptest.Server) {
 	t.Helper()
+	return newCoordinatorServerRetaining(t, dataDir, 0)
+}
+
+// newCoordinatorServerRetaining is newCoordinatorServer keeping retain
+// finished sweeps and jobs each (0: the default bound).
+func newCoordinatorServerRetaining(t *testing.T, dataDir string, retain int) (*server, *httptest.Server) {
+	t.Helper()
 	s, err := newServerWith(serverConfig{
 		workers: 2, queueDepth: 16, cacheSize: 32,
-		dataDir: dataDir, role: "coordinator", leaseTTL: time.Hour,
+		dataDir: dataDir, role: "coordinator", leaseTTL: time.Hour, retain: retain,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -454,6 +463,70 @@ func TestCoordinatorDaemonRestartReplay(t *testing.T) {
 		}
 		if n != 1 {
 			t.Fatalf("life %d: %s holds %d records of sweep %s, want 1", life, ledger.FileName, n, id)
+		}
+	}
+
+	// Lives 6–8 keep one finished sweep in memory, fewer than the
+	// journal holds. Life 6 adds seven sweeps, evaluated by a worker and
+	// journaled shard by shard. Then the ledger loses the records of the
+	// first four — a crash after the journal's sweep_done and before the
+	// ledger append. Life 7 restores all eight complete from the
+	// journal: they finish while Replay runs and evict one another at
+	// once, and the four the ledger lacks must still be recorded, once
+	// each. Life 8 records nothing new.
+	s6, ts6 := newCoordinatorServerRetaining(t, dir, 1)
+	w6ctx, stopW6 := context.WithCancel(context.Background())
+	go (&cluster.Worker{Coordinator: ts6.URL, ID: "life6", MaxShards: 2, Poll: testPoll}).Run(w6ctx)
+	ids := []string{id}
+	for seed := uint64(1); seed <= 7; seed++ {
+		spec := tinyClusterSpec()
+		spec.Seed = seed
+		code, out := doJSON(t, http.MethodPost, ts6.URL+"/v1/sweeps", spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("life 6: POST /v1/sweeps: %d %v", code, out)
+		}
+		next, _ := out["id"].(string)
+		pollSweepDone(t, ts6.URL, next, 2*time.Minute)
+		waitRecorded(t, s6, next)
+		ids = append(ids, next)
+	}
+	stopW6()
+	ts6.Close()
+	s6.close()
+	lost := map[string]bool{ids[0]: true, ids[1]: true, ids[2]: true, ids[3]: true}
+	var kept []byte
+	for _, rec := range journalRecords(t, dir) {
+		if !lost[rec.RunID] {
+			line, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept = append(append(kept, line...), '\n')
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, ledger.FileName), kept, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for life := 7; life <= 8; life++ {
+		s, ts := newCoordinatorServerRetaining(t, dir, 1)
+		waitFor(t, 30*time.Second, "the eight restored sweeps to finish and evict down to one", func() bool {
+			held, evicted := s.sweeps.Retention()
+			return held == 1 && evicted == 7
+		})
+		for _, sid := range ids {
+			waitRecorded(t, s, sid)
+		}
+		time.Sleep(100 * time.Millisecond) // room for a stray recorder to append
+		ts.Close()
+		s.close()
+		count := map[string]int{}
+		for _, rec := range journalRecords(t, dir) {
+			count[rec.RunID]++
+		}
+		for _, sid := range ids {
+			if count[sid] != 1 {
+				t.Errorf("life %d: %s holds %d records of sweep %s, want 1", life, ledger.FileName, count[sid], sid)
+			}
 		}
 	}
 }

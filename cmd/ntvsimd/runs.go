@@ -245,7 +245,11 @@ func (s *server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 			"unknown kind %q (one of job, sweep)", kind)
 		return
 	}
-	recs, total := s.ledger.List(lq, q.limit, q.offset)
+	recs, total, err := s.ledger.List(lq, q.limit, q.offset)
+	if err != nil {
+		writeAPIError(w, http.StatusInternalServerError, codeInternal, err.Error())
+		return
+	}
 	for i := range recs {
 		recs[i].Spec = nil
 		recs[i].Shards = nil
@@ -264,10 +268,13 @@ func (s *server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 			"run ledger disabled; start ntvsimd with -data-dir to record runs")
 		return
 	}
-	rec, ok := s.ledger.Get(r.PathValue("id"))
-	if !ok {
+	rec, ok, err := s.ledger.Get(r.PathValue("id"))
+	switch {
+	case err != nil:
+		writeAPIError(w, http.StatusInternalServerError, codeInternal, err.Error())
+	case !ok:
 		writeAPIError(w, http.StatusNotFound, codeRunNotFound, "no recorded run with this id")
-		return
+	default:
+		writeJSON(w, http.StatusOK, rec)
 	}
-	writeJSON(w, http.StatusOK, rec)
 }

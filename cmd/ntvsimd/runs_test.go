@@ -220,7 +220,7 @@ func TestRunLedgerJobDoneBeforeSubmitReturns(t *testing.T) {
 	hold := func(jobID string) {
 		deadline := time.Now().Add(time.Minute)
 		for time.Now().Before(deadline) {
-			if rec, ok := s.ledger.Get(jobID); ok {
+			if rec, ok, _ := s.ledger.Get(jobID); ok {
 				recorded <- rec
 				return
 			}

@@ -109,6 +109,30 @@ func init() {
 		func(s *server) float64 { return s.cache.HitRatio() })
 	gauge("ntvsimd_cache_entries", "Entries currently held by the result cache.",
 		func(s *server) float64 { return float64(s.cache.Len()) })
+
+	retained := telemetry.Default.GaugeVec("ntvsimd_retained",
+		"Sweeps and jobs held in memory: queued and running ones plus the newest finished ones the retention bound keeps.", "kind")
+	evicted := telemetry.Default.CounterVec("ntvsimd_evicted_total",
+		"Finished sweeps and jobs evicted from memory by the retention bound; their run-ledger records stay.", "kind")
+	for kind, retention := range map[string]func(s *server) (int, uint64){
+		"sweep": func(s *server) (int, uint64) { return s.sweeps.Retention() },
+		"job":   func(s *server) (int, uint64) { return s.jobs.Retention() },
+	} {
+		retained.Func(func() float64 {
+			if s := active.Load(); s != nil {
+				n, _ := retention(s)
+				return float64(n)
+			}
+			return 0
+		}, kind)
+		evicted.Func(func() float64 {
+			if s := active.Load(); s != nil {
+				_, n := retention(s)
+				return float64(n)
+			}
+			return 0
+		}, kind)
+	}
 }
 
 // server wires the experiments registry, the job manager, the sweep
@@ -153,6 +177,7 @@ type serverConfig struct {
 	role        string // standalone (default) or coordinator
 	leaseTTL    time.Duration
 	logger      *slog.Logger
+	retain      int // finished sweeps and jobs kept in memory each; 0 means the default (tests shrink it)
 }
 
 // defaultTraceBuffer is the trace-ring capacity without -trace-buffer.
@@ -187,7 +212,7 @@ func newServerWith(cfg serverConfig) (*server, error) {
 		}
 	}
 	s := &server{
-		jobs:        jobs.NewManager(cfg.workers, cfg.queueDepth),
+		jobs:        jobs.NewManagerRetaining(cfg.workers, cfg.queueDepth, cfg.retain),
 		cache:       resultcache.New[experiments.Result](cfg.cacheSize),
 		traces:      telemetry.NewTraceStore(cfg.traceBuffer),
 		ledger:      led,
@@ -218,7 +243,7 @@ func newServerWith(cfg serverConfig) (*server, error) {
 		}
 		s.cluster = co
 		s.sweeps.SetRemote(co)
-		resumed, err := co.Replay(s.base, s.sweeps)
+		restored, resumed, err := co.Replay(s.base, s.sweeps)
 		if err != nil {
 			s.close()
 			return nil, err
@@ -230,12 +255,11 @@ func newServerWith(cfg serverConfig) (*server, error) {
 		// it one, whether it resumed mid-flight or finished before the
 		// crash without being recorded; re-attach the recorder the
 		// original boot lost. A recorded sweep is never recorded twice.
+		// Walk what Replay restored, not the engine: restored sweeps
+		// that finish at once may already be evicted from it.
 		if s.ledger != nil {
-			for _, snap := range s.sweeps.List() {
-				if _, recorded := s.ledger.Get(snap.ID); recorded {
-					continue
-				}
-				if sw, ok := s.sweeps.Get(snap.ID); ok {
+			for _, sw := range restored {
+				if !s.ledger.Has(sw.ID) {
 					go s.recordSweep(sw)
 				}
 			}
@@ -645,9 +669,10 @@ func (s *server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.jobs.Get(r.PathValue("id"))
+	id := r.PathValue("id")
+	snap, ok := s.jobs.Get(id)
 	if !ok {
-		writeAPIError(w, http.StatusNotFound, codeJobNotFound, "no such job")
+		s.writeMissing(w, "job", id, codeJobNotFound)
 		return
 	}
 	writeJSON(w, http.StatusOK, snapshotPayload(snap))
@@ -656,9 +681,10 @@ func (s *server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 // handleProgress serves the live samples-done/samples-total and phase
 // of one job.
 func (s *server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.jobs.Get(r.PathValue("id"))
+	id := r.PathValue("id")
+	snap, ok := s.jobs.Get(id)
 	if !ok {
-		writeAPIError(w, http.StatusNotFound, codeJobNotFound, "no such job")
+		s.writeMissing(w, "job", id, codeJobNotFound)
 		return
 	}
 	writeJSON(w, http.StatusOK, progressOf(snap))
@@ -674,7 +700,10 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	var snap telemetry.TraceSnapshot
 	if trace, ok := s.traces.Get(id); ok {
 		snap = trace.Snapshot()
-	} else if rec, ok := s.ledger.Get(id); ok && rec.Trace != nil {
+	} else if rec, ok, err := s.ledger.Get(id); err != nil {
+		writeAPIError(w, http.StatusInternalServerError, codeInternal, err.Error())
+		return
+	} else if ok && rec.Trace != nil {
 		snap = *rec.Trace
 	} else {
 		if jsnap, ok := s.jobs.Get(id); ok && jsnap.State == jobs.Queued {
@@ -700,7 +729,7 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.jobs.Get(id); !ok {
-		writeAPIError(w, http.StatusNotFound, codeJobNotFound, "no such job")
+		s.writeMissing(w, "job", id, codeJobNotFound)
 		return
 	}
 	was, ok := s.jobs.Cancel(id)

@@ -55,7 +55,7 @@ func sseStream(w http.ResponseWriter) (emit func(event string, payload any), ok 
 func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.jobs.Get(id); !ok {
-		writeAPIError(w, http.StatusNotFound, codeJobNotFound, "no such job")
+		s.writeMissing(w, "job", id, codeJobNotFound)
 		return
 	}
 	emit, ok := sseStream(w)
@@ -72,9 +72,11 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		snap, ok := s.jobs.Get(id)
 		if !ok {
-			// The job vanished (not expected — jobs are retained); close
-			// the stream with a terminal event rather than hanging.
-			emit("done", doneEvent{ID: id, State: "unknown"})
+			// Only finished jobs are evicted, so this one finished and
+			// left memory between two polls, before the stream saw its
+			// final state; close with a terminal event naming its record.
+			emit("done", doneEvent{ID: id, State: "evicted",
+				Error: "job finished and was evicted from memory; read its record at GET /v1/runs/" + id})
 			return
 		}
 		if phase := snap.Progress.Phase; phase != lastPhase {

@@ -34,12 +34,15 @@ type sweepPayload struct {
 	Result     *resultPayload        `json:"result,omitempty"`
 }
 
-// sweepListPayload is the typed GET /v1/sweeps response, newest first.
-// Listing entries omit shards and point results; fetch one sweep for
-// its detail.
+// sweepListPayload is the typed GET /v1/sweeps response: one page of the
+// newest-first listing of the sweeps the server holds, plus the
+// pre-pagination total. Listing entries omit shards and point results;
+// fetch one sweep for its detail.
 type sweepListPayload struct {
 	Sweeps []sweepPayload `json:"sweeps"`
 	Total  int            `json:"total"`
+	Limit  int            `json:"limit"`
+	Offset int            `json:"offset"`
 }
 
 // sweepDoneEvent is the terminal SSE payload of a sweep stream. Unlike
@@ -62,10 +65,9 @@ type sweepProgressPayload struct {
 	Cached    int         `json:"cached"`
 }
 
-// sweepPayloadOf converts a snapshot. detail controls whether per-shard
-// states and partial results are included (single-sweep GET) or elided
-// (listings).
-func sweepPayloadOf(sw *sweep.Sweep, snap sweep.Snapshot, detail bool) sweepPayload {
+// sweepPayloadOf converts a snapshot's counts, spec and timestamps: the
+// form listings and the submit response carry.
+func sweepPayloadOf(snap sweep.Snapshot) sweepPayload {
 	p := sweepPayload{
 		ID:        snap.ID,
 		State:     snap.State,
@@ -86,12 +88,19 @@ func sweepPayloadOf(sw *sweep.Sweep, snap sweep.Snapshot, detail bool) sweepPayl
 		t := snap.Finished
 		p.FinishedAt = &t
 	}
-	if detail {
-		p.Shards = snap.Shards
-		p.Results = snap.Results
-		if res, ok := sw.Result(); ok {
-			p.Result = renderResult(res)
-		}
+	return p
+}
+
+// sweepDetailOf is the single-sweep form: sweepPayloadOf plus per-shard
+// states, the merged-so-far partial results and, once done, the merged
+// artifact.
+func sweepDetailOf(sw *sweep.Sweep) sweepPayload {
+	snap := sw.Snapshot()
+	p := sweepPayloadOf(snap)
+	p.Shards = snap.Shards
+	p.Results = snap.Results
+	if res, ok := sw.Result(); ok {
+		p.Result = renderResult(res)
 	}
 	return p
 }
@@ -158,33 +167,49 @@ func (s *server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := sw.Snapshot()
 	s.log.Info("sweep submitted", "sweep", sw.ID, "kernel", snap.Spec, "shards", snap.Total)
-	writeJSON(w, http.StatusAccepted, sweepPayloadOf(sw, snap, false))
+	writeJSON(w, http.StatusAccepted, sweepPayloadOf(snap))
 }
 
-// handleListSweeps lists all known sweeps, newest first.
+// handleListSweeps serves one page of the sweeps the server holds,
+// newest first: running sweeps and the finished ones the retention bound
+// keeps (GET /v1/runs is the full history). Query parameters: state=
+// filters by lifecycle state; limit= (default 50, max 1000) and offset=
+// (default 0) paginate; total counts the filtered set before pagination.
 func (s *server) handleListSweeps(w http.ResponseWriter, r *http.Request) {
+	q, ok := parseListQuery(w, r)
+	if !ok {
+		return
+	}
 	snaps := s.sweeps.List()
+	if q.state != "" {
+		kept := snaps[:0]
+		for _, snap := range snaps {
+			if snap.State == sweep.State(q.state) {
+				kept = append(kept, snap)
+			}
+		}
+		snaps = kept
+	}
+	total := len(snaps)
+	snaps = page(snaps, q)
 	out := make([]sweepPayload, 0, len(snaps))
 	for _, snap := range snaps {
-		sw, ok := s.sweeps.Get(snap.ID)
-		if !ok {
-			continue
-		}
-		out = append(out, sweepPayloadOf(sw, snap, false))
+		out = append(out, sweepPayloadOf(snap))
 	}
-	writeJSON(w, http.StatusOK, sweepListPayload{Sweeps: out, Total: len(out)})
+	writeJSON(w, http.StatusOK, sweepListPayload{Sweeps: out, Total: total, Limit: q.limit, Offset: q.offset})
 }
 
 // handleGetSweep serves one sweep with per-shard states and the
 // merged-so-far partial results; a done sweep includes its full merged
 // artifact.
 func (s *server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweeps.Get(r.PathValue("id"))
+	id := r.PathValue("id")
+	sw, ok := s.sweeps.Get(id)
 	if !ok {
-		writeAPIError(w, http.StatusNotFound, codeSweepNotFound, "no such sweep")
+		s.writeMissing(w, "sweep", id, codeSweepNotFound)
 		return
 	}
-	writeJSON(w, http.StatusOK, sweepPayloadOf(sw, sw.Snapshot(), true))
+	writeJSON(w, http.StatusOK, sweepDetailOf(sw))
 }
 
 // handleCancelSweep cancels every non-terminal shard of a sweep.
@@ -192,7 +217,7 @@ func (s *server) handleCancelSweep(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sw, ok := s.sweeps.Get(id)
 	if !ok {
-		writeAPIError(w, http.StatusNotFound, codeSweepNotFound, "no such sweep")
+		s.writeMissing(w, "sweep", id, codeSweepNotFound)
 		return
 	}
 	if !sw.Cancel() {
@@ -201,7 +226,7 @@ func (s *server) handleCancelSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.log.Info("sweep cancel requested", "sweep", id)
-	writeJSON(w, http.StatusOK, sweepPayloadOf(sw, sw.Snapshot(), true))
+	writeJSON(w, http.StatusOK, sweepDetailOf(sw))
 }
 
 // handleSweepEvents streams a sweep's lifecycle as Server-Sent Events,
@@ -216,7 +241,7 @@ func (s *server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sw, ok := s.sweeps.Get(id)
 	if !ok {
-		writeAPIError(w, http.StatusNotFound, codeSweepNotFound, "no such sweep")
+		s.writeMissing(w, "sweep", id, codeSweepNotFound)
 		return
 	}
 	emit, ok := sseStream(w)

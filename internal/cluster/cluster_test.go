@@ -149,12 +149,12 @@ func TestCoordinatorRestartReplay(t *testing.T) {
 	t.Cleanup(func() { co2.Close() })
 	eng2 := newEngine(t)
 	eng2.SetRemote(co2)
-	resumed, err := co2.Replay(context.Background(), eng2)
+	replayed, resumed, err := co2.Replay(context.Background(), eng2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed != 1 {
-		t.Fatalf("replay resumed %d sweeps, want 1", resumed)
+	if resumed != 1 || len(replayed) != 1 || replayed[0].ID != sw1.ID {
+		t.Fatalf("replay restored %d sweeps and resumed %d, want sweep %s resumed", len(replayed), resumed, sw1.ID)
 	}
 	sw2, ok := eng2.Get(sw1.ID)
 	if !ok {
@@ -234,12 +234,12 @@ func TestCoordinatorRestartReplay(t *testing.T) {
 	t.Cleanup(func() { co3.Close() })
 	eng3 := newEngine(t)
 	eng3.SetRemote(co3)
-	resumed3, err := co3.Replay(context.Background(), eng3)
+	restored3, resumed3, err := co3.Replay(context.Background(), eng3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed3 != 0 {
-		t.Fatalf("finished sweep counted as resumed (%d)", resumed3)
+	if resumed3 != 0 || len(restored3) != 1 {
+		t.Fatalf("finished sweep counted as resumed (%d) or not restored (%d)", resumed3, len(restored3))
 	}
 	sw3, ok := eng3.Get(sw1.ID)
 	if !ok {

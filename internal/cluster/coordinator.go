@@ -350,9 +350,11 @@ func (c *Coordinator) watchDone(sw *sweep.Sweep) {
 // completion races are deduplicated first-write-wins), and a sweep
 // that finished Done is restored too so clients keep their ids and
 // merged results across a restart. Failed and cancelled sweeps are not
-// revived; the run ledger keeps their provenance. Returns how many
-// interrupted sweeps resumed.
-func (c *Coordinator) Replay(ctx context.Context, eng *sweep.Engine) (int, error) {
+// revived; the run ledger keeps their provenance. Returns every sweep
+// it restored — the engine may already have evicted the finished ones,
+// so this is the caller's one complete view of them — and how many of
+// those were interrupted sweeps that resumed.
+func (c *Coordinator) Replay(ctx context.Context, eng *sweep.Engine) (restored []*sweep.Sweep, resumed int, err error) {
 	type journaled struct {
 		spec  sweep.Spec
 		done  map[int]sweep.RestoredShard
@@ -383,7 +385,6 @@ func (c *Coordinator) Replay(ctx context.Context, eng *sweep.Engine) (int, error
 			}
 		}
 	}
-	resumed := 0
 	for _, id := range order {
 		r := byID[id]
 		if r.state != "" && r.state != string(sweep.Done) {
@@ -391,8 +392,9 @@ func (c *Coordinator) Replay(ctx context.Context, eng *sweep.Engine) (int, error
 		}
 		sw, err := eng.Restore(ctx, r.spec, id, r.done)
 		if err != nil {
-			return resumed, fmt.Errorf("cluster: replay sweep %s: %w", id, err)
+			return restored, resumed, fmt.Errorf("cluster: replay sweep %s: %w", id, err)
 		}
+		restored = append(restored, sw)
 		if r.state == "" {
 			// Interrupted mid-run: the remainder re-enters the queue and
 			// the terminal state still needs journaling. Finished sweeps
@@ -403,7 +405,7 @@ func (c *Coordinator) Replay(ctx context.Context, eng *sweep.Engine) (int, error
 		c.log.Info("sweep replayed from journal", "sweep", id,
 			"restored_shards", len(r.done), "state", r.state)
 	}
-	return resumed, nil
+	return restored, resumed, nil
 }
 
 // Status returns the coordinator's live queue/lease/worker counts.

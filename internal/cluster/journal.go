@@ -70,7 +70,7 @@ type Journal struct {
 // and replays it into memory.
 func OpenJournal(dir string) (*Journal, error) {
 	j := &Journal{}
-	log, err := jsonlog.Open(dir, FileName, func(line []byte) error {
+	log, err := jsonlog.Open(dir, FileName, func(_ int64, line []byte) error {
 		var e Entry
 		if err := json.Unmarshal(line, &e); err != nil {
 			return err
@@ -102,7 +102,7 @@ func (j *Journal) Append(e Entry) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.log.Append(line); err != nil {
+	if _, err := j.log.Append(line); err != nil {
 		return fmt.Errorf("cluster: journal: %w", err)
 	}
 	j.entries = append(j.entries, e)

@@ -35,6 +35,14 @@
 // then cancels whatever still runs and waits for the workers to
 // observe it. Draining reports whether submissions are shut.
 //
+// # Retention
+//
+// A finished job lets go of its Func, context and hooks, keeping only
+// what its Snapshot reports, and the manager keeps the newest 1024
+// finished jobs: past that, the oldest finished job is evicted and Get
+// no longer knows it (see Retention). Queued and running jobs are never
+// evicted.
+//
 // Every job's context carries a telemetry.Progress reporter and the
 // job's id (ContextID). Work running under the job — the Monte-Carlo
 // loops, via experiments — ticks the reporter, and Snapshot returns the
@@ -249,7 +257,8 @@ type Manager struct {
 	wg    sync.WaitGroup
 
 	mu       sync.Mutex
-	jobs     map[string]*job
+	jobs     map[string]*job // queued, running and retained finished jobs
+	retained *Retention      // finished jobs, oldest first; evicts past its bound
 	closed   bool
 	seq      uint64
 	backoff  Backoff
@@ -260,6 +269,13 @@ type Manager struct {
 // NewManager starts a pool of workers goroutines with a pending queue of
 // depth queueDepth. workers and queueDepth are clamped to at least 1.
 func NewManager(workers, queueDepth int) *Manager {
+	return NewManagerRetaining(workers, queueDepth, 0)
+}
+
+// NewManagerRetaining is NewManager keeping at most retain finished
+// jobs; retain < 1 means the default of 1024. Tests shrink the bound
+// through it.
+func NewManagerRetaining(workers, queueDepth, retain int) *Manager {
 	if workers < 1 {
 		workers = 1
 	}
@@ -267,10 +283,11 @@ func NewManager(workers, queueDepth int) *Manager {
 		queueDepth = 1
 	}
 	m := &Manager{
-		queue:   make(chan *job, queueDepth),
-		jobs:    make(map[string]*job),
-		backoff: DefaultBackoff,
-		now:     time.Now,
+		queue:    make(chan *job, queueDepth),
+		jobs:     make(map[string]*job),
+		retained: newRetention(retain),
+		backoff:  DefaultBackoff,
+		now:      time.Now,
 	}
 	m.wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -360,7 +377,8 @@ func (m *Manager) Get(id string) (Snapshot, bool) {
 	return j.snapshot(), true
 }
 
-// List returns snapshots of all known jobs in unspecified order.
+// List returns snapshots of every job the manager holds — queued,
+// running and retained finished jobs — in unspecified order.
 func (m *Manager) List() []Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -397,6 +415,7 @@ func (m *Manager) Cancel(id string) (State, bool) {
 		j.done = m.now()
 		m.counters.Cancelled++
 		notify, snap = j.opts.OnDone, j.snapshot()
+		m.retire(j)
 	}
 	m.mu.Unlock()
 	if notify != nil {
@@ -423,6 +442,15 @@ func (m *Manager) CancelAll() int {
 		}
 	}
 	return n
+}
+
+// Retention returns how many jobs the manager holds — queued, running
+// and retained finished ones — and how many finished jobs it has
+// evicted.
+func (m *Manager) Retention() (retained int, evicted uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.jobs), m.retained.Evicted()
 }
 
 // Counters returns the cumulative job-event counts.
@@ -627,11 +655,25 @@ func (m *Manager) finalize(j *job, value any, err error, stack []byte, attempts 
 		j.value = value
 		m.counters.Completed++
 	}
-	j.cancel() // release the context's resources
 	notify, snap := j.opts.OnDone, j.snapshot()
+	m.retire(j)
 	m.mu.Unlock()
 	if notify != nil {
 		notify(snap)
+	}
+}
+
+// retire releases a job that just reached a terminal state and files it
+// with the retention FIFO, evicting the oldest finished job past the
+// bound; callers hold m.mu. Releasing drops the job's Func — a sweep
+// shard's Func closes over its whole sweep — with its context and
+// hooks, and keeps only what snapshot reads.
+func (m *Manager) retire(j *job) {
+	j.cancel() // release the context's resources
+	j.fn, j.ctx, j.cancel = nil, nil, nil
+	j.opts = SubmitOpts{Deadline: j.opts.Deadline}
+	if old, ok := m.retained.Finish(j.id); ok {
+		delete(m.jobs, old)
 	}
 }
 

@@ -9,17 +9,20 @@
 // Append writes one line and fsyncs it before returning, so a line
 // acknowledged with a nil error is on disk: exactly one write and one
 // fsync per call. Open replays the file on boot, passing every complete
-// line to the owner's callback in file order. A crash mid-append leaves
-// at most one torn final line — bytes without a trailing newline, or a
-// complete-looking line the callback rejects with no complete line
-// after it — and Open truncates it away so the next append starts on a
-// clean line boundary. A rejected line anywhere else is interior corruption: Open
-// refuses with ErrCorrupt and the line's byte offset rather than
-// silently dropping the records behind it, and leaves the file as it
-// found it. Lines that replay are byte-identical to what was appended.
+// line and its byte offset to the owner's callback in file order. A
+// crash mid-append leaves at most one torn final line — bytes without a
+// trailing newline, or a complete-looking line the callback rejects
+// with no complete line after it — and Open truncates it away so the
+// next append starts on a clean line boundary. A rejected line anywhere
+// else is interior corruption: Open refuses with ErrCorrupt and the
+// line's byte offset rather than silently dropping the records behind
+// it, and leaves the file as it found it. Lines that replay are
+// byte-identical to what was appended.
 //
 // The log keeps no records in memory; owners index what their callback
-// sees and what they append.
+// sees and what they append. Replay and Append both report the byte
+// offset a line starts at, and ReadLine reads the line at such an
+// offset back, so an owner may index offsets instead of records.
 package jsonlog
 
 import (
@@ -42,16 +45,18 @@ var ErrCorrupt = errors.New("jsonlog: corrupt line")
 
 // Log is one open JSONL file. All methods are safe for concurrent use.
 type Log struct {
-	mu sync.Mutex
-	f  *os.File // nil after Close
+	mu  sync.Mutex
+	f   *os.File // nil after Close
+	end int64    // file size: the offset the next append starts at
 }
 
 // Open opens (creating dir and the file if needed) dir/name and replays
 // it: replay receives every complete non-blank line, whitespace-trimmed,
-// in file order. The slice is only valid during the call. A non-nil
-// return marks the line corrupt: a torn tail is truncated away, any
-// other corrupt line fails Open with ErrCorrupt.
-func Open(dir, name string, replay func(line []byte) error) (*Log, error) {
+// in file order, with the byte offset the line starts at. The slice is
+// only valid during the call. A non-nil return marks the line corrupt:
+// a torn tail is truncated away, any other corrupt line fails Open with
+// ErrCorrupt.
+func Open(dir, name string, replay func(off int64, line []byte) error) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -70,12 +75,12 @@ func Open(dir, name string, replay func(line []byte) error) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	return &Log{f: f}, nil
+	return &Log{f: f, end: good}, nil
 }
 
 // scan replays f from the start and returns the byte offset just past
 // the last line to keep.
-func scan(f *os.File, name string, replay func(line []byte) error) (int64, error) {
+func scan(f *os.File, name string, replay func(off int64, line []byte) error) (int64, error) {
 	r := bufio.NewReaderSize(f, 1<<20)
 	var good int64
 	for {
@@ -89,7 +94,7 @@ func scan(f *os.File, name string, replay func(line []byte) error) (int64, error
 			return 0, fmt.Errorf("jsonlog: replay %s: %w", name, err)
 		}
 		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
-			if rerr := replay(trimmed); rerr != nil {
+			if rerr := replay(good, trimmed); rerr != nil {
 				if isTail(r) {
 					return good, nil
 				}
@@ -108,20 +113,46 @@ func isTail(r *bufio.Reader) bool {
 }
 
 // Append durably appends line plus a terminating newline: one write,
-// one fsync, and a nil error only once both succeed. line must not
-// contain a newline (JSON encoders never emit one); its spare capacity
-// may be used for the terminator.
-func (l *Log) Append(line []byte) error {
+// one fsync, and a nil error only once both succeed. It returns the
+// byte offset the line starts at. line must not contain a newline (JSON
+// encoders never emit one); its spare capacity may be used for the
+// terminator.
+func (l *Log) Append(line []byte) (int64, error) {
 	line = append(line, '\n')
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	if _, err := l.f.Write(line); err != nil {
-		return err
+	off := l.end
+	n, err := l.f.Write(line)
+	l.end += int64(n)
+	if err != nil {
+		return 0, err
 	}
-	return l.f.Sync()
+	return off, l.f.Sync()
+}
+
+// ReadLine reads back the line starting at off — an offset replay or
+// Append reported — whitespace-trimmed and without its newline, so the
+// bytes equal what replay delivered or Append was given. It takes the
+// append lock only to find the file and its size; the read runs outside
+// it.
+func (l *Log) ReadLine(off int64) ([]byte, error) {
+	l.mu.Lock()
+	f, end := l.f, l.end
+	l.mu.Unlock()
+	if f == nil {
+		return nil, ErrClosed
+	}
+	if off < 0 || off >= end {
+		return nil, fmt.Errorf("jsonlog: offset %d outside the log's %d bytes", off, end)
+	}
+	line, err := bufio.NewReader(io.NewSectionReader(f, off, end-off)).ReadBytes('\n')
+	if err != nil {
+		return nil, fmt.Errorf("jsonlog: read at offset %d: %w", off, err)
+	}
+	return bytes.TrimSpace(line), nil
 }
 
 // Close syncs and closes the file; later Appends return ErrClosed and

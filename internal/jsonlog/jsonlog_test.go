@@ -18,8 +18,8 @@ const name = "test.jsonl"
 
 // collect is the suite's replay callback: like the ledger and the shard
 // journal, it rejects a line that is not valid JSON and keeps the rest.
-func collect(lines *[]string) func([]byte) error {
-	return func(line []byte) error {
+func collect(lines *[]string) func(int64, []byte) error {
+	return func(_ int64, line []byte) error {
 		if !json.Valid(line) {
 			return errors.New("invalid JSON")
 		}
@@ -123,7 +123,7 @@ func TestReplay(t *testing.T) {
 			if after := readFile(t, dir); after != tc.file[:tc.keep] {
 				t.Errorf("file after Open = %q, want %q", after, tc.file[:tc.keep])
 			}
-			if err := l.Append([]byte(appended)); err != nil {
+			if _, err := l.Append([]byte(appended)); err != nil {
 				t.Fatalf("append after truncation: %v", err)
 			}
 			if err := l.Close(); err != nil {
@@ -149,7 +149,7 @@ func TestReplayByteIdentical(t *testing.T) {
 		`"` + strings.Repeat("x", 3<<19) + `"`,
 	}
 	for _, line := range lines {
-		if err := l.Append([]byte(line)); err != nil {
+		if _, err := l.Append([]byte(line)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,8 +161,80 @@ func TestReplayByteIdentical(t *testing.T) {
 	}
 }
 
+// TestOffsets: replay reports each kept line's starting offset, across
+// padding, blank lines and a torn tail that Open truncates; Append
+// reports where its line starts; ReadLine returns exactly the replayed
+// or appended bytes at each offset, before and after a reopen.
+func TestOffsets(t *testing.T) {
+	const a, b, c = `{"n":1}`, `{"n":2,"s":"x y"}`, `{"n":3}`
+	file := a + "\n\n  " + b + " \r\n" + c + "\n" + `{"torn":`
+	dir := t.TempDir()
+	writeFile(t, dir, file)
+	type line struct {
+		off  int64
+		text string
+	}
+	var got []line
+	l, err := Open(dir, name, func(off int64, text []byte) error {
+		if !json.Valid(text) {
+			return errors.New("invalid JSON")
+		}
+		got = append(got, line{off, string(text)})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	want := []line{{0, a}, {int64(len(a) + 2), b}, {int64(len(a) + len(b) + 7), c}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("replay offsets %v, want %v", got, want)
+	}
+	const appended = `{"appended":"after the torn tail"}`
+	off, err := l.Append([]byte(appended))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept := int64(len(file) - len(`{"torn":`)); off != kept {
+		t.Errorf("Append at offset %d, want %d (the truncated size)", off, kept)
+	}
+	want = append(want, line{off, appended})
+	check := func(l *Log, when string) {
+		t.Helper()
+		for _, w := range want {
+			back, err := l.ReadLine(w.off)
+			if err != nil || string(back) != w.text {
+				t.Errorf("%s: ReadLine(%d) = %q, %v; want %q", when, w.off, back, err, w.text)
+			}
+		}
+	}
+	check(l, "before reopen")
+	for _, bad := range []int64{-1, off + int64(len(appended)) + 1} {
+		if _, err := l.ReadLine(bad); err == nil {
+			t.Errorf("ReadLine(%d) outside the log succeeded", bad)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got = got[:0]
+	l2, err := Open(dir, name, func(off int64, text []byte) error {
+		got = append(got, line{off, string(text)})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if !slices.Equal(got, want) {
+		t.Fatalf("reopen offsets %v, want %v", got, want)
+	}
+	check(l2, "after reopen")
+}
+
 // TestConcurrentAppend: appends from many goroutines never interleave
-// within a line, and every acknowledged line replays.
+// within a line, every acknowledged line reads back at its offset while
+// the others append, and every acknowledged line replays.
 func TestConcurrentAppend(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir)
@@ -177,8 +249,13 @@ func TestConcurrentAppend(t *testing.T) {
 		go func(mine []string) {
 			defer wg.Done()
 			for _, line := range mine {
-				if err := l.Append([]byte(line)); err != nil {
+				off, err := l.Append([]byte(line))
+				if err != nil {
 					t.Errorf("Append: %v", err)
+					continue
+				}
+				if back, err := l.ReadLine(off); err != nil || string(back) != line {
+					t.Errorf("ReadLine(%d) = %.40q, %v; want %.40q", off, back, err, line)
 				}
 			}
 		}(want[w*per:])
@@ -202,8 +279,11 @@ func TestAppendAfterClose(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]byte(`{}`)); !errors.Is(err, ErrClosed) {
+	if _, err := l.Append([]byte(`{}`)); !errors.Is(err, ErrClosed) {
 		t.Errorf("append after close: %v, want ErrClosed", err)
+	}
+	if _, err := l.ReadLine(0); !errors.Is(err, ErrClosed) {
+		t.Errorf("read after close: %v, want ErrClosed", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
@@ -298,7 +378,7 @@ func FuzzReplay(f *testing.F) {
 			t.Fatalf("replayed %q, want %q", got, want)
 		}
 		const appended = `{"fuzz":1}`
-		if err := l.Append([]byte(appended)); err != nil {
+		if _, err := l.Append([]byte(appended)); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Close(); err != nil {

@@ -17,6 +17,16 @@
 // policy is jsonlog's, shared with the cluster shard journal.
 // Replayed records are byte-identical to what was appended.
 //
+// # Memory
+//
+// The index holds no records: per run it keeps the byte offset of the
+// run's latest line plus the three fields List filters on (kind, state,
+// name — one shared copy per distinct triple), about a hundred bytes a
+// run. Get and each page of
+// List read their records back from the journal, so a daemon that
+// records every run for months does not grow with the records' specs,
+// shards and span trees.
+//
 // A nil *Ledger is valid and inert: every method is a no-op, so the
 // daemon runs with the ledger disabled (no -data-dir) at zero cost and
 // call sites never branch.
@@ -25,6 +35,7 @@ package ledger
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -128,12 +139,25 @@ type ShardRecord struct {
 // index. All methods are safe for concurrent use and are no-ops on a
 // nil receiver.
 type Ledger struct {
-	mu    sync.Mutex // held across the append and the index update, so order is file order
-	log   *jsonlog.Log
-	dir   string
-	order []string           // run ids in append order (first appearance)
-	byID  map[string]*Record // latest record per run id
+	mu      sync.Mutex // held across the append and the index update, so order is file order
+	log     *jsonlog.Log
+	dir     string
+	entries []entry          // one per run id, in first-appearance order
+	byID    map[string]int   // run id → its index in entries
+	facets  map[facet]*facet // the distinct filter triples entries share
 }
+
+// entry is one run's slot in the index: where its latest record starts
+// in the journal, and the fields a Query matches on.
+type entry struct {
+	id  string
+	off int64
+	*facet
+}
+
+// facet is what a Query matches a run on. A few distinct triples cover
+// every run, so entries point at one shared copy each.
+type facet struct{ kind, state, name string }
 
 // Open opens (creating if needed) the journal under dir and replays it
 // into the in-memory index. A partial final line — the signature of a
@@ -141,13 +165,13 @@ type Ledger struct {
 // malformed line is an error, because silently skipping interior
 // records would hide corruption.
 func Open(dir string) (*Ledger, error) {
-	l := &Ledger{dir: dir, byID: make(map[string]*Record)}
-	log, err := jsonlog.Open(dir, FileName, func(line []byte) error {
+	l := &Ledger{dir: dir, byID: make(map[string]int), facets: make(map[facet]*facet)}
+	log, err := jsonlog.Open(dir, FileName, func(off int64, line []byte) error {
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return err
 		}
-		l.index(&rec)
+		l.index(off, &rec)
 		return nil
 	})
 	if err != nil {
@@ -166,13 +190,25 @@ func (l *Ledger) Dir() string {
 	return l.dir
 }
 
-// index records rec in the in-memory maps; callers hold l.mu or are
-// single-threaded (replay).
-func (l *Ledger) index(rec *Record) {
-	if _, seen := l.byID[rec.RunID]; !seen {
-		l.order = append(l.order, rec.RunID)
+// index points rec's run id at the record starting at off; callers
+// hold l.mu or are single-threaded (replay). Only the id and the shared
+// filter triple are kept, never rec itself.
+func (l *Ledger) index(off int64, rec *Record) {
+	f := facet{rec.Kind, rec.State, rec.Name}
+	shared, ok := l.facets[f]
+	if !ok {
+		shared = &facet{strings.Clone(f.kind), strings.Clone(f.state), strings.Clone(f.name)}
+		l.facets[*shared] = shared
 	}
-	l.byID[rec.RunID] = rec
+	e := entry{off: off, facet: shared}
+	if i, seen := l.byID[rec.RunID]; seen {
+		e.id = l.entries[i].id
+		l.entries[i] = e
+		return
+	}
+	e.id = strings.Clone(rec.RunID)
+	l.byID[e.id] = len(l.entries)
+	l.entries = append(l.entries, e)
 }
 
 // Append durably appends rec to the journal — write, fsync, then index
@@ -193,25 +229,58 @@ func (l *Ledger) Append(rec Record) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.log.Append(line); err != nil {
+	off, err := l.log.Append(line)
+	if err != nil {
 		return fmt.Errorf("ledger: %w", err)
 	}
-	l.index(&rec)
+	l.index(off, &rec)
 	return nil
 }
 
-// Get returns the record for the given run id.
-func (l *Ledger) Get(runID string) (Record, bool) {
+// Has reports whether a record for the given run id is on file, without
+// reading it.
+func (l *Ledger) Has(runID string) bool {
 	if l == nil {
-		return Record{}, false
+		return false
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rec, ok := l.byID[runID]
-	if !ok {
-		return Record{}, false
+	_, ok := l.byID[runID]
+	return ok
+}
+
+// Get reads back the latest record for the given run id. ok is false
+// when the ledger holds none; err reports a journal that could not be
+// read or decoded.
+func (l *Ledger) Get(runID string) (rec Record, ok bool, err error) {
+	if l == nil {
+		return Record{}, false, nil
 	}
-	return *rec, true
+	l.mu.Lock()
+	i, ok := l.byID[runID]
+	var off int64
+	if ok {
+		off = l.entries[i].off
+	}
+	l.mu.Unlock()
+	if !ok {
+		return Record{}, false, nil
+	}
+	rec, err = l.read(off)
+	return rec, err == nil, err
+}
+
+// read decodes the record starting at off.
+func (l *Ledger) read(off int64) (Record, error) {
+	var rec Record
+	line, err := l.log.ReadLine(off)
+	if err == nil {
+		err = json.Unmarshal(line, &rec)
+	}
+	if err != nil {
+		return Record{}, fmt.Errorf("ledger: %w", err)
+	}
+	return rec, nil
 }
 
 // Query filters a listing. Zero fields match everything.
@@ -221,38 +290,44 @@ type Query struct {
 	Name  string // experiment or kernel id
 }
 
-// matches reports whether rec satisfies q.
-func (q Query) matches(rec *Record) bool {
-	return (q.Kind == "" || rec.Kind == q.Kind) &&
-		(q.State == "" || rec.State == q.State) &&
-		(q.Name == "" || rec.Name == q.Name)
+// matches reports whether the indexed run e satisfies q.
+func (q Query) matches(e *entry) bool {
+	return (q.Kind == "" || e.kind == q.Kind) &&
+		(q.State == "" || e.state == q.State) &&
+		(q.Name == "" || e.name == q.Name)
 }
 
 // List returns one page of matching records, newest first (reverse
-// append order), plus the pre-pagination total. A negative limit means
+// append order), plus the pre-pagination total. It filters on the
+// index and reads back only the page's records. A negative limit means
 // no bound.
-func (l *Ledger) List(q Query, limit, offset int) ([]Record, int) {
+func (l *Ledger) List(q Query, limit, offset int) ([]Record, int, error) {
 	if l == nil {
-		return nil, 0
+		return nil, 0, nil
 	}
+	var offs []int64
+	total := 0
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	matched := make([]Record, 0, len(l.order))
-	for i := len(l.order) - 1; i >= 0; i-- {
-		rec := l.byID[l.order[i]]
-		if q.matches(rec) {
-			matched = append(matched, *rec)
+	for i := len(l.entries) - 1; i >= 0; i-- {
+		e := &l.entries[i]
+		if !q.matches(e) {
+			continue
 		}
+		if total >= offset && (limit < 0 || len(offs) < limit) {
+			offs = append(offs, e.off)
+		}
+		total++
 	}
-	total := len(matched)
-	if offset >= len(matched) {
-		return []Record{}, total
+	l.mu.Unlock()
+	recs := make([]Record, 0, len(offs))
+	for _, off := range offs {
+		rec, err := l.read(off)
+		if err != nil {
+			return nil, total, err
+		}
+		recs = append(recs, rec)
 	}
-	matched = matched[offset:]
-	if limit >= 0 && len(matched) > limit {
-		matched = matched[:limit]
-	}
-	return matched, total
+	return recs, total, nil
 }
 
 // Len returns the number of indexed runs.
@@ -262,7 +337,7 @@ func (l *Ledger) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.byID)
+	return len(l.entries)
 }
 
 // Close syncs and closes the journal file; later Appends fail.

@@ -2,15 +2,19 @@ package ledger
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/ntvsim/ntvsim/internal/buildinfo"
+	"github.com/ntvsim/ntvsim/internal/jsonlog"
 )
 
 func testRecord(i int) Record {
@@ -46,9 +50,9 @@ func TestAppendGetRoundTrip(t *testing.T) {
 	if err := l.Append(rec); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	got, ok := l.Get("job-0001")
-	if !ok {
-		t.Fatal("Get: record missing after Append")
+	got, ok, err := l.Get("job-0001")
+	if err != nil || !ok {
+		t.Fatalf("Get: record missing after Append (%v)", err)
 	}
 	if got.Schema != Schema {
 		t.Errorf("schema not stamped: %q", got.Schema)
@@ -78,7 +82,10 @@ func TestReplayByteIdentical(t *testing.T) {
 		if err := l.Append(rec); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
-		got, _ := l.Get(rec.RunID)
+		got, _, err := l.Get(rec.RunID)
+		if err != nil {
+			t.Fatal(err)
+		}
 		b, err := json.Marshal(got)
 		if err != nil {
 			t.Fatal(err)
@@ -94,9 +101,9 @@ func TestReplayByteIdentical(t *testing.T) {
 		t.Fatalf("replayed %d records, want %d", re.Len(), n)
 	}
 	for i := 0; i < n; i++ {
-		got, ok := re.Get(fmt.Sprintf("job-%04d", i))
-		if !ok {
-			t.Fatalf("record %d lost across restart", i)
+		got, ok, err := re.Get(fmt.Sprintf("job-%04d", i))
+		if err != nil || !ok {
+			t.Fatalf("record %d lost across restart (%v)", i, err)
 		}
 		b, err := json.Marshal(got)
 		if err != nil {
@@ -152,7 +159,7 @@ func TestReplayTruncatedTail(t *testing.T) {
 			if re.Len() != n-1 {
 				t.Fatalf("after cut at %d: replayed %d records, want %d", cut, re.Len(), n-1)
 			}
-			if _, ok := re.Get(fmt.Sprintf("job-%04d", n-1)); ok {
+			if re.Has(fmt.Sprintf("job-%04d", n-1)) {
 				t.Error("torn final record should not be indexed")
 			}
 			// The torn bytes must be gone so new appends land cleanly.
@@ -166,7 +173,7 @@ func TestReplayTruncatedTail(t *testing.T) {
 			if re2.Len() != n {
 				t.Fatalf("post-repair replay: %d records, want %d", re2.Len(), n)
 			}
-			if _, ok := re2.Get("job-0099"); !ok {
+			if _, ok, err := re2.Get("job-0099"); err != nil || !ok {
 				t.Error("record appended after repair lost on second replay")
 			}
 		})
@@ -185,7 +192,7 @@ func TestLatestRecordWinsPerRunID(t *testing.T) {
 	if err := l.Append(rec); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := l.Get(rec.RunID); got.State != "done" {
+	if got, _, _ := l.Get(rec.RunID); got.State != "done" {
 		t.Errorf("latest record should win: got state %q", got.State)
 	}
 	if l.Len() != 1 {
@@ -193,7 +200,7 @@ func TestLatestRecordWinsPerRunID(t *testing.T) {
 	}
 	l.Close()
 	re := openT(t, dir)
-	if got, _ := re.Get(rec.RunID); got.State != "done" {
+	if got, _, _ := re.Get(rec.RunID); got.State != "done" {
 		t.Errorf("latest record should win after replay: got state %q", got.State)
 	}
 }
@@ -214,7 +221,15 @@ func TestListNewestFirstAndFilters(t *testing.T) {
 		}
 	}
 
-	all, total := l.List(Query{}, -1, 0)
+	list := func(q Query, limit, offset int) ([]Record, int) {
+		t.Helper()
+		recs, total, err := l.List(q, limit, offset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs, total
+	}
+	all, total := list(Query{}, -1, 0)
 	if total != 10 || len(all) != 10 {
 		t.Fatalf("List all: got %d/%d, want 10/10", len(all), total)
 	}
@@ -222,7 +237,7 @@ func TestListNewestFirstAndFilters(t *testing.T) {
 		t.Errorf("not newest-first: first %s last %s", all[0].RunID, all[9].RunID)
 	}
 
-	sweeps, total := l.List(Query{Kind: "sweep"}, -1, 0)
+	sweeps, total := list(Query{Kind: "sweep"}, -1, 0)
 	if total != 5 {
 		t.Errorf("kind filter: total %d, want 5", total)
 	}
@@ -232,23 +247,110 @@ func TestListNewestFirstAndFilters(t *testing.T) {
 		}
 	}
 
-	failed, total := l.List(Query{State: "failed"}, -1, 0)
+	failed, total := list(Query{State: "failed"}, -1, 0)
 	if total != 1 || failed[0].RunID != "job-0003" {
 		t.Errorf("state filter: got %v total %d", failed, total)
 	}
 
-	named, _ := l.List(Query{Name: "yield_vs_vdd", Kind: "sweep"}, -1, 0)
+	named, _ := list(Query{Name: "yield_vs_vdd", Kind: "sweep"}, -1, 0)
 	if len(named) != 5 {
 		t.Errorf("name filter: got %d, want 5", len(named))
 	}
 
-	page, total := l.List(Query{}, 3, 4)
+	page, total := list(Query{}, 3, 4)
 	if total != 10 || len(page) != 3 || page[0].RunID != "job-0005" {
 		t.Errorf("pagination: len %d total %d first %s", len(page), total, page[0].RunID)
 	}
-	empty, total := l.List(Query{}, 5, 50)
+	empty, total := list(Query{}, 5, 50)
 	if total != 10 || len(empty) != 0 {
 		t.Errorf("offset past end: len %d total %d", len(empty), total)
+	}
+}
+
+// heavyRecord is a sweep-sized record: a resolved spec, per-shard
+// provenance and a span tree, several KB of JSON.
+func heavyRecord(i int) Record {
+	rec := testRecord(i)
+	rec.Kind = "sweep"
+	rec.Spec = json.RawMessage(`{"metric":"p99chipclock","pad":"` + strings.Repeat("s", 512) + `"}`)
+	for k := 0; k < 64; k++ {
+		rec.Shards = append(rec.Shards, ShardRecord{Index: k, Seed: uint64(k), State: "done", Cached: true})
+	}
+	return rec
+}
+
+// liveHeap is the bytes of live heap objects after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestIndexHoldsNoRecords: the in-memory index costs about a hundred
+// bytes a run however large the records are — after appends and after
+// a replay — because it keeps offsets, never the records, their specs
+// or their shards. Every record still reads back whole.
+func TestIndexHoldsNoRecords(t *testing.T) {
+	const n, perRun = 1000, 256
+	dir := t.TempDir()
+	before := liveHeap()
+	l := openT(t, dir)
+	for i := 0; i < n; i++ {
+		if err := l.Append(heavyRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown := int64(liveHeap()) - int64(before)
+	t.Logf("index after %d appends: %d B/run", n, grown/n)
+	if b, _ := json.Marshal(heavyRecord(0)); len(b) < 10*perRun {
+		t.Fatalf("test record is only %d bytes; it would not show a retained record", len(b))
+	}
+	if grown > n*perRun {
+		t.Errorf("index grew the heap by %d B for %d runs (%d B/run), want ≤ %d B/run", grown, n, grown/n, perRun)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	before = liveHeap()
+	re := openT(t, dir)
+	grown = int64(liveHeap()) - int64(before)
+	t.Logf("index after replaying %d runs: %d B/run", n, grown/n)
+	if grown > n*perRun {
+		t.Errorf("replayed index holds %d B for %d runs (%d B/run), want ≤ %d B/run", grown, n, grown/n, perRun)
+	}
+	for _, i := range []int{0, n / 2, n - 1} {
+		got, ok, err := re.Get(fmt.Sprintf("job-%04d", i))
+		if err != nil || !ok || len(got.Shards) != 64 || string(got.Spec) != string(heavyRecord(i).Spec) {
+			t.Fatalf("record %d did not read back whole: ok=%v err=%v shards=%d", i, ok, err, len(got.Shards))
+		}
+	}
+	runtime.KeepAlive(re)
+}
+
+// TestReadAfterClose: a closed ledger still knows which runs it
+// recorded, but reading one back reports the closed journal instead of
+// pretending the run is unknown.
+func TestReadAfterClose(t *testing.T) {
+	l := openT(t, t.TempDir())
+	if err := l.Append(testRecord(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !l.Has("job-0001") {
+		t.Error("Has forgot a recorded run after Close")
+	}
+	if _, ok, err := l.Get("job-0001"); ok || !errors.Is(err, jsonlog.ErrClosed) {
+		t.Errorf("Get after Close: ok=%v err=%v, want jsonlog.ErrClosed", ok, err)
+	}
+	if _, total, err := l.List(Query{}, 10, 0); total != 1 || !errors.Is(err, jsonlog.ErrClosed) {
+		t.Errorf("List after Close: total=%d err=%v, want 1 and jsonlog.ErrClosed", total, err)
+	}
+	if _, ok, err := l.Get("job-0002"); ok || err != nil {
+		t.Errorf("Get of an unknown run after Close: ok=%v err=%v, want neither", ok, err)
 	}
 }
 
@@ -257,10 +359,13 @@ func TestNilLedgerNoOps(t *testing.T) {
 	if err := l.Append(testRecord(0)); err != nil {
 		t.Errorf("nil Append: %v", err)
 	}
-	if _, ok := l.Get("x"); ok {
+	if _, ok, err := l.Get("x"); ok || err != nil {
 		t.Error("nil Get returned a record")
 	}
-	if recs, total := l.List(Query{}, -1, 0); recs != nil || total != 0 {
+	if l.Has("x") {
+		t.Error("nil Has found a record")
+	}
+	if recs, total, err := l.List(Query{}, -1, 0); recs != nil || total != 0 || err != nil {
 		t.Error("nil List returned data")
 	}
 	if l.Len() != 0 {

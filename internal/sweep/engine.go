@@ -103,15 +103,22 @@ type Snapshot struct {
 // Engine expands sweeps into shards and runs them on a shared
 // internal/jobs worker pool, with shard outputs content-addressed in a
 // shared result cache. All methods are safe for concurrent use.
+//
+// The engine keeps as many finished sweeps as its job manager keeps
+// finished jobs (1024 unless the manager was built with another bound),
+// through the same FIFO (jobs.Retention): past the bound, the oldest
+// finished sweep is evicted and Get no longer knows it. Running sweeps
+// are never evicted.
 type Engine struct {
 	jobs   *jobs.Manager
 	cache  *resultcache.Cache[experiments.Result]
 	traces *telemetry.TraceStore // optional; shard runs record spans when set
 
-	mu     sync.Mutex
-	remote RemoteQueue // optional; non-cached shards go here instead of the pool
-	sweeps map[string]*Sweep
-	order  []string // submission order, for newest-first listing
+	mu       sync.Mutex
+	remote   RemoteQueue // optional; non-cached shards go here instead of the pool
+	sweeps   map[string]*Sweep
+	order    []string        // submission order, for newest-first listing; may hold evicted ids
+	retained *jobs.Retention // finished sweeps, oldest first; evicts past its bound
 }
 
 // SetRemote installs a remote shard queue: every subsequently submitted
@@ -137,7 +144,8 @@ func (e *Engine) remoteQueue() RemoteQueue {
 // nested under the sweep root, so a wide sweep occupies a single slot
 // in the bounded trace ring.
 func NewEngine(m *jobs.Manager, cache *resultcache.Cache[experiments.Result], traces *telemetry.TraceStore) *Engine {
-	return &Engine{jobs: m, cache: cache, traces: traces, sweeps: make(map[string]*Sweep)}
+	return &Engine{jobs: m, cache: cache, traces: traces, sweeps: make(map[string]*Sweep),
+		retained: m.NewRetention()}
 }
 
 // Sweep is one submitted sweep's live state.
@@ -157,7 +165,10 @@ type Sweep struct {
 	shards     []shardState
 	results    []*ShardResult // grid-indexed; nil until the shard completes
 	remaining  int
+	completed  int    // done shards, cached ones included
+	cached     int    // done shards served from the result cache
 	failed     int    // permanently failed shards, checked against the budget
+	cancelled  int    // cancelled shards
 	failErr    string // first permanent shard failure
 	retried    int    // total in-place shard retries
 	userCancel bool   // Cancel() was called — wins over failure in the final state
@@ -297,20 +308,58 @@ func (e *Engine) Get(id string) (*Sweep, bool) {
 	return sw, ok
 }
 
-// List returns snapshots of all known sweeps, newest first.
+// List returns listing snapshots of the sweeps the engine holds —
+// counts, spec and timestamps, without shard states or results —
+// newest first.
 func (e *Engine) List() []Snapshot {
 	e.mu.Lock()
-	ids := append([]string(nil), e.order...)
-	sweeps := make([]*Sweep, 0, len(ids))
-	for i := len(ids) - 1; i >= 0; i-- {
-		sweeps = append(sweeps, e.sweeps[ids[i]])
+	sweeps := make([]*Sweep, 0, len(e.sweeps))
+	for i := len(e.order) - 1; i >= 0; i-- {
+		if sw, ok := e.sweeps[e.order[i]]; ok { // evicted ids wait for compaction
+			sweeps = append(sweeps, sw)
+		}
 	}
 	e.mu.Unlock()
 	out := make([]Snapshot, 0, len(sweeps))
 	for _, sw := range sweeps {
-		out = append(out, sw.Snapshot())
+		sw.mu.Lock()
+		out = append(out, sw.summaryLocked())
+		sw.mu.Unlock()
 	}
 	return out
+}
+
+// Retention returns how many sweeps the engine holds — running and
+// retained finished ones — and how many finished sweeps it has evicted.
+func (e *Engine) Retention() (retained int, evicted uint64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.sweeps), e.retained.Evicted()
+}
+
+// retire files a sweep that just finished with the retention FIFO,
+// evicting the oldest finished sweep past the bound. The order slice
+// drops evicted ids once they make up half of it, so it stays within
+// twice the sweeps held at O(1) amortized cost per finish.
+func (e *Engine) retire(id string) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	old, ok := e.retained.Finish(id)
+	if !ok {
+		return
+	}
+	delete(e.sweeps, old)
+	if len(e.order) <= 2*len(e.sweeps) {
+		return
+	}
+	kept := e.order[:0]
+	for _, id := range e.order {
+		if _, held := e.sweeps[id]; held {
+			kept = append(kept, id)
+		}
+	}
+	clear(e.order[len(kept):])
+	e.order = kept
 }
 
 // dispatch is the sweep's feeder goroutine: it walks the grid in index
@@ -538,7 +587,13 @@ func (sw *Sweep) finishShard(idx int, state ShardState, sr *ShardResult, err err
 	switch state {
 	case ShardDone:
 		sw.results[idx] = sr
+		sw.completed++
+		if sw.shards[idx].cached {
+			sw.cached++
+		}
 		mShardsCompleted.Inc()
+	case ShardCancelled:
+		sw.cancelled++
 	case ShardFailed:
 		sw.failed++
 		if sw.failErr == "" {
@@ -563,6 +618,12 @@ func (sw *Sweep) finishShard(idx int, state ShardState, sr *ShardResult, err err
 		// Cancelled) — see finalizeLocked.
 		sw.cancel()
 	}
+	if last {
+		// File the sweep with the engine's retention before announcing
+		// it: whoever wakes on Done sees the bound already applied.
+		sw.eng.retire(sw.ID)
+		close(sw.doneCh)
+	}
 }
 
 // finalizeLocked computes the sweep's terminal state; callers hold
@@ -571,21 +632,12 @@ func (sw *Sweep) finishShard(idx int, state ShardState, sr *ShardResult, err err
 // cancelled shards don't mask the cause — fails the sweep; then
 // cancellation; else done.
 func (sw *Sweep) finalizeLocked() {
-	anyFailed, anyCancelled := false, false
-	for i := range sw.shards {
-		switch sw.shards[i].state {
-		case ShardFailed:
-			anyFailed = true
-		case ShardCancelled:
-			anyCancelled = true
-		}
-	}
 	switch {
 	case sw.userCancel:
 		sw.state = Cancelled
-	case anyFailed || sw.aborted:
+	case sw.failed > 0 || sw.aborted:
 		sw.state = Failed
-	case anyCancelled:
+	case sw.cancelled > 0:
 		sw.state = Cancelled
 	default:
 		sw.state = Done
@@ -593,7 +645,6 @@ func (sw *Sweep) finalizeLocked() {
 	sw.finished = time.Now()
 	sw.trace.Finish() // nil-safe; ends the sweep's root span
 	sw.cancel()       // release the context
-	close(sw.doneCh)
 }
 
 // Cancel requests cancellation of every non-terminal shard: pending
@@ -671,35 +722,13 @@ func (sw *Sweep) Progress() telemetry.ProgressSnapshot { return sw.progress.Snap
 func (sw *Sweep) Snapshot() Snapshot {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	snap := Snapshot{
-		ID:       sw.ID,
-		State:    sw.state,
-		Spec:     sw.spec,
-		Created:  sw.created,
-		Finished: sw.finished,
-		Total:    len(sw.points),
-		Retried:  sw.retried,
-	}
-	if sw.state == Failed {
-		snap.Error = sw.failErr
-	}
+	snap := sw.summaryLocked()
 	snap.Shards = make([]ShardSnapshot, len(sw.shards))
 	for i := range sw.shards {
 		s := &sw.shards[i]
 		snap.Shards[i] = ShardSnapshot{
 			Index: i, State: s.state, Cached: s.cached, Restored: s.restored,
 			Retries: s.retries, JobID: s.jobID, Worker: s.worker, Error: s.err,
-		}
-		switch s.state {
-		case ShardDone:
-			snap.Completed++
-			if s.cached {
-				snap.Cached++
-			}
-		case ShardFailed:
-			snap.Failed++
-		case ShardCancelled:
-			snap.Cancelled++
 		}
 	}
 	for i, sr := range sw.results {
@@ -711,6 +740,28 @@ func (sw *Sweep) Snapshot() Snapshot {
 		snap.Results = append(snap.Results, pr)
 	}
 	sort.Slice(snap.Results, func(i, j int) bool { return snap.Results[i].Index < snap.Results[j].Index })
+	return snap
+}
+
+// summaryLocked is the snapshot without shard states or results: what
+// a listing shows. Callers hold sw.mu.
+func (sw *Sweep) summaryLocked() Snapshot {
+	snap := Snapshot{
+		ID:        sw.ID,
+		State:     sw.state,
+		Spec:      sw.spec,
+		Created:   sw.created,
+		Finished:  sw.finished,
+		Total:     len(sw.points),
+		Completed: sw.completed,
+		Cached:    sw.cached,
+		Failed:    sw.failed,
+		Cancelled: sw.cancelled,
+		Retried:   sw.retried,
+	}
+	if sw.state == Failed {
+		snap.Error = sw.failErr
+	}
 	return snap
 }
 

@@ -320,6 +320,9 @@ func TestEngineListNewestFirst(t *testing.T) {
 	waitDone(t, b, time.Minute)
 	list := eng.List()
 	if len(list) != 2 || list[0].ID != b.ID || list[1].ID != a.ID {
-		t.Errorf("listing not newest-first: %v", []string{list[0].ID, list[1].ID})
+		t.Fatalf("listing not newest-first: %d entries", len(list))
+	}
+	if list[0].Completed != 1 || list[0].Shards != nil || list[0].Results != nil {
+		t.Errorf("listing entry = %+v, want counts without shard or result detail", list[0])
 	}
 }

@@ -57,8 +57,12 @@ type family struct {
 // sample is one labelled time series within a family.
 type sample struct {
 	labels string // rendered `key="value",...` or "" for unlabelled
-	metric any    // *Counter, *Gauge or *Histogram
+	metric any    // *Counter, *Gauge, *Histogram or valueFunc
 }
+
+// valueFunc is a func-backed series of a labelled counter or gauge
+// family, read at exposition time.
+type valueFunc func() float64
 
 // HistogramSnapshot is the point-in-time state a func-backed histogram
 // reports at exposition time (see Registry.HistogramFunc). Counts are
@@ -210,6 +214,14 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 	return v.f.child(labelValues, func() any { return new(Counter) }).metric.(*Counter)
 }
 
+// Func registers the series for the given label values as read by
+// calling fn at exposition time; fn must be monotonically
+// non-decreasing. The first registration of a series wins, and a
+// series is either func-backed or returned by With, never both.
+func (v *CounterVec) Func(fn func() float64, labelValues ...string) {
+	v.f.child(labelValues, func() any { return valueFunc(fn) })
+}
+
 // Gauge registers (or finds) an unlabelled settable gauge family and
 // returns its single series.
 func (r *Registry) Gauge(name, help string) *Gauge {
@@ -228,6 +240,14 @@ func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
 // With returns the gauge for the given label values.
 func (v *GaugeVec) With(labelValues ...string) *Gauge {
 	return v.f.child(labelValues, func() any { return new(Gauge) }).metric.(*Gauge)
+}
+
+// Func registers the series for the given label values as read by
+// calling fn at exposition time. The first registration of a series
+// wins, and a series is either func-backed or returned by With, never
+// both.
+func (v *GaugeVec) Func(fn func() float64, labelValues ...string) {
+	v.f.child(labelValues, func() any { return valueFunc(fn) })
 }
 
 // GaugeFunc registers a gauge whose value is read by calling fn at
@@ -342,6 +362,8 @@ func (f *family) write(b *strings.Builder) {
 			writeSample(b, f.name, "", s.labels, "", m.Value())
 		case *Gauge:
 			writeSample(b, f.name, "", s.labels, "", m.Value())
+		case valueFunc:
+			writeSample(b, f.name, "", s.labels, "", m())
 		case *Histogram:
 			cum := uint64(0)
 			for i, ub := range m.upper {

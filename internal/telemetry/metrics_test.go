@@ -130,6 +130,39 @@ func TestFuncMetricsLatestWins(t *testing.T) {
 	}
 }
 
+// TestLabelledFuncSeries: func-backed series of labelled families
+// render one sample per label value, read at exposition time, and the
+// first registration of a series wins.
+func TestLabelledFuncSeries(t *testing.T) {
+	r := NewRegistry()
+	held := map[string]float64{"job": 3, "sweep": 2}
+	g := r.GaugeVec("test_held", "Held entries.", "kind")
+	c := r.CounterVec("test_dropped_total", "Dropped entries.", "kind")
+	for _, kind := range []string{"sweep", "job"} {
+		g.Func(func() float64 { return held[kind] }, kind)
+		c.Func(func() float64 { return 2 * held[kind] }, kind)
+	}
+	g.Func(func() float64 { return -1 }, "job") // ignored: already registered
+	held["job"] = 4
+
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP test_dropped_total Dropped entries.
+# TYPE test_dropped_total counter
+test_dropped_total{kind="job"} 8
+test_dropped_total{kind="sweep"} 4
+# HELP test_held Held entries.
+# TYPE test_held gauge
+test_held{kind="job"} 4
+test_held{kind="sweep"} 2
+`
+	if b.String() != want {
+		t.Errorf("exposition mismatch:\ngot:\n%s\nwant:\n%s", b.String(), want)
+	}
+}
+
 func TestIdempotentRegistration(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("test_idem_total", "x")
