@@ -8,6 +8,7 @@
 package ntvsim
 
 import (
+	"context"
 	"testing"
 
 	"github.com/ntvsim/ntvsim/internal/experiments"
@@ -30,7 +31,7 @@ func run(b *testing.B, id string) experiments.Result {
 	var res experiments.Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = experiments.Run(id, benchConfig())
+		res, err = experiments.RunCtx(context.Background(), id, benchConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

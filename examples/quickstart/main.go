@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,13 +35,20 @@ func main() {
 	const samples = 2000
 	fmt.Println("circuit level (2000 Monte-Carlo samples each):")
 	fmt.Printf("  %6s %14s %14s\n", "Vdd", "gate 3σ/μ", "chain-50 3σ/μ")
+	ctx := context.Background()
 	for _, vdd := range []float64{1.0, 0.7, 0.6, 0.5} {
-		gate := montecarlo.Sample(1, samples, func(r *rng.Stream) float64 {
+		gate, err := montecarlo.SampleCtx(ctx, 1, samples, func(r *rng.Stream) float64 {
 			return sampler.FreshGateDelay(r, vdd)
 		})
-		chain := montecarlo.Sample(2, samples, func(r *rng.Stream) float64 {
+		if err != nil {
+			log.Fatal(err)
+		}
+		chain, err := montecarlo.SampleCtx(ctx, 2, samples, func(r *rng.Stream) float64 {
 			return sampler.FreshChainDelay(r, vdd, tech.ChainLength)
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  %5.2fV %13.2f%% %13.2f%%\n",
 			vdd, stats.ThreeSigmaOverMu(gate), stats.ThreeSigmaOverMu(chain))
 	}
@@ -48,10 +56,16 @@ func main() {
 	// 2. Architecture level: 128-wide SIMD chip delay.
 	dp := simd.New(node)
 	fmt.Println("\narchitecture level (128 lanes × 100 critical paths):")
-	base := dp.P99ChipDelayFO4(3, 4000, node.VddNominal, 0)
+	base, err := dp.P99ChipDelayFO4Ctx(ctx, 3, 4000, node.VddNominal, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("  baseline p99 chip delay @%.1fV: %.2f FO4\n", node.VddNominal, base)
 	for _, vdd := range []float64{0.6, 0.55, 0.5} {
-		p99 := dp.P99ChipDelayFO4(3, 4000, vdd, 0)
+		p99, err := dp.P99ChipDelayFO4Ctx(ctx, 3, 4000, vdd, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  @%.2fV: %.2f FO4 (%.2f ns) → perf drop %.1f%%\n",
 			vdd, p99, p99*dp.FO4(vdd)*1e9, 100*(p99/base-1))
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -44,7 +45,10 @@ func main() {
 	fmt.Printf("%6s %14s %14s %16s %10s %10s\n",
 		"Vdd", "MC p99", "SSTA p99", "SS+OCV corner", "SSTA err", "corner Δ")
 	for _, vdd := range []float64{0.50, 0.55, 0.60, 0.70, node.VddNominal} {
-		ds := dp.ChipDelays(1, *samples, vdd, 0)
+		ds, err := dp.ChipDelaysCtx(context.Background(), 1, *samples, vdd, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
 		sort.Float64s(ds)
 		mc := stats.QuantileSorted(ds, 0.99)
 		analytic := model.ChipP99(vdd)

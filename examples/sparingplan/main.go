@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -38,14 +39,21 @@ func main() {
 
 	dp := simd.New(node)
 	const seed = 1
-	base := margin.Baseline(dp, seed, *samples)
+	ctx := context.Background()
+	base, err := dp.P99ChipDelayFO4Ctx(ctx, seed, *samples, node.VddNominal, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	target := margin.TargetDelay(dp, *vdd, base)
 	fmt.Printf("design point: %s, 128-wide SIMD @%.0f mV\n", node.Name, *vdd*1e3)
 	fmt.Printf("target: match the %.1f V baseline p99 of %.2f FO4 → %.3f ns at %.0f mV\n\n",
 		node.VddNominal, base, target*1e9, *vdd*1e3)
 
 	// Pure duplication.
-	sr := sparing.MinSpares(dp, seed, *samples, *vdd, base, 128)
+	sr, err := sparing.MinSparesCtx(ctx, dp, seed, *samples, *vdd, base, 128)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if sr.Found {
 		fmt.Printf("pure duplication:  %3d spares            → %5.2f%% power, %5.2f%% area\n",
 			sr.Spares, power.SparePowerOverheadPct(sr.Spares), power.SpareAreaOverheadPct(sr.Spares))
@@ -55,7 +63,10 @@ func main() {
 
 	// Pure margining and combinations.
 	candidates := []int{0, 1, 2, 4, 8, 16, 32}
-	choices := margin.Combined(dp, seed, *samples, *vdd, target, 0.1e-3, candidates)
+	choices, err := margin.CombinedCtx(ctx, dp, seed, *samples, *vdd, target, 0.1e-3, candidates)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\ncombined duplication + margining:")
 	fmt.Printf("  %7s %12s %14s\n", "spares", "margin", "power ovhd")
 	for _, c := range choices {

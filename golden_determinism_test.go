@@ -1,6 +1,7 @@
 package ntvsim
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -21,8 +22,9 @@ import (
 
 // goldenIDs is the spot-check subset: one circuit-level figure (fig2),
 // one search-heavy table (table1), one architecture-level extension
-// (yield) and the SRAM memory-map crossover (sramyield), covering the
-// Sample, SampleVec, Moments and chip-sampler paths.
+// (yield) and the SRAM memory-map crossover (sramyield), covering
+// montecarlo's two entry points — SampleCtx (fig2, the chip and SRAM
+// samplers) and SampleFlatCtx (table1's spare-curve search).
 var goldenIDs = []string{"fig2", "table1", "yield", "sramyield"}
 
 // goldenConfig is reduced-depth so the double regeneration stays in
@@ -40,7 +42,7 @@ func goldenConfig() experiments.Config {
 // rows where the result implements CSVer).
 func renderAll(t *testing.T, id string) string {
 	t.Helper()
-	res, err := experiments.Run(id, goldenConfig())
+	res, err := experiments.RunCtx(context.Background(), id, goldenConfig())
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}

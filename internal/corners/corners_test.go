@@ -1,6 +1,7 @@
 package corners
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -52,7 +53,10 @@ func TestOCVDerateAboveOne(t *testing.T) {
 // parts. The test pins both behaviours.
 func TestSignoffCoversStatistical(t *testing.T) {
 	p99Of := func(dp *simd.Datapath, vdd float64) float64 {
-		ds := dp.ChipDelays(1, 3000, vdd, 0)
+		ds, err := dp.ChipDelaysCtx(context.Background(), 1, 3000, vdd, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		sort.Float64s(ds)
 		return stats.QuantileSorted(ds, 0.99)
 	}
@@ -84,7 +88,10 @@ func TestOverMarginGrowsNearThreshold(t *testing.T) {
 	dp := simd.New(node)
 	over := func(vdd float64) float64 {
 		s := ChipSignoff(node, vdd, dp.Lanes*dp.PathsPerLane)
-		ds := dp.ChipDelays(2, 3000, vdd, 0)
+		ds, err := dp.ChipDelaysCtx(context.Background(), 2, 3000, vdd, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		sort.Float64s(ds)
 		return OverMarginPct(s, stats.QuantileSorted(ds, 0.99))
 	}

@@ -7,6 +7,7 @@ import (
 
 	"github.com/ntvsim/ntvsim/internal/report"
 	"github.com/ntvsim/ntvsim/internal/simd"
+	"github.com/ntvsim/ntvsim/internal/sparing"
 	"github.com/ntvsim/ntvsim/internal/tech"
 )
 
@@ -82,60 +83,51 @@ func runAblation(ctx context.Context, cfg Config) (Result, error) {
 	spatial.Corr = simd.Spatial
 	spatial.CorrLanes = 8
 
-	baseIID := iid.P99ChipDelayFO4(cfg.Seed, cfg.SearchSamples, node.VddNominal, 0)
-	baseCorr := corr.P99ChipDelayFO4(cfg.Seed, cfg.SearchSamples, node.VddNominal, 0)
+	baseIID, err := iid.P99ChipDelayFO4Ctx(ctx, cfg.Seed, cfg.SearchSamples, node.VddNominal, 0)
+	if err != nil {
+		return nil, err
+	}
+	baseCorr, err := corr.P99ChipDelayFO4Ctx(ctx, cfg.Seed, cfg.SearchSamples, node.VddNominal, 0)
+	if err != nil {
+		return nil, err
+	}
 
-	const limit = 64
+	seed := cfg.Seed + 1
+	// gain16 is the p99 gain from 16 spares, in percent.
+	gain16 := func(dp *simd.Datapath, vdd float64) (float64, error) {
+		c, err := dp.SpareCurveCtx(ctx, seed, cfg.SearchSamples, vdd, []int{0, 16})
+		if err != nil {
+			return 0, err
+		}
+		return 100 * (1 - c[1]/c[0]), nil
+	}
+	// minSpares is the spare count that meets target, or -1 (rendered
+	// "—") when even 64 spares miss it.
+	minSpares := func(dp *simd.Datapath, vdd, target float64) (int, error) {
+		sr, err := sparing.MinSparesCtx(ctx, dp, seed, cfg.SearchSamples, vdd, target, 64)
+		if err != nil || !sr.Found {
+			return -1, err
+		}
+		return sr.Spares, nil
+	}
 	for _, vdd := range []float64{0.60, 0.55, 0.50} {
-		ci := iid.SpareCurve(cfg.Seed+1, cfg.SearchSamples, vdd, []int{0, 16})
-		cs := spatial.SpareCurve(cfg.Seed+1, cfg.SearchSamples, vdd, []int{0, 16})
-		cc := corr.SpareCurve(cfg.Seed+1, cfg.SearchSamples, vdd, []int{0, 16})
-		row := AblationRow{
-			Vdd:            vdd,
-			IIDGainPct:     100 * (1 - ci[1]/ci[0]),
-			SpatialGainPct: 100 * (1 - cs[1]/cs[0]),
-			CorrGainPct:    100 * (1 - cc[1]/cc[0]),
-			IIDSpares:      -1,
-			CorrSpares:     -1,
+		row := AblationRow{Vdd: vdd}
+		if row.IIDGainPct, err = gain16(iid, vdd); err != nil {
+			return nil, err
 		}
-		if sr := minSparesFor(iid, cfg.Seed+1, cfg.SearchSamples, vdd, baseIID, limit); sr >= 0 {
-			row.IIDSpares = sr
+		if row.SpatialGainPct, err = gain16(spatial, vdd); err != nil {
+			return nil, err
 		}
-		if sr := minSparesFor(corr, cfg.Seed+1, cfg.SearchSamples, vdd, baseCorr, limit); sr >= 0 {
-			row.CorrSpares = sr
+		if row.CorrGainPct, err = gain16(corr, vdd); err != nil {
+			return nil, err
+		}
+		if row.IIDSpares, err = minSpares(iid, vdd, baseIID); err != nil {
+			return nil, err
+		}
+		if row.CorrSpares, err = minSpares(corr, vdd, baseCorr); err != nil {
+			return nil, err
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// minSparesFor is a compact linear/doubling search used only by the
-// ablation (internal/sparing.MinSpares is equivalent; this avoids the
-// import cycle experiments→sparing→simd being exercised twice with
-// different seeds in one experiment).
-func minSparesFor(dp *simd.Datapath, seed uint64, n int, vdd, target float64, limit int) int {
-	alphas := []int{0, 1, 2, 4, 8, 16, 32, 64}
-	var pruned []int
-	for _, a := range alphas {
-		if a <= limit {
-			pruned = append(pruned, a)
-		}
-	}
-	curve := dp.SpareCurve(seed, n, vdd, pruned)
-	for i, p99 := range curve {
-		if p99 <= target {
-			// Refine linearly between the previous ladder point and this.
-			lo := 0
-			if i > 0 {
-				lo = pruned[i-1] + 1
-			}
-			for a := lo; a <= pruned[i]; a++ {
-				if dp.SpareCurve(seed, n, vdd, []int{a})[0] <= target {
-					return a
-				}
-			}
-			return pruned[i]
-		}
-	}
-	return -1
 }

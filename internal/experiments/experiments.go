@@ -151,15 +151,11 @@ func Lookup(id string) (Info, bool) {
 	return e.info, ok
 }
 
-// Run executes the experiment with the given id.
-func Run(id string, cfg Config) (Result, error) {
-	return RunCtx(context.Background(), id, cfg)
-}
-
 // RunCtx executes the experiment with the given id under ctx. A context
 // cancelled before or during the run aborts the experiment's
-// Monte-Carlo sampling and returns the context's error; an uncancelled
-// ctx yields results bit-identical to Run.
+// Monte-Carlo sampling and returns the context's error; a context that
+// is never cancelled yields results bit-identical to
+// context.Background().
 //
 // When ctx carries telemetry — a trace (see telemetry.TraceStore) or a
 // progress reporter — the run records an "experiment/<id>" span and the

@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"github.com/ntvsim/ntvsim/internal/tech"
+	"github.com/ntvsim/ntvsim/internal/telemetry"
 )
 
 // runQuick executes an experiment with the reduced regression config.
 func runQuick(t *testing.T, id string) Result {
 	t.Helper()
-	res, err := Run(id, Quick())
+	res, err := RunCtx(context.Background(), id, Quick())
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -45,7 +46,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestUnknownID(t *testing.T) {
-	if _, err := Run("fig99", Quick()); err == nil {
+	if _, err := RunCtx(context.Background(), "fig99", Quick()); err == nil {
 		t.Error("unknown id accepted")
 	}
 }
@@ -77,8 +78,8 @@ func TestConfigRejectsNegativeSamples(t *testing.T) {
 		if _, err := cfg.Normalized(); err == nil {
 			t.Errorf("Normalized accepted %+v", cfg)
 		}
-		if _, err := Run("fig4", cfg); err == nil {
-			t.Errorf("Run accepted %+v", cfg)
+		if _, err := RunCtx(context.Background(), "fig4", cfg); err == nil {
+			t.Errorf("RunCtx accepted %+v", cfg)
 		}
 	}
 }
@@ -91,21 +92,57 @@ func TestRunCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestRunCtxBitIdentical asserts the context-threading refactor kept the
-// uncancelled path bit-identical: RunCtx(Background) must render exactly
-// what Run renders for a sampling-heavy artifact.
-func TestRunCtxBitIdentical(t *testing.T) {
-	cfg := Config{Seed: 99, CircuitSamples: 100, ChipSamples: 200, SearchSamples: 100}
-	a, err := Run("fig4", cfg)
+// TestSamplingRunnersHonourCancellation calls every registered runner
+// that samples (DefaultSamples > 0) directly with an already-cancelled
+// context, bypassing RunCtx's early ctx.Err() check: each must stop its
+// sampling and return context.Canceled instead of a result.
+func TestSamplingRunnersHonourCancellation(t *testing.T) {
+	cfg, err := Quick().Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCtx(context.Background(), "fig4", cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sampling := 0
+	for _, id := range IDs() {
+		e := registry[id]
+		if e.info.DefaultSamples == 0 {
+			continue
+		}
+		sampling++
+		t.Run(id, func(t *testing.T) {
+			res, err := e.runner(ctx, cfg)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("runner on a cancelled ctx returned (%T, %v), want context.Canceled", res, err)
+			}
+		})
+	}
+	if sampling == 0 {
+		t.Fatal("no sampling experiments registered")
+	}
+}
+
+// TestRunCtxBitIdentical pins the cancellation contract: a live context
+// that is never cancelled, carrying a progress reporter, renders exactly
+// what context.Background() renders for a sampling-heavy artifact.
+func TestRunCtxBitIdentical(t *testing.T) {
+	cfg := Config{Seed: 99, CircuitSamples: 100, ChipSamples: 200, SearchSamples: 100}
+	a, err := RunCtx(context.Background(), "fig4", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := telemetry.NewProgress()
+	live, cancel := context.WithCancel(telemetry.WithProgress(context.Background(), p))
+	defer cancel()
+	b, err := RunCtx(live, "fig4", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Render() != b.Render() {
-		t.Error("RunCtx render differs from Run render for identical config")
+		t.Error("render under a live ctx with a progress reporter differs from context.Background()")
+	}
+	if s := p.Snapshot(); s.Total == 0 || s.Done != s.Total {
+		t.Errorf("progress = %d/%d, want a finished non-empty count", s.Done, s.Total)
 	}
 }
 
@@ -653,7 +690,7 @@ func TestSRAMYieldShape(t *testing.T) {
 func TestCSVExports(t *testing.T) {
 	tiny := Config{Seed: 1, CircuitSamples: 50, ChipSamples: 100, SearchSamples: 100}
 	for _, id := range []string{"fig2", "fig4", "fig9", "fig11", "sramyield", "table1", "table2", "table4"} {
-		res, err := Run(id, tiny)
+		res, err := RunCtx(context.Background(), id, tiny)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}

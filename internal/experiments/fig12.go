@@ -68,22 +68,22 @@ func (r *Fig12Result) Render() string {
 
 func runFig12(ctx context.Context, cfg Config) (Result, error) {
 	const lanes = 128
-	local := sparing.Local{Lanes: lanes, ClusterSize: 4, SparesPerCluster: 1}
-	global := sparing.Global{NumSpares: local.Spares()}
+	local := sparing.Placement{Lanes: lanes, ClusterSize: 4, SparesPerCluster: 1}
+	global := sparing.Placement{Lanes: lanes, ClusterSize: lanes, SparesPerCluster: local.Spares()}
 
 	res := &Fig12Result{Lanes: lanes}
 	for _, p := range []float64{0.001, 0.005, 0.01, 0.02, 0.05, 0.1} {
 		res.Coverage = append(res.Coverage, Fig12Coverage{
 			FaultProb: p,
-			Local:     sparing.IndependentCoverage(local, lanes, p),
-			Global:    sparing.IndependentCoverage(global, lanes, p),
+			Local:     local.IndependentCoverage(p),
+			Global:    global.IndependentCoverage(p),
 		})
 	}
 	for _, blen := range []int{1, 2, 3, 4, 8, 16, 32} {
 		res.Bursts = append(res.Bursts, Fig12Burst{
 			BurstLen: blen,
-			Local:    sparing.BurstCoverage(local, lanes, blen, cfg.Seed, 4000),
-			Global:   sparing.BurstCoverage(global, lanes, blen, cfg.Seed, 4000),
+			Local:    local.BurstCoverage(blen, cfg.Seed, 4000),
+			Global:   global.BurstCoverage(blen, cfg.Seed, 4000),
 		})
 	}
 

@@ -80,12 +80,18 @@ func runYield(ctx context.Context, cfg Config) (Result, error) {
 	dp := simd.New(node)
 	res := &YieldResult{Node: node, Vdd: vdd, Spares: spares, Samples: cfg.ChipSamples}
 
-	_, done := phase(ctx, "curve/base")
-	base := yield.NewCurve(dp, cfg.Seed+31, cfg.ChipSamples, vdd, 0)
+	pctx, done := phase(ctx, "curve/base")
+	base, err := yield.NewCurve(pctx, dp, cfg.Seed+31, cfg.ChipSamples, vdd, 0)
 	done()
-	_, done = phase(ctx, "curve/spares")
-	with := yield.NewCurve(dp, cfg.Seed+31, cfg.ChipSamples, vdd, spares)
+	if err != nil {
+		return nil, err
+	}
+	pctx, done = phase(ctx, "curve/spares")
+	with, err := yield.NewCurve(pctx, dp, cfg.Seed+31, cfg.ChipSamples, vdd, spares)
 	done()
+	if err != nil {
+		return nil, err
+	}
 	res.Points = yield.Compare(base, with, 12)
 	res.Targets = []float64{0.50, 0.90, 0.99, 0.999}
 	for _, y := range res.Targets {

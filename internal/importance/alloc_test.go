@@ -21,15 +21,15 @@ func allocsSingleWorker(f func()) float64 {
 func TestSampleAllocationBound(t *testing.T) {
 	const n = 8192
 	p := Params{Shift: 4, Mix: 0.25}
-	allocs := allocsSingleWorker(func() { Sample(p, 1, n, identity) })
+	allocs := allocsSingleWorker(func() { sample(t, p, 1, n, identity) })
 	// Expected: the flat sample slab (no per-row headers), the xs/ws
 	// result slices, one worker stream, closure plumbing — constant per
 	// call.
 	if allocs > 12 {
-		t.Errorf("Sample(n=%d) allocates %v per call, want ≤ 12", n, allocs)
+		t.Errorf("SampleCtx(n=%d) allocates %v per call, want ≤ 12", n, allocs)
 	}
 	if perSample := allocs / n; perSample > 0.01 {
-		t.Errorf("Sample allocates %v per sample, want 0", perSample)
+		t.Errorf("SampleCtx allocates %v per sample, want 0", perSample)
 	}
 }
 
@@ -38,10 +38,10 @@ func TestSampleAllocationBound(t *testing.T) {
 // allocation count.
 func TestSampleAllocationsDoNotScaleWithN(t *testing.T) {
 	p := Params{Shift: 3, Mix: 0.25}
-	small := allocsSingleWorker(func() { Sample(p, 3, 1024, identity) })
-	large := allocsSingleWorker(func() { Sample(p, 3, 4096, identity) })
+	small := allocsSingleWorker(func() { sample(t, p, 3, 1024, identity) })
+	large := allocsSingleWorker(func() { sample(t, p, 3, 4096, identity) })
 	if large > small {
-		t.Errorf("Sample allocations scale with n: %v @1024 vs %v @4096", small, large)
+		t.Errorf("SampleCtx allocations scale with n: %v @1024 vs %v @4096", small, large)
 	}
 }
 

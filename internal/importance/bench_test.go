@@ -42,7 +42,7 @@ func BenchmarkKernelMCTailYield(b *testing.B) {
 	pTrue := 1 - stdNormal.CDF(benchSigma)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		xs, ws := Sample(Params{Mix: 1}, uint64(i)+1, benchSamples, fn)
+		xs, ws := sample(b, Params{Mix: 1}, uint64(i)+1, benchSamples, fn)
 		TailProb(xs, ws, target)
 	}
 	b.ReportMetric(float64(benchSamples), "samples/op")
@@ -58,7 +58,7 @@ func BenchmarkKernelISTailYield(b *testing.B) {
 	var p, se float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		xs, ws := Sample(params, uint64(i)+1, benchSamples, fn)
+		xs, ws := sample(b, params, uint64(i)+1, benchSamples, fn)
 		p, se = TailProb(xs, ws, target)
 	}
 	b.ReportMetric(float64(benchSamples), "samples/op")

@@ -105,12 +105,6 @@ func (p Params) weight(z float64) float64 {
 	return 1 / (p.Mix + (1-p.Mix)*math.Exp(p.Shift*z-p.Shift*p.Shift/2))
 }
 
-// Sample is SampleCtx with a background context.
-func Sample(p Params, seed uint64, n int, fn func(u float64) float64) (xs, ws []float64) {
-	xs, ws, _ = SampleCtx(context.Background(), p, seed, n, fn)
-	return xs, ws
-}
-
 // SampleCtx draws n importance-weighted samples of the pushforward
 // X = fn(Φ(Z)) with Z from the proposal, returning values and their
 // likelihood weights in sample-index order. fn is typically a chip

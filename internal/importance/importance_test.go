@@ -14,6 +14,17 @@ import (
 // test against.
 func identity(u float64) float64 { return stdNormal.Quantile(u) }
 
+// sample runs SampleCtx under context.Background(), which is never
+// cancelled, and fails the test on an error.
+func sample(t testing.TB, p Params, seed uint64, n int, fn func(u float64) float64) (xs, ws []float64) {
+	t.Helper()
+	xs, ws, err := SampleCtx(context.Background(), p, seed, n, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return xs, ws
+}
+
 func TestNormalizedDefaults(t *testing.T) {
 	p, err := Params{}.Normalized()
 	if err != nil {
@@ -151,11 +162,11 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	serial := func() (xs, ws []float64) {
 		old := runtime.GOMAXPROCS(1)
 		defer runtime.GOMAXPROCS(old)
-		xs, ws = Sample(p, 23, n, identity)
+		xs, ws = sample(t, p, 23, n, identity)
 		return xs, ws
 	}
 	xs1, ws1 := serial()
-	xs2, ws2 := Sample(p, 23, n, identity)
+	xs2, ws2 := sample(t, p, 23, n, identity)
 	for i := range xs1 {
 		if xs1[i] != xs2[i] || ws1[i] != ws2[i] {
 			t.Fatalf("sample %d differs across GOMAXPROCS: (%v,%v) vs (%v,%v)",

@@ -5,7 +5,9 @@
 // The common target follows the paper: a 128-wide system operating at a
 // near-threshold voltage V must achieve the same *FO4-normalized* 99 %
 // chip delay as the baseline achieves at nominal voltage, i.e. an
-// absolute delay target of FO4(V) · fo4chipd99@FV seconds.
+// absolute delay target of FO4(V) · fo4chipd99@FV seconds. The baseline
+// fo4chipd99@FV is dp.P99ChipDelayFO4Ctx at dp.Node.VddNominal with no
+// spares.
 package margin
 
 import (
@@ -24,17 +26,6 @@ func TargetDelay(dp *simd.Datapath, vdd, baselineFO4 float64) float64 {
 	return baselineFO4 * dp.FO4(vdd)
 }
 
-// Baseline computes the nominal-voltage 99 % FO4 chip delay of dp with
-// no spares — the reference every technique must match.
-func Baseline(dp *simd.Datapath, seed uint64, n int) float64 {
-	return dp.P99ChipDelayFO4(seed, n, dp.Node.VddNominal, 0)
-}
-
-// BaselineCtx is Baseline with cooperative cancellation.
-func BaselineCtx(ctx context.Context, dp *simd.Datapath, seed uint64, n int) (float64, error) {
-	return dp.P99ChipDelayFO4Ctx(ctx, seed, n, dp.Node.VddNominal, 0)
-}
-
 // VoltageResult reports a voltage-margin search.
 type VoltageResult struct {
 	Vdd      float64 // intended operating supply, V
@@ -49,27 +40,19 @@ func (v VoltageResult) String() string {
 	return fmt.Sprintf("Vdd=%.3g V margin=%.1f mV power+%.1f%%", v.Vdd, v.Margin*1e3, v.PowerPct)
 }
 
-// VoltageMargin finds the smallest supply increase V_M (at stepV
+// VoltageMarginCtx finds the smallest supply increase V_M (at stepV
 // granularity, e.g. 0.1 mV) such that the 99 % chip delay of dp with the
 // given spare count at vdd+V_M meets the absolute delay target. The same
 // seed is used at every trial voltage, so the 99 % delay is a smooth,
-// monotone function of V_M and bisection is exact.
-func VoltageMargin(dp *simd.Datapath, seed uint64, n int, vdd, target, stepV float64, spares int) VoltageResult {
-	res, _ := VoltageMarginCtx(context.Background(), dp, seed, n, vdd, target, stepV, spares)
-	return res
-}
-
-// VoltageMarginCtx is VoltageMargin with cooperative cancellation: every
-// trial-voltage evaluation polls ctx between Monte-Carlo worker chunks,
-// and the search stops with ctx's error as soon as one observes
-// cancellation. Bit-identical to VoltageMargin when ctx is never
-// cancelled.
+// monotone function of V_M and bisection is exact. Every trial-voltage
+// evaluation polls ctx between Monte-Carlo worker chunks, and the search
+// stops with ctx's error as soon as one observes cancellation.
 func VoltageMarginCtx(ctx context.Context, dp *simd.Datapath, seed uint64, n int, vdd, target, stepV float64, spares int) (VoltageResult, error) {
 	if stepV <= 0 {
 		stepV = 0.1e-3
 	}
 	p99At := func(vm float64) (float64, error) {
-		// SpareCurve reports FO4 units at its own supply; convert back
+		// SpareCurveCtx reports FO4 units at its own supply; convert back
 		// to absolute seconds at vdd+vm for comparison with the target.
 		curve, err := dp.SpareCurveCtx(ctx, seed, n, vdd+vm, []int{spares})
 		if err != nil {
@@ -139,14 +122,9 @@ type FrequencyResult struct {
 	DropPct float64 // performance degradation, percent
 }
 
-// FrequencyMargin computes the Table 4 row for dp at vdd given the
-// nominal-voltage baseline 99 % FO4 chip delay.
-func FrequencyMargin(dp *simd.Datapath, seed uint64, n int, vdd, baselineFO4 float64) FrequencyResult {
-	res, _ := FrequencyMarginCtx(context.Background(), dp, seed, n, vdd, baselineFO4)
-	return res
-}
-
-// FrequencyMarginCtx is FrequencyMargin with cooperative cancellation.
+// FrequencyMarginCtx computes the Table 4 row for dp at vdd given the
+// nominal-voltage baseline 99 % FO4 chip delay. A cancelled ctx returns
+// ctx's error with only Vdd and TClk filled in.
 func FrequencyMarginCtx(ctx context.Context, dp *simd.Datapath, seed uint64, n int, vdd, baselineFO4 float64) (FrequencyResult, error) {
 	tclk := TargetDelay(dp, vdd, baselineFO4)
 	p99, err := dp.P99ChipDelayFO4Ctx(ctx, seed, n, vdd, 0)
@@ -176,17 +154,12 @@ func (c Choice) String() string {
 	return fmt.Sprintf("%3d spares + %5.1f mV → %.2f%% power", c.Spares, c.Margin*1e3, c.PowerPct)
 }
 
-// Combined evaluates the duplication+margin trade-off at vdd for each
-// spare count in spares: the voltage margin still required with that
-// many spares, and the summed power overhead. The returned slice is in
-// input order; use Best to pick the cheapest.
-func Combined(dp *simd.Datapath, seed uint64, n int, vdd, target, stepV float64, spares []int) []Choice {
-	out, _ := CombinedCtx(context.Background(), dp, seed, n, vdd, target, stepV, spares)
-	return out
-}
-
-// CombinedCtx is Combined with cooperative cancellation: it stops at the
-// first spare count whose margin search observes ctx's cancellation.
+// CombinedCtx evaluates the duplication+margin trade-off at vdd for
+// each spare count in spares: the voltage margin still required with
+// that many spares, and the summed power overhead. The returned slice is
+// in input order; use Best to pick the cheapest. It stops at the first
+// spare count whose margin search observes ctx's cancellation and
+// returns the choices finished so far with ctx's error.
 func CombinedCtx(ctx context.Context, dp *simd.Datapath, seed uint64, n int, vdd, target, stepV float64, spares []int) ([]Choice, error) {
 	out := make([]Choice, 0, len(spares))
 	for _, a := range spares {

@@ -1,20 +1,56 @@
 package margin
 
 import (
+	"context"
+	"errors"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/ntvsim/ntvsim/internal/simd"
 	"github.com/ntvsim/ntvsim/internal/tech"
 )
 
+// baseline is the nominal-voltage 99 % FO4 chip delay of dp with no
+// spares — the reference every technique must match.
+func baseline(t *testing.T, dp *simd.Datapath, seed uint64, n int) float64 {
+	t.Helper()
+	base, err := dp.P99ChipDelayFO4Ctx(context.Background(), seed, n, dp.Node.VddNominal, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return base
+}
+
+// voltageMargin runs VoltageMarginCtx at a 0.1 mV step under
+// context.Background(), which never cancels.
+func voltageMargin(t *testing.T, dp *simd.Datapath, seed uint64, n int, vdd, target float64, spares int) VoltageResult {
+	t.Helper()
+	vr, err := VoltageMarginCtx(context.Background(), dp, seed, n, vdd, target, 0.1e-3, spares)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vr
+}
+
+// frequencyMargin runs FrequencyMarginCtx under context.Background().
+func frequencyMargin(t *testing.T, dp *simd.Datapath, seed uint64, n int, vdd, base float64) FrequencyResult {
+	t.Helper()
+	fr, err := FrequencyMarginCtx(context.Background(), dp, seed, n, vdd, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fr
+}
+
 func TestVoltageMarginMeetsTarget(t *testing.T) {
 	dp := simd.New(tech.N45)
 	const n = 1500
 	const vdd = 0.6
-	base := Baseline(dp, 1, n)
+	base := baseline(t, dp, 1, n)
 	target := TargetDelay(dp, vdd, base)
-	vr := VoltageMargin(dp, 1, n, vdd, target, 0.1e-3, 0)
+	vr := voltageMargin(t, dp, 1, n, vdd, target, 0)
 	if math.IsInf(vr.Margin, 1) {
 		t.Fatal("margin unreachable")
 	}
@@ -28,7 +64,11 @@ func TestVoltageMarginMeetsTarget(t *testing.T) {
 		t.Errorf("achieved p99 %v above target %v", vr.P99, target)
 	}
 	// Minimality: one step less must miss the target.
-	lower := dp.SpareCurve(1, n, vdd+vr.Margin-0.1e-3, []int{0})[0] * dp.FO4(vdd+vr.Margin-0.1e-3)
+	below, err := dp.SpareCurveCtx(context.Background(), 1, n, vdd+vr.Margin-0.1e-3, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lower := below[0] * dp.FO4(vdd+vr.Margin-0.1e-3)
 	if lower <= target {
 		t.Errorf("margin−step already meets target: %v ≤ %v", lower, target)
 	}
@@ -43,10 +83,10 @@ func TestVoltageMarginMeetsTarget(t *testing.T) {
 func TestVoltageMarginZeroWhenMet(t *testing.T) {
 	dp := simd.New(tech.N90)
 	const n = 1000
-	base := Baseline(dp, 2, n)
+	base := baseline(t, dp, 2, n)
 	// Target at nominal voltage is met by construction.
 	target := TargetDelay(dp, tech.N90.VddNominal, base)
-	vr := VoltageMargin(dp, 2, n, tech.N90.VddNominal, target, 0.1e-3, 0)
+	vr := voltageMargin(t, dp, 2, n, tech.N90.VddNominal, target, 0)
 	if vr.Margin != 0 {
 		t.Errorf("margin = %v, want 0", vr.Margin)
 	}
@@ -59,10 +99,10 @@ func TestSparesReduceRequiredMargin(t *testing.T) {
 	dp := simd.New(tech.N45)
 	const n = 1500
 	const vdd = 0.6
-	base := Baseline(dp, 3, n)
+	base := baseline(t, dp, 3, n)
 	target := TargetDelay(dp, vdd, base)
-	m0 := VoltageMargin(dp, 3, n, vdd, target, 0.1e-3, 0)
-	m8 := VoltageMargin(dp, 3, n, vdd, target, 0.1e-3, 8)
+	m0 := voltageMargin(t, dp, 3, n, vdd, target, 0)
+	m8 := voltageMargin(t, dp, 3, n, vdd, target, 8)
 	if m8.Margin >= m0.Margin {
 		t.Errorf("8 spares should reduce margin: %v vs %v", m8.Margin, m0.Margin)
 	}
@@ -71,8 +111,8 @@ func TestSparesReduceRequiredMargin(t *testing.T) {
 func TestFrequencyMargin(t *testing.T) {
 	dp := simd.New(tech.N22)
 	const n = 1500
-	base := Baseline(dp, 4, n)
-	fr := FrequencyMargin(dp, 4, n, 0.5, base)
+	base := baseline(t, dp, 4, n)
+	fr := frequencyMargin(t, dp, 4, n, 0.5, base)
 	if fr.TVaClk <= fr.TClk {
 		t.Error("variation-aware clock must be slower than designed clock at NTV")
 	}
@@ -89,9 +129,9 @@ func TestFrequencyMargin(t *testing.T) {
 func TestFrequencyMarginShrinksAtHigherVdd(t *testing.T) {
 	dp := simd.New(tech.N90)
 	const n = 1500
-	base := Baseline(dp, 5, n)
-	d5 := FrequencyMargin(dp, 5, n, 0.5, base).DropPct
-	d7 := FrequencyMargin(dp, 5, n, 0.7, base).DropPct
+	base := baseline(t, dp, 5, n)
+	d5 := frequencyMargin(t, dp, 5, n, 0.5, base).DropPct
+	d7 := frequencyMargin(t, dp, 5, n, 0.7, base).DropPct
 	if d7 >= d5 {
 		t.Errorf("drop at 0.7V (%v) should be below 0.5V (%v)", d7, d5)
 	}
@@ -101,9 +141,12 @@ func TestCombinedAndBest(t *testing.T) {
 	dp := simd.New(tech.N45)
 	const n = 1200
 	const vdd = 0.6
-	base := Baseline(dp, 6, n)
+	base := baseline(t, dp, 6, n)
 	target := TargetDelay(dp, vdd, base)
-	choices := Combined(dp, 6, n, vdd, target, 0.1e-3, []int{0, 2, 8})
+	choices, err := CombinedCtx(context.Background(), dp, 6, n, vdd, target, 0.1e-3, []int{0, 2, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(choices) != 3 {
 		t.Fatalf("want 3 choices, got %d", len(choices))
 	}
@@ -128,5 +171,115 @@ func TestTargetDelayScaling(t *testing.T) {
 	// voltage: same FO4-normalized delay at every supply.
 	if TargetDelay(dp, 0.5, 55) <= TargetDelay(dp, 0.6, 55) {
 		t.Error("target at 0.5V must be longer in absolute time than at 0.6V")
+	}
+}
+
+// cancelAfter is a context whose Done channel closes at the (n+1)-th
+// call to Done. Every Monte-Carlo worker asks for Done once before it
+// samples, so newCancelAfter(n) cancels a search deterministically after
+// n worker spans, wherever in the search that falls.
+type cancelAfter struct {
+	context.Context
+	mu    sync.Mutex
+	calls int
+	n     int
+	done  chan struct{}
+}
+
+func newCancelAfter(n int) *cancelAfter {
+	return &cancelAfter{Context: context.Background(), n: n, done: make(chan struct{})}
+}
+
+func (c *cancelAfter) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.calls++
+	if c.calls == c.n+1 {
+		close(c.done)
+	}
+	return c.done
+}
+
+func (c *cancelAfter) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// spans counts the worker spans run makes under a context that never
+// cancels.
+func spans(t *testing.T, run func(ctx context.Context) error) int {
+	t.Helper()
+	counter := newCancelAfter(math.MaxInt - 1)
+	if err := run(counter); err != nil {
+		t.Fatal(err)
+	}
+	return counter.calls
+}
+
+// TestSearchesStopWhenCancelled cuts each search before every
+// Monte-Carlo call it makes (each call runs min(GOMAXPROCS, n) worker
+// spans) and requires context.Canceled from every cut, so each
+// cancellation point of the searches returns ctx's error instead of a
+// partial answer.
+func TestSearchesStopWhenCancelled(t *testing.T) {
+	dp := simd.New(tech.N45)
+	const n, vdd = 100, 0.6
+	base := baseline(t, dp, 7, n)
+	target := TargetDelay(dp, vdd, base)
+	searches := []struct {
+		name string
+		run  func(ctx context.Context) error
+	}{
+		{"VoltageMarginCtx", func(ctx context.Context) error {
+			_, err := VoltageMarginCtx(ctx, dp, 7, n, vdd, target, 0.1e-3, 0)
+			return err
+		}},
+		{"FrequencyMarginCtx", func(ctx context.Context) error {
+			_, err := FrequencyMarginCtx(ctx, dp, 7, n, vdd, base)
+			return err
+		}},
+		{"CombinedCtx", func(ctx context.Context) error {
+			_, err := CombinedCtx(ctx, dp, 7, n, vdd, target, 0.1e-3, []int{8})
+			return err
+		}},
+	}
+	step := min(runtime.GOMAXPROCS(0), n)
+	for _, s := range searches {
+		total := spans(t, s.run)
+		for cut := 0; cut < total; cut += step {
+			if err := s.run(newCancelAfter(cut)); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s cut after %d of %d worker spans: err = %v, want context.Canceled",
+					s.name, cut, total, err)
+			}
+		}
+	}
+}
+
+// TestCombinedReturnsFinishedChoices cancels CombinedCtx right after its
+// first spare count's margin search: it returns that finished choice,
+// equal to the uncancelled one, alongside context.Canceled.
+func TestCombinedReturnsFinishedChoices(t *testing.T) {
+	dp := simd.New(tech.N45)
+	const n, vdd = 100, 0.6
+	target := TargetDelay(dp, vdd, baseline(t, dp, 8, n))
+	spares := []int{0, 8}
+	full, err := CombinedCtx(context.Background(), dp, 8, n, vdd, target, 0.1e-3, spares)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := spans(t, func(ctx context.Context) error {
+		_, err := VoltageMarginCtx(ctx, dp, 8, n, vdd, target, 0.1e-3, spares[0])
+		return err
+	})
+	got, err := CombinedCtx(newCancelAfter(first), dp, 8, n, vdd, target, 0.1e-3, spares)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(got) != 1 || got[0] != full[0] {
+		t.Errorf("finished choices = %v, want [%v]", got, full[0])
 	}
 }

@@ -1,15 +1,15 @@
 package montecarlo
 
 import (
+	"context"
 	"testing"
-	"unsafe"
 
 	"github.com/ntvsim/ntvsim/internal/rng"
 )
 
-// SampleVec returns row views into one flat slab (see the package
-// comment). These tests pin the three load-bearing consequences of that
-// layout so the aliasing contract can't regress silently.
+// SampleFlatCtx hands fn a view of its own row of one flat slab (see
+// the package comment). This test pins the load-bearing consequence of
+// that layout so the aliasing contract can't regress silently.
 
 func fillIndex(r *rng.Stream, dst []float64) {
 	for i := range dst {
@@ -17,55 +17,25 @@ func fillIndex(r *rng.Stream, dst []float64) {
 	}
 }
 
-// TestSampleVecRowsShareSlab documents the sharing itself: consecutive
-// rows are adjacent views into one backing array.
-func TestSampleVecRowsShareSlab(t *testing.T) {
-	const n, width = 16, 4
-	rows := SampleVec(1, n, width, fillIndex)
-	rowBytes := uintptr(width) * unsafe.Sizeof(float64(0))
-	for i := 0; i < n-1; i++ {
-		a := uintptr(unsafe.Pointer(&rows[i][0]))
-		b := uintptr(unsafe.Pointer(&rows[i+1][0]))
-		if b-a != rowBytes {
-			t.Fatalf("rows %d and %d are not adjacent views into one slab", i, i+1)
-		}
-	}
-}
-
-// TestSampleVecRowsDisjoint proves the safe half of the contract:
-// writing through one row never changes another row's elements.
-func TestSampleVecRowsDisjoint(t *testing.T) {
-	const n, width = 16, 4
-	rows := SampleVec(1, n, width, fillIndex)
-	for i := range rows[7] {
-		rows[7][i] = -1
-	}
-	for i, row := range rows {
-		if i == 7 {
-			continue
-		}
-		for j, v := range row {
-			if v != float64(j) {
-				t.Fatalf("writing row 7 corrupted row %d[%d] = %v", i, j, v)
-			}
-		}
-	}
-}
-
-// TestSampleVecAppendCannotClobber proves the capacity is pinned to the
-// row width: an append on a returned row reallocates instead of writing
-// into the next row's slab region.
+// TestSampleVecAppendCannotClobber proves the capacity of fn's dst is
+// pinned to the row width: an append inside fn reallocates instead of
+// writing into the next row's slab region.
 func TestSampleVecAppendCannotClobber(t *testing.T) {
 	const n, width = 8, 4
-	rows := SampleVec(1, n, width, fillIndex)
-	if c := cap(rows[0]); c != width {
-		t.Fatalf("row capacity = %d, want %d (full-cap slice expression)", c, width)
+	slab, err := SampleFlatCtx(context.Background(), 1, n, width, func(r *rng.Stream, dst []float64) {
+		if c := cap(dst); c != width {
+			t.Errorf("dst capacity = %d, want %d (full-cap slice expression)", c, width)
+		}
+		fillIndex(r, dst)
+		grown := append(dst, 99, 99)
+		_ = grown
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	grown := append(rows[2], 99, 99)
-	_ = grown
-	for j, v := range rows[3] {
-		if v != float64(j) {
-			t.Fatalf("append on row 2 clobbered row 3[%d] = %v", j, v)
+	for i, v := range slab {
+		if want := float64(i % width); v != want {
+			t.Fatalf("append inside fn clobbered slab[%d] = %v, want %v", i, v, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -21,44 +22,17 @@ func allocsSingleWorker(f func()) float64 {
 	return testing.AllocsPerRun(10, f)
 }
 
-func TestMomentsAllocationBound(t *testing.T) {
-	const n = 8192
-	fn := func(r *rng.Stream) float64 { return r.Norm() }
-	allocs := allocsSingleWorker(func() { Moments(1, n, fn) })
-	// Expected: one worker stream escape plus closure plumbing —
-	// constant, and far below one alloc per call amortized over n
-	// samples.
-	if allocs > 8 {
-		t.Errorf("Moments(n=%d) allocates %v per call, want ≤ 8", n, allocs)
-	}
-	if perSample := allocs / n; perSample > 0.001 {
-		t.Errorf("Moments allocates %v per sample, want 0 (was 1+ before stream reuse)", perSample)
-	}
-}
-
 func TestSampleAllocationBound(t *testing.T) {
 	const n = 8192
 	fn := func(r *rng.Stream) float64 { return r.Float64() }
-	allocs := allocsSingleWorker(func() { Sample(1, n, fn) })
+	allocs := allocsSingleWorker(func() { sample(t, 1, n, fn) })
 	// Expected: the n-float result slice, one worker stream, closure
 	// plumbing. The result slice is the output, not hot-loop garbage.
 	if allocs > 8 {
-		t.Errorf("Sample(n=%d) allocates %v per call, want ≤ 8", n, allocs)
+		t.Errorf("SampleCtx(n=%d) allocates %v per call, want ≤ 8", n, allocs)
 	}
-}
-
-func TestSampleVecAllocationBound(t *testing.T) {
-	const n, width = 4096, 8
-	fn := func(r *rng.Stream, dst []float64) {
-		for i := range dst {
-			dst[i] = r.Float64()
-		}
-	}
-	allocs := allocsSingleWorker(func() { SampleVec(1, n, width, fn) })
-	// Expected: the row-header slice + ONE flat slab (this was 1+n row
-	// allocations before the slab), one worker stream, closure plumbing.
-	if allocs > 8 {
-		t.Errorf("SampleVec(n=%d,width=%d) allocates %v per call, want ≤ 8", n, width, allocs)
+	if perSample := allocs / n; perSample > 0.001 {
+		t.Errorf("SampleCtx allocates %v per sample, want 0 (was 1+ before stream reuse)", perSample)
 	}
 }
 
@@ -69,23 +43,26 @@ func TestSampleFlatAllocationBound(t *testing.T) {
 			dst[i] = r.Float64()
 		}
 	}
-	allocs := allocsSingleWorker(func() { SampleFlat(1, n, width, fn) })
+	allocs := allocsSingleWorker(func() {
+		if _, err := SampleFlatCtx(context.Background(), 1, n, width, fn); err != nil {
+			t.Fatal(err)
+		}
+	})
 	// Expected: ONE flat slab, one worker stream, closure plumbing — no
 	// row headers at all, so nothing here is pointer-dense for the GC.
 	if allocs > 6 {
-		t.Errorf("SampleFlat(n=%d,width=%d) allocates %v per call, want ≤ 6", n, width, allocs)
+		t.Errorf("SampleFlatCtx(n=%d,width=%d) allocates %v per call, want ≤ 6", n, width, allocs)
 	}
 }
 
 // TestAllocationsDoNotScaleWithN is the amortization property stated
 // directly: quadrupling the sample count must not change the per-call
-// allocation count (result buffers aside, which the fixed budget above
-// already covers — here Moments returns no buffer at all).
+// allocation count (the result slice is one allocation at any n).
 func TestAllocationsDoNotScaleWithN(t *testing.T) {
 	fn := func(r *rng.Stream) float64 { return r.Norm() }
-	small := allocsSingleWorker(func() { Moments(3, 1024, fn) })
-	large := allocsSingleWorker(func() { Moments(3, 4096, fn) })
+	small := allocsSingleWorker(func() { sample(t, 3, 1024, fn) })
+	large := allocsSingleWorker(func() { sample(t, 3, 4096, fn) })
 	if large > small {
-		t.Errorf("Moments allocations scale with n: %v @1024 vs %v @4096", small, large)
+		t.Errorf("SampleCtx allocations scale with n: %v @1024 vs %v @4096", small, large)
 	}
 }

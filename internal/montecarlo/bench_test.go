@@ -23,19 +23,6 @@ func benchSamplesPerSec(b *testing.B, samplesPerOp int) {
 	}
 }
 
-// BenchmarkKernelMoments is the headline kernel: streaming-moment
-// accumulation of a Gaussian statistic, the shape of every yield and
-// margin sweep.
-func BenchmarkKernelMoments(b *testing.B) {
-	fn := func(r *rng.Stream) float64 { return r.Gauss(3, 2) }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Moments(20120603, kernelN, fn)
-	}
-	benchSamplesPerSec(b, kernelN)
-}
-
 // BenchmarkKernelSample measures the value-retaining scalar kernel used
 // by the distribution and quantile figures.
 func BenchmarkKernelSample(b *testing.B) {
@@ -43,14 +30,16 @@ func BenchmarkKernelSample(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Sample(20120603, kernelN, fn)
+		if _, err := SampleCtx(context.Background(), 20120603, kernelN, fn); err != nil {
+			b.Fatal(err)
+		}
 	}
 	benchSamplesPerSec(b, kernelN)
 }
 
-// BenchmarkKernelSampleVec measures the vector kernel behind the
+// BenchmarkKernelSampleFlat measures the vector kernel behind the
 // lane-delay sweeps (width 16 ≈ one SIMD cluster of lanes).
-func BenchmarkKernelSampleVec(b *testing.B) {
+func BenchmarkKernelSampleFlat(b *testing.B) {
 	const width = 16
 	fn := func(r *rng.Stream, dst []float64) {
 		for i := range dst {
@@ -60,14 +49,17 @@ func BenchmarkKernelSampleVec(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SampleVec(20120603, kernelN/width, width, fn)
+		if _, err := SampleFlatCtx(context.Background(), 20120603, kernelN/width, width, fn); err != nil {
+			b.Fatal(err)
+		}
 	}
 	benchSamplesPerSec(b, kernelN/width*width)
 }
 
-// BenchmarkKernelMomentsSerial pins single-worker throughput (the
-// per-sample cost with no parallel speedup masking it), for comparing
-// kernel changes across machines with different core counts.
+// BenchmarkKernelMomentsSerial pins single-worker throughput of a
+// Gaussian statistic accumulated in place (the per-sample cost with no
+// parallel speedup masking it), for comparing kernel changes across
+// machines with different core counts.
 func BenchmarkKernelMomentsSerial(b *testing.B) {
 	fn := func(r *rng.Stream) float64 { return r.Gauss(3, 2) }
 	var total float64

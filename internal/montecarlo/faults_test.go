@@ -15,6 +15,7 @@ import (
 // call without an injector is untouched.
 func TestInjectedChunkError(t *testing.T) {
 	fn := func(r *rng.Stream) float64 { return r.Float64() }
+	want := sample(t, 42, 500, fn)
 	in := faults.New(1, faults.Rule{Site: faults.SiteMonteCarloChunk, Kind: faults.KindError})
 	ctx := faults.With(context.Background(), in)
 	_, err := SampleCtx(ctx, 42, 500, fn)
@@ -25,12 +26,11 @@ func TestInjectedChunkError(t *testing.T) {
 	if in.Fired() != 1 {
 		t.Fatalf("injector fired %d times, want 1", in.Fired())
 	}
-	// A later, clean call is bit-identical to the no-context path.
+	// A later, clean call is bit-identical to the one before it.
 	out, err := SampleCtx(context.Background(), 42, 500, fn)
 	if err != nil {
 		t.Fatalf("clean SampleCtx: %v", err)
 	}
-	want := Sample(42, 500, fn)
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("sample %d diverged after an injected run: %g vs %g", i, out[i], want[i])
@@ -55,11 +55,8 @@ func TestWorkerPanicContained(t *testing.T) {
 		{"SampleCtx", func(ctx context.Context, fn func(r *rng.Stream) float64) {
 			_, _ = SampleCtx(ctx, 1, 4096, fn)
 		}},
-		{"SampleVecCtx", func(ctx context.Context, fn func(r *rng.Stream) float64) {
-			_, _ = SampleVecCtx(ctx, 1, 4096, 1, func(r *rng.Stream, dst []float64) { dst[0] = fn(r) })
-		}},
-		{"MomentsCtx", func(ctx context.Context, fn func(r *rng.Stream) float64) {
-			_, _ = MomentsCtx(ctx, 1, 4096, fn)
+		{"SampleFlatCtx", func(ctx context.Context, fn func(r *rng.Stream) float64) {
+			_, _ = SampleFlatCtx(ctx, 1, 4096, 1, func(r *rng.Stream, dst []float64) { dst[0] = fn(r) })
 		}},
 	}
 	for _, p := range paths {

@@ -1,7 +1,7 @@
 package montecarlo
 
 import (
-	"math"
+	"context"
 	"testing"
 
 	"github.com/ntvsim/ntvsim/internal/rng"
@@ -9,7 +9,7 @@ import (
 
 // The pinned values below were captured from the pre-optimization kernel
 // (one rng.NewSub heap allocation per sample, one row allocation per
-// SampleVec sample). The zero-allocation kernel must reproduce them
+// vector sample). The zero-allocation kernel must reproduce them
 // bit-for-bit: every committed artifact is a deterministic function of
 // these sequences, so any drift here means the artifacts would silently
 // change too.
@@ -20,37 +20,16 @@ func TestSampleGolden(t *testing.T) {
 		0.46934569409219706, -0.37160135843786746, -0.019417523214940058,
 		1.0565501661912524, -0.06600304155390474,
 	}
-	got := Sample(20120603, len(want), func(r *rng.Stream) float64 { return r.Norm() })
+	got := sample(t, 20120603, len(want), func(r *rng.Stream) float64 { return r.Norm() })
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("Sample[%d] = %v, want %v", i, got[i], want[i])
+			t.Errorf("SampleCtx[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 }
 
-func TestMomentsGolden(t *testing.T) {
-	st := Moments(20120603, 10000, func(r *rng.Stream) float64 { return r.Gauss(3, 2) })
-	if st.N() != 10000 {
-		t.Fatalf("N = %d", st.N())
-	}
-	// Mean and min/max are exact functions of the sample sequence plus
-	// the deterministic merge tree, but the merge tree depends on the
-	// worker count, so only extrema and a tight mean tolerance are
-	// pinned exactly; TestMomentsMergeTreeIndependent pins the rest.
-	if st.Min() != -4.150753148924231 {
-		t.Errorf("Min = %v, want -4.150753148924231", st.Min())
-	}
-	if st.Max() != 10.315553567261762 {
-		t.Errorf("Max = %v, want 10.315553567261762", st.Max())
-	}
-	if math.Abs(st.Mean()-2.987110394707) > 1e-9 {
-		t.Errorf("Mean = %v, want 2.987110394707 ± 1e-9", st.Mean())
-	}
-	if math.Abs(st.StdDev()-1.9874359739014158) > 1e-9 {
-		t.Errorf("StdDev = %v, want 1.9874359739014158 ± 1e-9", st.StdDev())
-	}
-}
-
+// TestSampleVecGolden pins the vector path, SampleFlatCtx: sample i's
+// row sits at slab[i*width : (i+1)*width].
 func TestSampleVecGolden(t *testing.T) {
 	want := [][]float64{
 		{0.66775489980339, 0.002123553105060849, 0.01513029060802562},
@@ -58,15 +37,22 @@ func TestSampleVecGolden(t *testing.T) {
 		{0.42629050660337353, 0.8797378787701999, 0.30760181365642025},
 		{0.0317860838143158, 0.1955941236785378, 0.4476637054171271},
 	}
-	got := SampleVec(77, 4, 3, func(r *rng.Stream, dst []float64) {
+	const width = 3
+	got, err := SampleFlatCtx(context.Background(), 77, len(want), width, func(r *rng.Stream, dst []float64) {
 		for i := range dst {
 			dst[i] = r.Float64()
 		}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want)*width {
+		t.Fatalf("slab length = %d, want %d", len(got), len(want)*width)
+	}
 	for i := range want {
 		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Errorf("SampleVec[%d][%d] = %v, want %v", i, j, got[i][j], want[i][j])
+			if v := got[i*width+j]; v != want[i][j] {
+				t.Errorf("SampleFlatCtx[%d*%d+%d] = %v, want %v", i, width, j, v, want[i][j])
 			}
 		}
 	}

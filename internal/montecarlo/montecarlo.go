@@ -5,20 +5,21 @@
 // scheduling order — a requirement for the reproducibility claims of the
 // study (and for stable golden tests).
 //
-// Each entry point has a context-aware variant (SampleCtx, SampleVecCtx,
-// SampleFlatCtx, MomentsCtx) that checks for cancellation once per worker chunk of
-// checkEvery samples. An uncancelled context changes nothing: the same
-// sub-stream derivation runs in the same index order, so results stay
-// bit-identical to the context-free variants. The package also keeps a
-// process-wide count of evaluated samples (SamplesEvaluated) for service
-// metrics.
+// There are two entry points: SampleCtx for scalar samples and
+// SampleFlatCtx for vector-valued ones. Both check ctx for cancellation
+// once per worker chunk of checkEvery samples and return ctx's error
+// once any worker observes it. A context that is never cancelled changes
+// nothing: the same sub-stream derivation runs in the same index order,
+// so context.Background() and a live context give bit-identical results.
+// The package also keeps a process-wide count of evaluated samples
+// (SamplesEvaluated) for service metrics.
 //
-// When the context carries a telemetry.Progress reporter, each Ctx
-// entry point announces its sample count on entry and every worker
-// ticks the reporter once per checkEvery-sample chunk, so callers can
-// watch samples-done/samples-total while a sweep runs. Without a
-// reporter the loops are unchanged — the reporter pointer is nil and
-// every tick is a nil-receiver no-op.
+// When the context carries a telemetry.Progress reporter, each entry
+// point announces its sample count on entry and every worker ticks the
+// reporter once per checkEvery-sample chunk, so callers can watch
+// samples-done/samples-total while a sweep runs. Without a reporter the
+// loops are unchanged — the reporter pointer is nil and every tick is a
+// nil-receiver no-op.
 //
 // The same chunk boundary hosts a fault-injection hook
 // (faults.SiteMonteCarloChunk) that is inert unless the context carries
@@ -37,18 +38,11 @@
 // the result buffers and one stream per worker — and alloc-regression
 // tests in this package enforce that bound.
 //
-// SampleVec/SampleVecCtx back all n rows with a single flat row-major
-// slab and return length=capacity row views into it: rows are disjoint
-// (writing one row never changes another, and append on a row
-// reallocates rather than clobbering its neighbour), but they share one
-// backing array, so retaining any single row retains the whole n×width
-// slab and WriteTo-style in-place reuse of a row is visible through the
-// returned matrix. Callers that need an independently-owned row must
-// copy it. SampleFlat/SampleFlatCtx expose the slab itself, skipping
-// the n row headers — the right shape when n is huge and the caller
-// reads columns rather than retaining rows, because a []float64 slab is
-// opaque to the garbage collector while n slice headers are a
-// pointer-dense array it must scan.
+// SampleFlatCtx returns all n×width values in one flat row-major slab,
+// sample i occupying slab[i*width : (i+1)*width]. A []float64 slab is
+// opaque to the garbage collector, where n row headers would be a
+// pointer-dense array it must scan; callers that want per-sample rows
+// slice them out of the slab themselves.
 package montecarlo
 
 import (
@@ -61,7 +55,6 @@ import (
 
 	"github.com/ntvsim/ntvsim/internal/faults"
 	"github.com/ntvsim/ntvsim/internal/rng"
-	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/telemetry"
 )
 
@@ -84,18 +77,11 @@ func init() {
 		func() float64 { return float64(samplesEvaluated.Load()) })
 }
 
-// Sample evaluates fn for n independent sample indices and returns the
-// values in index order. Each invocation receives a PRNG stream derived
-// from (seed, index).
-func Sample(seed uint64, n int, fn func(r *rng.Stream) float64) []float64 {
-	out, _ := SampleCtx(context.Background(), seed, n, fn)
-	return out
-}
-
-// SampleCtx is Sample with cooperative cancellation: workers poll ctx
-// every checkEvery samples and the call returns ctx's error once any
-// worker observes cancellation. When ctx is never cancelled the result
-// is bit-identical to Sample with the same arguments.
+// SampleCtx evaluates fn for n independent sample indices and returns
+// the values in index order. Each invocation receives a PRNG stream
+// derived from (seed, index). Workers poll ctx every checkEvery samples,
+// and the call returns ctx's error once any worker observes
+// cancellation.
 func SampleCtx(ctx context.Context, seed uint64, n int, fn func(r *rng.Stream) float64) ([]float64, error) {
 	out := make([]float64, n)
 	prog := telemetry.ProgressFrom(ctx)
@@ -108,49 +94,13 @@ func SampleCtx(ctx context.Context, seed uint64, n int, fn func(r *rng.Stream) f
 	return out, nil
 }
 
-// SampleVec evaluates a vector-valued fn for n sample indices. fn must
-// write its outputs into dst (length width); the result is an n×width
-// row-major matrix flattened into rows.
-//
-// All rows are views into one flat backing slab (see the package comment
-// on allocation discipline): disjoint and append-safe, but sharing one
-// allocation. Copy a row before retaining it independently.
-func SampleVec(seed uint64, n, width int, fn func(r *rng.Stream, dst []float64)) [][]float64 {
-	out, _ := SampleVecCtx(context.Background(), seed, n, width, fn)
-	return out
-}
-
-// SampleVecCtx is SampleVec with cooperative cancellation, under the
-// same bit-identical-when-uncancelled contract as SampleCtx and the same
-// shared-slab row semantics as SampleVec.
-func SampleVecCtx(ctx context.Context, seed uint64, n, width int, fn func(r *rng.Stream, dst []float64)) ([][]float64, error) {
-	slab, err := SampleFlatCtx(ctx, seed, n, width, fn)
-	if err != nil {
-		return nil, err
-	}
-	// Rows are sliced with capacity pinned to width so an append on a
-	// returned row can never write into the next row.
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = slab[i*width : (i+1)*width : (i+1)*width]
-	}
-	return out, nil
-}
-
-// SampleFlat is SampleVec without the row views: the n×width result
-// comes back as the flat row-major slab itself, sample i occupying
-// slab[i*width : (i+1)*width].
-func SampleFlat(seed uint64, n, width int, fn func(r *rng.Stream, dst []float64)) []float64 {
-	out, _ := SampleFlatCtx(context.Background(), seed, n, width, fn)
-	return out
-}
-
-// SampleFlatCtx is SampleFlat with cooperative cancellation, under the
-// same bit-identical-when-uncancelled contract as SampleCtx. It is the
-// allocation floor of the vector path — one pointer-free slab, nothing
-// per row — so large-n callers that only read columns out of the result
-// (internal/importance) add no pointer-dense arrays for the garbage
-// collector to scan.
+// SampleFlatCtx evaluates a vector-valued fn for n sample indices and
+// returns the n×width results as one flat row-major slab, sample i
+// occupying slab[i*width : (i+1)*width]. fn writes its outputs into dst,
+// a view of exactly that row whose capacity is pinned to width, so an
+// append inside fn reallocates instead of writing into the next row.
+// Cancellation works as in SampleCtx. The slab is the allocation floor
+// of the vector path — one pointer-free allocation, nothing per row.
 func SampleFlatCtx(ctx context.Context, seed uint64, n, width int, fn func(r *rng.Stream, dst []float64)) ([]float64, error) {
 	// One row-major slab for all rows: a single allocation instead of n,
 	// and cache-friendly sequential layout for the quantile/sort passes
@@ -164,55 +114,6 @@ func SampleFlatCtx(ctx context.Context, seed uint64, n, width int, fn func(r *rn
 		return nil, err
 	}
 	return slab, nil
-}
-
-// Moments evaluates fn for n sample indices and accumulates streaming
-// moments without retaining individual samples. Use it when only μ, σ
-// and extrema are needed and n is large.
-func Moments(seed uint64, n int, fn func(r *rng.Stream) float64) stats.Stream {
-	s, _ := MomentsCtx(context.Background(), seed, n, fn)
-	return s
-}
-
-// MomentsCtx is Moments with cooperative cancellation, under the same
-// bit-identical-when-uncancelled contract as SampleCtx.
-func MomentsCtx(ctx context.Context, seed uint64, n int, fn func(r *rng.Stream) float64) (stats.Stream, error) {
-	prog := telemetry.ProgressFrom(ctx)
-	prog.AddTotal(int64(n))
-	workers := workerCount(n)
-	if workers <= 1 {
-		var total stats.Stream
-		err := runSpan(ctx, prog, seed, 0, n, func(i int, r *rng.Stream) {
-			total.Add(fn(r))
-		})
-		if err != nil {
-			return stats.Stream{}, err
-		}
-		return total, nil
-	}
-	partial := make([]stats.Stream, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := span(n, workers, w)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer containPanic(&errs[w])
-			errs[w] = runSpan(ctx, prog, seed, lo, hi, func(i int, r *rng.Stream) {
-				partial[w].Add(fn(r))
-			})
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
-		return stats.Stream{}, err
-	}
-	var total stats.Stream
-	for w := range partial {
-		total.Merge(&partial[w])
-	}
-	return total, nil
 }
 
 // parallelFor runs body(i, r) for i in [0, n) across GOMAXPROCS workers,
@@ -267,7 +168,7 @@ func containPanic(slot *error) {
 
 // firstError returns the first non-nil worker error — except that a
 // contained panic takes precedence and is re-raised on the caller's
-// goroutine, restoring the synchronous-panic contract of the Ctx entry
+// goroutine, restoring the synchronous-panic contract of the entry
 // points regardless of worker count.
 func firstError(errs []error) error {
 	for _, err := range errs {

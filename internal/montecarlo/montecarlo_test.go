@@ -9,15 +9,27 @@ import (
 	"testing"
 
 	"github.com/ntvsim/ntvsim/internal/rng"
+	"github.com/ntvsim/ntvsim/internal/telemetry"
 )
+
+// sample runs SampleCtx under context.Background(), which is never
+// cancelled, and fails the test on an error.
+func sample(t testing.TB, seed uint64, n int, fn func(r *rng.Stream) float64) []float64 {
+	t.Helper()
+	out, err := SampleCtx(context.Background(), seed, n, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 func TestSampleDeterministic(t *testing.T) {
 	f := func(r *rng.Stream) float64 { return r.Float64() }
-	a := Sample(1, 1000, f)
-	b := Sample(1, 1000, f)
+	a := sample(t, 1, 1000, f)
+	b := sample(t, 1, 1000, f)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatal("Sample not deterministic")
+			t.Fatal("SampleCtx not deterministic")
 		}
 	}
 }
@@ -25,9 +37,9 @@ func TestSampleDeterministic(t *testing.T) {
 func TestSampleIndependentOfParallelism(t *testing.T) {
 	f := func(r *rng.Stream) float64 { return r.Norm() }
 	old := runtime.GOMAXPROCS(1)
-	serial := Sample(7, 500, f)
+	serial := sample(t, 7, 500, f)
 	runtime.GOMAXPROCS(old)
-	parallel := Sample(7, 500, f)
+	parallel := sample(t, 7, 500, f)
 	for i := range serial {
 		if serial[i] != parallel[i] {
 			t.Fatal("results depend on GOMAXPROCS")
@@ -37,8 +49,8 @@ func TestSampleIndependentOfParallelism(t *testing.T) {
 
 func TestSampleSeedMatters(t *testing.T) {
 	f := func(r *rng.Stream) float64 { return r.Float64() }
-	a := Sample(1, 100, f)
-	b := Sample(2, 100, f)
+	a := sample(t, 1, 100, f)
+	b := sample(t, 2, 100, f)
 	same := 0
 	for i := range a {
 		if a[i] == b[i] {
@@ -50,59 +62,10 @@ func TestSampleSeedMatters(t *testing.T) {
 	}
 }
 
-func TestMomentsMatchesSample(t *testing.T) {
-	f := func(r *rng.Stream) float64 { return r.Gauss(3, 2) }
-	xs := Sample(11, 20000, f)
-	var mean float64
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	st := Moments(11, 20000, f)
-	if math.Abs(st.Mean()-mean) > 1e-9 {
-		t.Errorf("Moments mean %v vs Sample mean %v", st.Mean(), mean)
-	}
-	if st.N() != 20000 {
-		t.Errorf("N = %d", st.N())
-	}
-}
-
+// TestSampleVec checks vector-valued sampling through SampleFlatCtx:
+// sample i's row holds fn's outputs at slab[i*width : (i+1)*width], and
+// the slab is deterministic for a seed.
 func TestSampleVec(t *testing.T) {
-	rows := SampleVec(5, 100, 3, func(r *rng.Stream, dst []float64) {
-		base := r.Float64()
-		for i := range dst {
-			dst[i] = base + float64(i)
-		}
-	})
-	if len(rows) != 100 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, row := range rows {
-		if len(row) != 3 {
-			t.Fatalf("row width = %d", len(row))
-		}
-		if math.Abs(row[1]-row[0]-1) > 1e-12 || math.Abs(row[2]-row[1]-1) > 1e-12 {
-			t.Error("row contents wrong")
-		}
-	}
-	// Determinism of vector sampling.
-	again := SampleVec(5, 100, 3, func(r *rng.Stream, dst []float64) {
-		base := r.Float64()
-		for i := range dst {
-			dst[i] = base + float64(i)
-		}
-	})
-	for i := range rows {
-		if rows[i][0] != again[i][0] {
-			t.Fatal("SampleVec not deterministic")
-		}
-	}
-}
-
-// TestSampleFlatMatchesSampleVec pins the layout contract: SampleFlat
-// is SampleVec minus the row headers, with sample i's row at
-// flat[i*width : (i+1)*width], bit-identical element for element.
-func TestSampleFlatMatchesSampleVec(t *testing.T) {
 	const n, width = 100, 3
 	fn := func(r *rng.Stream, dst []float64) {
 		base := r.Float64()
@@ -110,49 +73,76 @@ func TestSampleFlatMatchesSampleVec(t *testing.T) {
 			dst[i] = base + float64(i)
 		}
 	}
-	rows := SampleVec(5, n, width, fn)
-	flat := SampleFlat(5, n, width, fn)
-	if len(flat) != n*width {
-		t.Fatalf("flat length = %d, want %d", len(flat), n*width)
+	slab, err := SampleFlatCtx(context.Background(), 5, n, width, fn)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, row := range rows {
-		for j, v := range row {
-			if flat[i*width+j] != v {
-				t.Fatalf("flat[%d*%d+%d] = %v, want %v", i, width, j, flat[i*width+j], v)
-			}
+	if len(slab) != n*width {
+		t.Fatalf("slab length = %d, want %d", len(slab), n*width)
+	}
+	for i := 0; i < n; i++ {
+		row := slab[i*width : (i+1)*width]
+		if math.Abs(row[1]-row[0]-1) > 1e-12 || math.Abs(row[2]-row[1]-1) > 1e-12 {
+			t.Error("row contents wrong")
+		}
+	}
+	again, err := SampleFlatCtx(context.Background(), 5, n, width, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range slab {
+		if slab[i] != again[i] {
+			t.Fatal("SampleFlatCtx not deterministic")
 		}
 	}
 }
 
 func TestSmallN(t *testing.T) {
-	if got := Sample(1, 0, func(*rng.Stream) float64 { return 1 }); len(got) != 0 {
+	if got := sample(t, 1, 0, func(*rng.Stream) float64 { return 1 }); len(got) != 0 {
 		t.Error("n=0 should give empty slice")
 	}
-	if got := Sample(1, 1, func(*rng.Stream) float64 { return 42 }); len(got) != 1 || got[0] != 42 {
+	if got := sample(t, 1, 1, func(*rng.Stream) float64 { return 42 }); len(got) != 1 || got[0] != 42 {
 		t.Error("n=1 mishandled")
 	}
 }
 
+// TestSampleCtxBitIdentical pins the cancellation contract of both
+// entry points: a live context that is never cancelled, carrying a
+// progress reporter, gives results bit-identical to
+// context.Background().
 func TestSampleCtxBitIdentical(t *testing.T) {
+	live, cancel := context.WithCancel(telemetry.WithProgress(context.Background(), telemetry.NewProgress()))
+	defer cancel()
+
 	f := func(r *rng.Stream) float64 { return r.Norm() }
-	plain := Sample(42, 2000, f)
-	withCtx, err := SampleCtx(context.Background(), 42, 2000, f)
+	plain := sample(t, 42, 2000, f)
+	withCtx, err := SampleCtx(live, 42, 2000, f)
 	if err != nil {
 		t.Fatalf("SampleCtx: %v", err)
 	}
 	for i := range plain {
 		if plain[i] != withCtx[i] {
-			t.Fatalf("index %d: SampleCtx %v != Sample %v", i, withCtx[i], plain[i])
+			t.Fatalf("index %d: live ctx %v != background %v", i, withCtx[i], plain[i])
 		}
 	}
-	st := Moments(42, 2000, f)
-	stCtx, err := MomentsCtx(context.Background(), 42, 2000, f)
-	if err != nil {
-		t.Fatalf("MomentsCtx: %v", err)
+
+	vec := func(r *rng.Stream, dst []float64) {
+		for i := range dst {
+			dst[i] = r.Norm()
+		}
 	}
-	if st.Mean() != stCtx.Mean() || st.N() != stCtx.N() {
-		t.Errorf("MomentsCtx (μ=%v n=%d) != Moments (μ=%v n=%d)",
-			stCtx.Mean(), stCtx.N(), st.Mean(), st.N())
+	flat, err := SampleFlatCtx(context.Background(), 42, 500, 4, vec)
+	if err != nil {
+		t.Fatalf("SampleFlatCtx: %v", err)
+	}
+	flatLive, err := SampleFlatCtx(live, 42, 500, 4, vec)
+	if err != nil {
+		t.Fatalf("SampleFlatCtx: %v", err)
+	}
+	for i := range flat {
+		if flat[i] != flatLive[i] {
+			t.Fatalf("slab index %d: live ctx %v != background %v", i, flatLive[i], flat[i])
+		}
 	}
 }
 
@@ -182,12 +172,6 @@ func TestSampleCtxPreCancelled(t *testing.T) {
 	if _, err := SampleCtx(ctx, 1, 100, func(*rng.Stream) float64 { return 0 }); err == nil {
 		t.Error("pre-cancelled context accepted")
 	}
-	if _, err := MomentsCtx(ctx, 1, 100, func(*rng.Stream) float64 { return 0 }); err == nil {
-		t.Error("MomentsCtx pre-cancelled context accepted")
-	}
-	if _, err := SampleVecCtx(ctx, 1, 100, 2, func(*rng.Stream, []float64) {}); err == nil {
-		t.Error("SampleVecCtx pre-cancelled context accepted")
-	}
 	if _, err := SampleFlatCtx(ctx, 1, 100, 2, func(*rng.Stream, []float64) {}); err == nil {
 		t.Error("SampleFlatCtx pre-cancelled context accepted")
 	}
@@ -195,7 +179,7 @@ func TestSampleCtxPreCancelled(t *testing.T) {
 
 func TestSamplesEvaluatedCounter(t *testing.T) {
 	before := SamplesEvaluated()
-	Sample(9, 1234, func(r *rng.Stream) float64 { return r.Float64() })
+	sample(t, 9, 1234, func(r *rng.Stream) float64 { return r.Float64() })
 	if got := SamplesEvaluated() - before; got < 1234 {
 		t.Errorf("counter advanced by %d, want ≥ 1234", got)
 	}

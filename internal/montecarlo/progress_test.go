@@ -9,8 +9,8 @@ import (
 	"github.com/ntvsim/ntvsim/internal/telemetry"
 )
 
-// TestProgressReported checks that every Ctx entry point announces its
-// sample count and ticks the reporter to completion.
+// TestProgressReported checks that both entry points announce their
+// sample count and tick the reporter to completion.
 func TestProgressReported(t *testing.T) {
 	f := func(r *rng.Stream) float64 { return r.Float64() }
 	const n = 1000
@@ -23,16 +23,12 @@ func TestProgressReported(t *testing.T) {
 			_, err := SampleCtx(ctx, 1, n, f)
 			return err
 		}},
-		{"SampleVecCtx", func(ctx context.Context) error {
-			_, err := SampleVecCtx(ctx, 1, n, 3, func(r *rng.Stream, dst []float64) {
+		{"SampleFlatCtx", func(ctx context.Context) error {
+			_, err := SampleFlatCtx(ctx, 1, n, 3, func(r *rng.Stream, dst []float64) {
 				for i := range dst {
 					dst[i] = r.Float64()
 				}
 			})
-			return err
-		}},
-		{"MomentsCtx", func(ctx context.Context) error {
-			_, err := MomentsCtx(ctx, 1, n, f)
 			return err
 		}},
 	}
@@ -51,12 +47,16 @@ func TestProgressReported(t *testing.T) {
 	}
 }
 
-// TestProgressBitIdentical verifies that attaching a reporter does not
-// perturb the sampled values (the nil-reporter contract in reverse).
+// TestProgressBitIdentical verifies that a live, never-cancelled
+// context carrying a reporter does not perturb the sampled values (the
+// nil-reporter contract in reverse) and that the reporter saw every
+// sample.
 func TestProgressBitIdentical(t *testing.T) {
 	f := func(r *rng.Stream) float64 { return r.Norm() }
-	plain := Sample(99, 700, f)
-	ctx := telemetry.WithProgress(context.Background(), telemetry.NewProgress())
+	plain := sample(t, 99, 700, f)
+	p := telemetry.NewProgress()
+	ctx, cancel := context.WithCancel(telemetry.WithProgress(context.Background(), p))
+	defer cancel()
 	instrumented, err := SampleCtx(ctx, 99, 700, f)
 	if err != nil {
 		t.Fatal(err)
@@ -65,6 +65,9 @@ func TestProgressBitIdentical(t *testing.T) {
 		if plain[i] != instrumented[i] {
 			t.Fatalf("sample %d differs with a progress reporter attached", i)
 		}
+	}
+	if s := p.Snapshot(); s.Done != 700 || s.Total != 700 {
+		t.Errorf("progress = %d/%d, want 700/700", s.Done, s.Total)
 	}
 }
 

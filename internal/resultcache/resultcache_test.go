@@ -1,6 +1,7 @@
 package resultcache
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -98,7 +99,7 @@ func TestSameConfigSameResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := experiments.Run("fig2", cfg)
+	res, err := experiments.RunCtx(context.Background(), "fig2", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"context"
 	"testing"
 
 	"github.com/ntvsim/ntvsim/internal/rng"
@@ -55,7 +56,9 @@ func BenchmarkSpareCurve(b *testing.B) {
 	dp := New(tech.N90)
 	alphas := []int{0, 2, 4, 8, 16, 32}
 	for i := 0; i < b.N; i++ {
-		dp.SpareCurve(1, 500, 0.55, alphas)
+		if _, err := dp.SpareCurveCtx(context.Background(), 1, 500, 0.55, alphas); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package simd
 
 import (
-	"context"
 	"math"
 	"runtime"
 	"sort"
@@ -71,14 +70,15 @@ func referenceSpareChip(law *ssta.Table, lanes, spares int, r *rng.Stream) float
 	return ds[lanes-1]
 }
 
-// TestChipDrawMatchesReference: ChipDelays (max-uniform) equals the
+// TestChipDrawMatchesReference: ChipDelaysCtx (max-uniform) equals the
 // all-lanes reference chip by chip, over the grid × 3 seeds × 2000
 // chips; sample i uses the (seed, i) sub-stream.
 func TestChipDrawMatchesReference(t *testing.T) {
 	const chips = 2000
 	forEachLaw(t, func(t *testing.T, dp *Datapath, vdd float64, law *ssta.Table) {
+		must := mustFloats(t)
 		for _, seed := range []uint64{1, 2, 3} {
-			got := dp.ChipDelays(seed, chips, vdd, 0)
+			got := must(dp.ChipDelaysCtx(bg, seed, chips, vdd, 0))
 			for i, g := range got {
 				if want := referenceChip(law, dp.Lanes, rng.NewSub(seed, i)); !sameBits(g, want) {
 					t.Fatalf("vdd %g seed %d chip %d: %v, reference %v", vdd, seed, i, g, want)
@@ -92,13 +92,14 @@ func TestChipDrawMatchesReference(t *testing.T) {
 // array and partial selection, plus the heap fallback for chips wider
 // than the stack array — against the sort-based reference.
 func TestSpareChipDrawMatchesReference(t *testing.T) {
+	must := mustFloats(t)
 	const chips = 300
 	for _, node := range tech.Nodes() {
 		dp := New(node)
 		for _, vdd := range []float64{0.5, 0.6} {
 			law := dp.law(vdd)
 			for _, spares := range []int{1, 8, 32, maxStackLanes} {
-				got := dp.ChipDelays(9, chips, vdd, spares)
+				got := must(dp.ChipDelaysCtx(bg, 9, chips, vdd, spares))
 				for i, g := range got {
 					if want := referenceSpareChip(law, dp.Lanes, spares, rng.NewSub(9, i)); !sameBits(g, want) {
 						t.Fatalf("%s vdd %g spares %d chip %d: %v, reference %v", node.Name, vdd, spares, i, g, want)
@@ -139,48 +140,48 @@ func TestKthSmallestMatchesSort(t *testing.T) {
 	}
 }
 
-// TestSpareCurveMatchesSortLoop pins SpareCurve's partial selection
+// TestSpareCurveMatchesSortLoop pins SpareCurveCtx's partial selection
 // against the full sort it replaced: every curve point, bit for bit,
 // for the iid-paths law and the shared-die ablation.
 func TestSpareCurveMatchesSortLoop(t *testing.T) {
+	must := mustFloats(t)
 	const n, vdd = 500, 0.55
 	alphas := []int{0, 2, 8, 28}
 	for _, corr := range []CorrelationModel{IIDPaths, SharedDie} {
 		dp := New(tech.N32)
 		dp.Corr = corr
-		got := dp.SpareCurve(4, n, vdd, alphas)
-		rows, err := montecarlo.SampleVecCtx(context.Background(), 4, n, dp.Lanes+alphas[len(alphas)-1], dp.sampler(vdd).lanes)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := must(dp.SpareCurveCtx(bg, 4, n, vdd, alphas))
+		width := dp.Lanes + alphas[len(alphas)-1]
+		slab := must(montecarlo.SampleFlatCtx(bg, 4, n, width, dp.sampler(vdd).lanes))
 		fo4 := dp.FO4(vdd)
 		for ai, a := range alphas {
 			delays := make([]float64, n)
-			for i, row := range rows {
-				chip := append([]float64(nil), row[:dp.Lanes+a]...)
+			for i := range delays {
+				chip := append([]float64(nil), slab[i*width:i*width+dp.Lanes+a]...)
 				sort.Float64s(chip)
 				delays[i] = chip[dp.Lanes-1] / fo4
 			}
 			sort.Float64s(delays)
 			if want := stats.QuantileSorted(delays, 0.99); !sameBits(got[ai], want) {
-				t.Errorf("%v alpha %d: SpareCurve %v, sort loop %v", corr, a, got[ai], want)
+				t.Errorf("%v alpha %d: SpareCurveCtx %v, sort loop %v", corr, a, got[ai], want)
 			}
 		}
 	}
 }
 
-// TestChipDrawAllocationBound: a ChipDelays call allocates a constant
+// TestChipDrawAllocationBound: a ChipDelaysCtx call allocates a constant
 // number of times — its result, one worker stream, closure plumbing —
 // never once per chip, with and without spares.
 func TestChipDrawAllocationBound(t *testing.T) {
+	must := mustFloats(t)
 	dp := New(tech.N45)
 	const n = 2000
 	for _, spares := range []int{0, 8} {
 		old := runtime.GOMAXPROCS(1)
-		allocs := testing.AllocsPerRun(5, func() { dp.ChipDelays(3, n, 0.55, spares) })
+		allocs := testing.AllocsPerRun(5, func() { must(dp.ChipDelaysCtx(bg, 3, n, 0.55, spares)) })
 		runtime.GOMAXPROCS(old)
 		if allocs > 8 {
-			t.Errorf("spares %d: ChipDelays(n=%d) allocates %v per call, want ≤ 8", spares, n, allocs)
+			t.Errorf("spares %d: ChipDelaysCtx(n=%d) allocates %v per call, want ≤ 8", spares, n, allocs)
 		}
 	}
 }

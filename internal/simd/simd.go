@@ -527,16 +527,10 @@ func kthSmallest(a []float64, k int) float64 {
 	return a[k]
 }
 
-// ChipDelays runs an n-sample Monte-Carlo of the chip delay at supply
-// vdd with the given spare count. Results are in seconds, in sample
-// order, deterministic for a given seed.
-func (dp *Datapath) ChipDelays(seed uint64, n int, vdd float64, spares int) []float64 {
-	ds, _ := dp.ChipDelaysCtx(context.Background(), seed, n, vdd, spares)
-	return ds
-}
-
-// ChipDelaysCtx is ChipDelays with cooperative cancellation; results are
-// bit-identical to ChipDelays when ctx is never cancelled.
+// ChipDelaysCtx runs an n-sample Monte-Carlo of the chip delay at
+// supply vdd with the given spare count. Results are in seconds, in
+// sample order, deterministic for a given seed. A cancelled ctx stops
+// the sampling and returns ctx's error.
 func (dp *Datapath) ChipDelaysCtx(ctx context.Context, seed uint64, n int, vdd float64, spares int) ([]float64, error) {
 	s := dp.sampler(vdd)
 	return montecarlo.SampleCtx(ctx, seed, n, func(r *rng.Stream) float64 {
@@ -544,13 +538,8 @@ func (dp *Datapath) ChipDelaysCtx(ctx context.Context, seed uint64, n int, vdd f
 	})
 }
 
-// ChipDelaysFO4 is ChipDelays normalized to FO4 delay units at vdd.
-func (dp *Datapath) ChipDelaysFO4(seed uint64, n int, vdd float64, spares int) []float64 {
-	ds, _ := dp.ChipDelaysFO4Ctx(context.Background(), seed, n, vdd, spares)
-	return ds
-}
-
-// ChipDelaysFO4Ctx is ChipDelaysFO4 with cooperative cancellation.
+// ChipDelaysFO4Ctx is the chip-delay sample of ChipDelaysCtx
+// normalized to FO4 delay units at vdd.
 func (dp *Datapath) ChipDelaysFO4Ctx(ctx context.Context, seed uint64, n int, vdd float64, spares int) ([]float64, error) {
 	ds, err := dp.ChipDelaysCtx(ctx, seed, n, vdd, spares)
 	if err != nil {
@@ -563,15 +552,9 @@ func (dp *Datapath) ChipDelaysFO4Ctx(ctx context.Context, seed uint64, n int, vd
 	return ds, nil
 }
 
-// P99ChipDelayFO4 returns the 99 % point of the FO4-normalized chip
+// P99ChipDelayFO4Ctx returns the 99 % point of the FO4-normalized chip
 // delay distribution — the paper's operating metric for every
 // architecture-level comparison.
-func (dp *Datapath) P99ChipDelayFO4(seed uint64, n int, vdd float64, spares int) float64 {
-	p99, _ := dp.P99ChipDelayFO4Ctx(context.Background(), seed, n, vdd, spares)
-	return p99
-}
-
-// P99ChipDelayFO4Ctx is P99ChipDelayFO4 with cooperative cancellation.
 func (dp *Datapath) P99ChipDelayFO4Ctx(ctx context.Context, seed uint64, n int, vdd float64, spares int) (float64, error) {
 	ds, err := dp.ChipDelaysFO4Ctx(ctx, seed, n, vdd, spares)
 	if err != nil {
@@ -581,14 +564,8 @@ func (dp *Datapath) P99ChipDelayFO4Ctx(ctx context.Context, seed uint64, n int, 
 	return stats.QuantileSorted(ds, 0.99), nil
 }
 
-// LaneDelays draws n independent one-lane samples (the paper's "1-wide"
-// curve in Figure 3), in seconds.
-func (dp *Datapath) LaneDelays(seed uint64, n int, vdd float64) []float64 {
-	ds, _ := dp.LaneDelaysCtx(context.Background(), seed, n, vdd)
-	return ds
-}
-
-// LaneDelaysCtx is LaneDelays with cooperative cancellation.
+// LaneDelaysCtx draws n independent one-lane samples (the paper's
+// "1-wide" curve in Figure 3), in seconds.
 func (dp *Datapath) LaneDelaysCtx(ctx context.Context, seed uint64, n int, vdd float64) ([]float64, error) {
 	s := dp.sampler(vdd)
 	return montecarlo.SampleCtx(ctx, seed, n, func(r *rng.Stream) float64 {
@@ -598,29 +575,17 @@ func (dp *Datapath) LaneDelaysCtx(ctx context.Context, seed uint64, n int, vdd f
 	})
 }
 
-// PathDelays draws n independent single-critical-path samples, in
+// PathDelaysCtx draws n independent single-critical-path samples, in
 // seconds.
-func (dp *Datapath) PathDelays(seed uint64, n int, vdd float64) []float64 {
-	ds, _ := dp.PathDelaysCtx(context.Background(), seed, n, vdd)
-	return ds
-}
-
-// PathDelaysCtx is PathDelays with cooperative cancellation.
 func (dp *Datapath) PathDelaysCtx(ctx context.Context, seed uint64, n int, vdd float64) ([]float64, error) {
 	s := dp.sampler(vdd)
 	return montecarlo.SampleCtx(ctx, seed, n, s.path)
 }
 
-// SpareCurve returns the 99 % FO4 chip delay for each spare count in
+// SpareCurveCtx returns the 99 % FO4 chip delay for each spare count in
 // alphas, reusing one set of lane-delay samples across all counts so the
 // curve is smooth in alpha (no independent MC noise between points).
 // alphas must be non-decreasing ≥ 0.
-func (dp *Datapath) SpareCurve(seed uint64, n int, vdd float64, alphas []int) []float64 {
-	out, _ := dp.SpareCurveCtx(context.Background(), seed, n, vdd, alphas)
-	return out
-}
-
-// SpareCurveCtx is SpareCurve with cooperative cancellation.
 func (dp *Datapath) SpareCurveCtx(ctx context.Context, seed uint64, n int, vdd float64, alphas []int) ([]float64, error) {
 	if len(alphas) == 0 {
 		return nil, nil
@@ -628,11 +593,11 @@ func (dp *Datapath) SpareCurveCtx(ctx context.Context, seed uint64, n int, vdd f
 	maxA := alphas[len(alphas)-1]
 	for i := 1; i < len(alphas); i++ {
 		if alphas[i] < alphas[i-1] {
-			panic("simd: SpareCurve alphas must be non-decreasing")
+			panic("simd: SpareCurveCtx alphas must be non-decreasing")
 		}
 	}
 	total := dp.Lanes + maxA
-	rows, err := montecarlo.SampleVecCtx(ctx, seed, n, total, dp.sampler(vdd).lanes)
+	slab, err := montecarlo.SampleFlatCtx(ctx, seed, n, total, dp.sampler(vdd).lanes)
 	if err != nil {
 		return nil, err
 	}
@@ -642,11 +607,11 @@ func (dp *Datapath) SpareCurveCtx(ctx context.Context, seed uint64, n int, vdd f
 	scratch := make([]float64, total)
 	for ai, a := range alphas {
 		k := dp.Lanes + a
-		for i, row := range rows {
+		for i := range delays {
 			// The physical system with a spares has exactly Lanes+a
-			// lanes; use the first Lanes+a samples (exchangeable) and
-			// keep the Lanes fastest.
-			copy(scratch[:k], row[:k])
+			// lanes; use the first Lanes+a samples of chip i's row
+			// (exchangeable) and keep the Lanes fastest.
+			copy(scratch[:k], slab[i*total:i*total+k])
 			delays[i] = kthSmallest(scratch[:k], dp.Lanes-1) / fo4
 		}
 		sort.Float64s(delays)

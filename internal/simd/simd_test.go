@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -10,6 +11,23 @@ import (
 	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/tech"
 )
+
+// bg is the context the tests sample under: it is never cancelled, so
+// every sampling call returns its full result.
+var bg = context.Background()
+
+// mustFloats returns a checker that fails t on a sampling error and
+// passes the samples through otherwise, so a sampling call stays one
+// expression: must(dp.ChipDelaysCtx(bg, …)).
+func mustFloats(t testing.TB) func([]float64, error) []float64 {
+	return func(v []float64, err error) []float64 {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+}
 
 func testPath() *Datapath {
 	// Reduced dimensions keep the exact (gate-level) comparisons fast
@@ -42,13 +60,14 @@ func TestFO4Unit(t *testing.T) {
 // the numerical-law path sampler must be statistically indistinguishable
 // from full gate-level Monte Carlo (two-sample KS test at α = 0.01).
 func TestFastPathMatchesExactGateLevel(t *testing.T) {
+	must := mustFloats(t)
 	const n = 4000
 	const vdd = 0.55
 	fast := New(tech.N90)
 	exact := New(tech.N90)
 	exact.Exact = true
-	fd := fast.PathDelays(1, n, vdd)
-	ed := exact.PathDelays(2, n, vdd)
+	fd := must(fast.PathDelaysCtx(bg, 1, n, vdd))
+	ed := must(exact.PathDelaysCtx(bg, 2, n, vdd))
 	d := stats.KSStatistic(fd, ed)
 	if crit := stats.KSCritical(n, n, 0.01); d > crit {
 		t.Errorf("fast vs exact path KS = %v > critical %v", d, crit)
@@ -58,13 +77,14 @@ func TestFastPathMatchesExactGateLevel(t *testing.T) {
 // TestFastLaneMatchesExact validates the lane law (max of paths) against
 // gate-level sampling.
 func TestFastLaneMatchesExact(t *testing.T) {
+	must := mustFloats(t)
 	const n = 1500
 	const vdd = 0.6
 	fast := testPath()
 	exact := testPath()
 	exact.Exact = true
-	fd := fast.LaneDelays(3, n, vdd)
-	ed := exact.LaneDelays(4, n, vdd)
+	fd := must(fast.LaneDelaysCtx(bg, 3, n, vdd))
+	ed := must(exact.LaneDelaysCtx(bg, 4, n, vdd))
 	d := stats.KSStatistic(fd, ed)
 	if crit := stats.KSCritical(n, n, 0.01); d > crit {
 		t.Errorf("fast vs exact lane KS = %v > critical %v", d, crit)
@@ -72,39 +92,43 @@ func TestFastLaneMatchesExact(t *testing.T) {
 }
 
 func TestLaneAboveSinglePath(t *testing.T) {
+	must := mustFloats(t)
 	dp := New(tech.N90)
 	const vdd = 0.55
-	paths := dp.PathDelays(5, 3000, vdd)
-	lanes := dp.LaneDelays(6, 3000, vdd)
+	paths := must(dp.PathDelaysCtx(bg, 5, 3000, vdd))
+	lanes := must(dp.LaneDelaysCtx(bg, 6, 3000, vdd))
 	if stats.Mean(lanes) <= stats.Mean(paths) {
 		t.Error("lane (max of 100 paths) must be slower than one path on average")
 	}
 }
 
 func TestChipAboveLane(t *testing.T) {
+	must := mustFloats(t)
 	dp := New(tech.N90)
 	const vdd = 0.55
-	lanes := dp.LaneDelays(7, 2000, vdd)
-	chips := dp.ChipDelays(8, 2000, vdd, 0)
+	lanes := must(dp.LaneDelaysCtx(bg, 7, 2000, vdd))
+	chips := must(dp.ChipDelaysCtx(bg, 8, 2000, vdd, 0))
 	if stats.Mean(chips) <= stats.Mean(lanes) {
 		t.Error("chip (max of 128 lanes) must be slower than one lane on average")
 	}
 }
 
 func TestChipDelayDeterministic(t *testing.T) {
+	must := mustFloats(t)
 	dp := New(tech.N90)
-	a := dp.ChipDelays(9, 200, 0.6, 2)
-	b := dp.ChipDelays(9, 200, 0.6, 2)
+	a := must(dp.ChipDelaysCtx(bg, 9, 200, 0.6, 2))
+	b := must(dp.ChipDelaysCtx(bg, 9, 200, 0.6, 2))
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatal("ChipDelays not deterministic")
+			t.Fatal("ChipDelaysCtx not deterministic")
 		}
 	}
 }
 
 func TestSparesReduceP99(t *testing.T) {
+	must := mustFloats(t)
 	dp := New(tech.N90)
-	curve := dp.SpareCurve(10, 3000, 0.55, []int{0, 2, 8, 32})
+	curve := must(dp.SpareCurveCtx(bg, 10, 3000, 0.55, []int{0, 2, 8, 32}))
 	for i := 1; i < len(curve); i++ {
 		if curve[i] >= curve[i-1] {
 			t.Errorf("p99 must fall with spares: %v", curve)
@@ -113,12 +137,16 @@ func TestSparesReduceP99(t *testing.T) {
 }
 
 func TestSpareCurveMatchesChipDelays(t *testing.T) {
+	must := mustFloats(t)
 	dp := New(tech.N90)
 	const vdd = 0.6
-	curve := dp.SpareCurve(11, 3000, vdd, []int{0})
-	direct := dp.P99ChipDelayFO4(11, 3000, vdd, 0)
+	curve := must(dp.SpareCurveCtx(bg, 11, 3000, vdd, []int{0}))
+	direct, err := dp.P99ChipDelayFO4Ctx(bg, 11, 3000, vdd, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(curve[0]-direct)/direct > 1e-9 {
-		t.Errorf("SpareCurve(0) = %v, direct = %v", curve[0], direct)
+		t.Errorf("SpareCurveCtx(0) = %v, direct = %v", curve[0], direct)
 	}
 }
 
@@ -128,13 +156,14 @@ func TestSpareCurvePanicsOnDecreasing(t *testing.T) {
 			t.Error("expected panic for decreasing alphas")
 		}
 	}()
-	New(tech.N90).SpareCurve(1, 10, 0.6, []int{4, 2})
+	_, _ = New(tech.N90).SpareCurveCtx(bg, 1, 10, 0.6, []int{4, 2})
 }
 
 func TestLowerVddSlowerAndWider(t *testing.T) {
+	must := mustFloats(t)
 	dp := New(tech.N90)
-	hi := dp.ChipDelaysFO4(12, 2000, 1.0, 0)
-	lo := dp.ChipDelaysFO4(12, 2000, 0.5, 0)
+	hi := must(dp.ChipDelaysFO4Ctx(bg, 12, 2000, 1.0, 0))
+	lo := must(dp.ChipDelaysFO4Ctx(bg, 12, 2000, 0.5, 0))
 	// In FO4 units the mean shifts right at low voltage (wider path
 	// distribution pushes the max out).
 	if stats.Mean(lo) <= stats.Mean(hi) {
@@ -147,6 +176,7 @@ func TestLowerVddSlowerAndWider(t *testing.T) {
 }
 
 func TestCorrelatedModeSparesLessEffective(t *testing.T) {
+	must := mustFloats(t)
 	// The ablation result: under die-level correlation, dropping slow
 	// lanes buys much less p99 improvement than under the paper's iid
 	// assumption.
@@ -154,8 +184,8 @@ func TestCorrelatedModeSparesLessEffective(t *testing.T) {
 	corr := New(tech.N90)
 	corr.Corr = SharedDie
 	const vdd = 0.55
-	iidCurve := iid.SpareCurve(13, 4000, vdd, []int{0, 16})
-	corrCurve := corr.SpareCurve(13, 4000, vdd, []int{0, 16})
+	iidCurve := must(iid.SpareCurveCtx(bg, 13, 4000, vdd, []int{0, 16}))
+	corrCurve := must(corr.SpareCurveCtx(bg, 13, 4000, vdd, []int{0, 16}))
 	iidGain := 1 - iidCurve[1]/iidCurve[0]
 	corrGain := 1 - corrCurve[1]/corrCurve[0]
 	if corrGain >= iidGain {
@@ -164,6 +194,7 @@ func TestCorrelatedModeSparesLessEffective(t *testing.T) {
 }
 
 func TestCorrelatedFastMatchesCorrelatedExact(t *testing.T) {
+	must := mustFloats(t)
 	const n = 1200
 	const vdd = 0.6
 	fast := testPath()
@@ -171,8 +202,8 @@ func TestCorrelatedFastMatchesCorrelatedExact(t *testing.T) {
 	exact := testPath()
 	exact.Corr = SharedDie
 	exact.Exact = true
-	fd := fast.ChipDelays(14, n, vdd, 0)
-	ed := exact.ChipDelays(15, n, vdd, 0)
+	fd := must(fast.ChipDelaysCtx(bg, 14, n, vdd, 0))
+	ed := must(exact.ChipDelaysCtx(bg, 15, n, vdd, 0))
 	d := stats.KSStatistic(fd, ed)
 	if crit := stats.KSCritical(n, n, 0.01); d > crit {
 		t.Errorf("correlated fast vs exact KS = %v > %v", d, crit)
@@ -180,23 +211,28 @@ func TestCorrelatedFastMatchesCorrelatedExact(t *testing.T) {
 }
 
 func TestP99ConsistentWithSortedSample(t *testing.T) {
+	must := mustFloats(t)
 	dp := New(tech.N90)
-	ds := dp.ChipDelaysFO4(16, 2000, 0.6, 0)
+	ds := must(dp.ChipDelaysFO4Ctx(bg, 16, 2000, 0.6, 0))
 	sort.Float64s(ds)
 	want := stats.QuantileSorted(ds, 0.99)
-	got := dp.P99ChipDelayFO4(16, 2000, 0.6, 0)
+	got, err := dp.P99ChipDelayFO4Ctx(bg, 16, 2000, 0.6, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(got-want)/want > 1e-12 {
 		t.Errorf("P99 = %v, want %v", got, want)
 	}
 }
 
 func TestSpatialInterpolatesBetweenExtremes(t *testing.T) {
+	must := mustFloats(t)
 	// The p99 gain from spares under the spatial model must land between
 	// the iid and shared-die extremes, approaching each at its limit.
 	const vdd = 0.55
 	const n = 3000
 	gain := func(dp *Datapath) float64 {
-		c := dp.SpareCurve(21, n, vdd, []int{0, 16})
+		c := must(dp.SpareCurveCtx(bg, 21, n, vdd, []int{0, 16}))
 		return 1 - c[1]/c[0]
 	}
 	iid := New(tech.N90)
@@ -228,6 +264,7 @@ func TestSpatialInterpolatesBetweenExtremes(t *testing.T) {
 }
 
 func TestSpatialFastMatchesExact(t *testing.T) {
+	must := mustFloats(t)
 	const n = 1200
 	const vdd = 0.6
 	fast := testPath()
@@ -237,8 +274,8 @@ func TestSpatialFastMatchesExact(t *testing.T) {
 	exact.Corr = Spatial
 	exact.CorrLanes = 4
 	exact.Exact = true
-	fd := fast.ChipDelays(22, n, vdd, 0)
-	ed := exact.ChipDelays(23, n, vdd, 0)
+	fd := must(fast.ChipDelaysCtx(bg, 22, n, vdd, 0))
+	ed := must(exact.ChipDelaysCtx(bg, 23, n, vdd, 0))
 	d := stats.KSStatistic(fd, ed)
 	if crit := stats.KSCritical(n, n, 0.01); d > crit {
 		t.Errorf("spatial fast vs exact KS = %v > %v", d, crit)
@@ -298,9 +335,10 @@ func rngFor(i uint64) *rng.Stream { return rng.NewSub(777, int(i)) }
 // p-quantile must land inside the distribution-free CI of the sampled
 // quantile, and the law's CDF∘Quantile must be close to identity.
 func TestChipLawMatchesMonteCarlo(t *testing.T) {
+	must := mustFloats(t)
 	dp := testPath()
 	const vdd = 0.55
-	ds := dp.ChipDelays(11, 4000, vdd, 0)
+	ds := must(dp.ChipDelaysCtx(bg, 11, 4000, vdd, 0))
 	sort.Float64s(ds)
 	law := ssta.LawFor(dp.Node.Dev, dp.Node.Var, vdd, dp.ChainLen, dp.PathsPerLane, dp.Lanes)
 	for _, p := range []float64{0.5, 0.9, 0.99} {

@@ -3,10 +3,11 @@
 // variation-induced timing errors at near-threshold voltage, and the
 // comparison between global and local spare placement (Appendix D).
 //
-// Lane sparing is the logic-side repair axis; internal/sram mirrors
-// the same placement/coverage model on the memory side as spare-row
-// repair (sram.RowPlacement, sram.RowCoverage), and the sramyield
-// experiment compares the two at iso-overhead.
+// One placement value (Placement: clusters of lanes, each with its own
+// spares) covers local, segmented and global sparing, and its coverage
+// is exact from binomial laws. The repair units need not be lanes: a
+// memory's spare rows are the same model, though internal/sram takes
+// its pooled row coverage from stats.BinomialCDF directly.
 package sparing
 
 import (
@@ -36,21 +37,14 @@ func (s SearchResult) String() string {
 	return fmt.Sprintf("%d spares (p99 %.2f FO4 ≤ target %.2f)", s.Spares, s.P99, s.Target)
 }
 
-// MinSpares finds the minimal spare count α such that the 99 % FO4 chip
-// delay of dp at supply vdd with α spares does not exceed targetFO4 (the
-// baseline 99 % FO4 chip delay at nominal voltage, per §4.1). The search
-// evaluates a doubling ladder followed by a bisection, reusing one
-// lane-delay sample set throughout so the curve is monotone in α.
-// limit caps the search (the paper reports "> 128" beyond the SIMD width).
-func MinSpares(dp *simd.Datapath, seed uint64, n int, vdd, targetFO4 float64, limit int) SearchResult {
-	res, _ := MinSparesCtx(context.Background(), dp, seed, n, vdd, targetFO4, limit)
-	return res
-}
-
-// MinSparesCtx is MinSpares with cooperative cancellation: the spare-curve
-// evaluations poll ctx between Monte-Carlo worker chunks, and the search
-// returns ctx's error as soon as one observes cancellation. The result is
-// bit-identical to MinSpares when ctx is never cancelled.
+// MinSparesCtx finds the minimal spare count α such that the 99 % FO4
+// chip delay of dp at supply vdd with α spares does not exceed
+// targetFO4 (the baseline 99 % FO4 chip delay at nominal voltage, per
+// §4.1). The search evaluates a doubling ladder followed by a
+// bisection, reusing one lane-delay sample set throughout so the curve
+// is monotone in α. limit caps the search (the paper reports "> 128"
+// beyond the SIMD width). A cancelled ctx stops the search with ctx's
+// error.
 func MinSparesCtx(ctx context.Context, dp *simd.Datapath, seed uint64, n int, vdd, targetFO4 float64, limit int) (SearchResult, error) {
 	res := SearchResult{Target: targetFO4, Samples: n}
 	// Build the ladder of candidate spare counts: 0, 1, 2, 4, ..., limit.
@@ -113,63 +107,42 @@ func MinSparesCtx(ctx context.Context, dp *simd.Datapath, seed uint64, n int, vd
 	return res, nil
 }
 
-// Placement describes a spare-placement policy for repairability
-// analysis: how spare FUs are associated with (clusters of) SIMD lanes.
-type Placement interface {
-	// Repairable reports whether the set of faulty lane indices can all
-	// be replaced by spares under this placement.
-	Repairable(faulty []int) bool
-	// Spares returns the total number of spare FUs the placement uses.
-	Spares() int
-	// Name identifies the policy in reports.
-	Name() string
-}
-
-// Global places all spares in a shared pool reachable from any lane
-// through the XRAM crossbar (Appendix D): any faulty lane can be
-// replaced while faults ≤ spares.
-type Global struct {
-	NumSpares int
-}
-
-// Name implements Placement.
-func (g Global) Name() string { return fmt.Sprintf("global(%d)", g.NumSpares) }
-
-// Spares implements Placement.
-func (g Global) Spares() int { return g.NumSpares }
-
-// Repairable implements Placement.
-func (g Global) Repairable(faulty []int) bool { return len(faulty) <= g.NumSpares }
-
-// Local groups lanes into fixed clusters of ClusterSize with
-// SparesPerCluster spares each (Synctium's scheme is ClusterSize = 4,
-// SparesPerCluster = 1). A cluster with more faults than its own spares
-// is unrepairable regardless of idle spares elsewhere.
-type Local struct {
+// Placement is a spare-placement policy for repairability analysis:
+// Lanes repair units (SIMD lanes, or memory rows) grouped into
+// consecutive clusters of ClusterSize, each with SparesPerCluster spares
+// that only its own cluster can reach. A cluster with more faults than
+// its own spares is unrepairable regardless of idle spares elsewhere.
+// When Lanes is not a multiple of ClusterSize the last, shorter cluster
+// still gets SparesPerCluster spares. ClusterSize must be positive.
+//
+// The policies of Appendix D are points of this one family:
+//   - local (Synctium): ClusterSize 4, SparesPerCluster 1;
+//   - global: one cluster of all lanes (ClusterSize = Lanes), the pool
+//     reachable from any lane through the XRAM crossbar, so any faulty
+//     lanes are repairable while faults ≤ spares;
+//   - segmented: clusters between the two, each pool behind a
+//     segment-local crossbar.
+type Placement struct {
 	Lanes            int
 	ClusterSize      int
 	SparesPerCluster int
 }
 
-// Name implements Placement.
-func (l Local) Name() string {
-	return fmt.Sprintf("local(%d per %d)", l.SparesPerCluster, l.ClusterSize)
+// Spares returns the total number of spares the placement uses.
+func (pl Placement) Spares() int {
+	clusters := (pl.Lanes + pl.ClusterSize - 1) / pl.ClusterSize
+	return clusters * pl.SparesPerCluster
 }
 
-// Spares implements Placement.
-func (l Local) Spares() int {
-	clusters := (l.Lanes + l.ClusterSize - 1) / l.ClusterSize
-	return clusters * l.SparesPerCluster
-}
-
-// Repairable implements Placement.
-func (l Local) Repairable(faulty []int) bool {
+// Repairable reports whether the set of faulty lane indices can all be
+// replaced by spares under this placement.
+func (pl Placement) Repairable(faulty []int) bool {
 	counts := make(map[int]int)
 	for _, lane := range faulty {
-		counts[lane/l.ClusterSize]++
+		counts[lane/pl.ClusterSize]++
 	}
 	for _, c := range counts {
-		if c > l.SparesPerCluster {
+		if c > pl.SparesPerCluster {
 			return false
 		}
 	}
@@ -179,37 +152,21 @@ func (l Local) Repairable(faulty []int) bool {
 // IndependentCoverage returns the probability that a chip whose lanes
 // fail independently with probability p is fully repairable under the
 // placement, computed exactly from binomial laws (no Monte Carlo).
-func IndependentCoverage(pl Placement, lanes int, p float64) float64 {
-	switch v := pl.(type) {
-	case Global:
-		return stats.BinomialCDF(lanes, p, v.NumSpares)
-	case Local:
-		clusters := lanes / v.ClusterSize
-		per := stats.BinomialCDF(v.ClusterSize, p, v.SparesPerCluster)
-		cov := math.Pow(per, float64(clusters))
-		if rem := lanes % v.ClusterSize; rem > 0 {
-			cov *= stats.BinomialCDF(rem, p, v.SparesPerCluster)
-		}
-		return cov
-	case Segmented:
-		segments := lanes / v.SegmentSize
-		per := stats.BinomialCDF(v.SegmentSize, p, v.SparesPerSegment)
-		cov := math.Pow(per, float64(segments))
-		if rem := lanes % v.SegmentSize; rem > 0 {
-			cov *= stats.BinomialCDF(rem, p, v.SparesPerSegment)
-		}
-		return cov
-	default:
-		panic(fmt.Sprintf("sparing: IndependentCoverage: unknown placement %T", pl))
+func (pl Placement) IndependentCoverage(p float64) float64 {
+	full := pl.Lanes / pl.ClusterSize
+	cov := math.Pow(stats.BinomialCDF(pl.ClusterSize, p, pl.SparesPerCluster), float64(full))
+	if rem := pl.Lanes % pl.ClusterSize; rem > 0 {
+		cov *= stats.BinomialCDF(rem, p, pl.SparesPerCluster)
 	}
+	return cov
 }
 
 // BurstCoverage estimates by Monte Carlo the probability that a chip is
 // repairable when faults arrive as a contiguous burst of the given
-// length at a uniformly random start lane (modeling spatially clustered
-// defects, the failure mode that defeats local sparing). Exact for the
-// placements above but kept as MC so arbitrary placements compose.
-func BurstCoverage(pl Placement, lanes, burstLen int, seed uint64, trials int) float64 {
+// length at a uniformly random start lane, wrapping around the array
+// (modeling spatially clustered defects, the failure mode that defeats
+// local sparing).
+func (pl Placement) BurstCoverage(burstLen int, seed uint64, trials int) float64 {
 	if burstLen <= 0 {
 		return 1
 	}
@@ -217,50 +174,13 @@ func BurstCoverage(pl Placement, lanes, burstLen int, seed uint64, trials int) f
 	ok := 0
 	faulty := make([]int, burstLen)
 	for t := 0; t < trials; t++ {
-		start := r.IntN(lanes)
+		start := r.IntN(pl.Lanes)
 		for i := range faulty {
-			faulty[i] = (start + i) % lanes
+			faulty[i] = (start + i) % pl.Lanes
 		}
 		if pl.Repairable(faulty) {
 			ok++
 		}
 	}
 	return float64(ok) / float64(trials)
-}
-
-// Segmented is the middle ground between Global and Local: lanes are
-// grouped into segments of SegmentSize, each with its own pool of
-// SparesPerSegment spares reachable through a segment-local crossbar.
-// Larger segments approach Global's burst tolerance at lower routing
-// cost than a full 128×128 XRAM; SegmentSize = Lanes recovers Global,
-// SegmentSize = ClusterSize with one spare recovers Local.
-type Segmented struct {
-	Lanes            int
-	SegmentSize      int
-	SparesPerSegment int
-}
-
-// Name implements Placement.
-func (s Segmented) Name() string {
-	return fmt.Sprintf("segmented(%d per %d)", s.SparesPerSegment, s.SegmentSize)
-}
-
-// Spares implements Placement.
-func (s Segmented) Spares() int {
-	segments := (s.Lanes + s.SegmentSize - 1) / s.SegmentSize
-	return segments * s.SparesPerSegment
-}
-
-// Repairable implements Placement.
-func (s Segmented) Repairable(faulty []int) bool {
-	counts := make(map[int]int)
-	for _, lane := range faulty {
-		counts[lane/s.SegmentSize]++
-	}
-	for _, c := range counts {
-		if c > s.SparesPerSegment {
-			return false
-		}
-	}
-	return true
 }

@@ -1,6 +1,8 @@
 package sparing
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,12 +11,33 @@ import (
 	"github.com/ntvsim/ntvsim/internal/tech"
 )
 
+// baseline is the nominal-voltage 99 % FO4 chip delay of dp with no
+// spares, under context.Background(), which never cancels.
+func baseline(t *testing.T, dp *simd.Datapath, seed uint64, n int) float64 {
+	t.Helper()
+	base, err := dp.P99ChipDelayFO4Ctx(context.Background(), seed, n, dp.Node.VddNominal, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return base
+}
+
+// minSpares runs MinSparesCtx under context.Background().
+func minSpares(t *testing.T, dp *simd.Datapath, seed uint64, n int, vdd, target float64, limit int) SearchResult {
+	t.Helper()
+	r, err := MinSparesCtx(context.Background(), dp, seed, n, vdd, target, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestMinSparesMonotoneTarget(t *testing.T) {
 	dp := simd.New(tech.N90)
 	const vdd = 0.55
 	const n = 2000
-	base := dp.P99ChipDelayFO4(1, n, tech.N90.VddNominal, 0)
-	r := MinSpares(dp, 2, n, vdd, base, 128)
+	base := baseline(t, dp, 1, n)
+	r := minSpares(t, dp, 2, n, vdd, base, 128)
 	if !r.Found {
 		t.Fatalf("no spare count found at %gV: %v", vdd, r)
 	}
@@ -22,15 +45,18 @@ func TestMinSparesMonotoneTarget(t *testing.T) {
 		t.Errorf("expected ≥1 spare at 0.55V, got %d", r.Spares)
 	}
 	// A looser target needs no more spares.
-	loose := MinSpares(dp, 2, n, vdd, base*1.01, 128)
+	loose := minSpares(t, dp, 2, n, vdd, base*1.01, 128)
 	if loose.Found && loose.Spares > r.Spares {
 		t.Errorf("looser target needs more spares: %d > %d", loose.Spares, r.Spares)
 	}
 	// The minimal count is genuinely minimal: one fewer must miss.
 	if r.Spares > 0 {
-		below := dp.SpareCurve(2, n, vdd, []int{r.Spares - 1})[0]
-		if below <= base {
-			t.Errorf("spares-1 (%d) already meets target: %v ≤ %v", r.Spares-1, below, base)
+		below, err := dp.SpareCurveCtx(context.Background(), 2, n, vdd, []int{r.Spares - 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if below[0] <= base {
+			t.Errorf("spares-1 (%d) already meets target: %v ≤ %v", r.Spares-1, below[0], base)
 		}
 	}
 }
@@ -39,8 +65,8 @@ func TestMinSparesZeroWhenTrivial(t *testing.T) {
 	dp := simd.New(tech.N90)
 	const n = 1000
 	// At nominal voltage against its own p99, zero spares suffice.
-	base := dp.P99ChipDelayFO4(3, n, tech.N90.VddNominal, 0)
-	r := MinSpares(dp, 3, n, tech.N90.VddNominal, base, 128)
+	base := baseline(t, dp, 3, n)
+	r := minSpares(t, dp, 3, n, tech.N90.VddNominal, base, 128)
 	if !r.Found || r.Spares != 0 {
 		t.Errorf("want 0 spares, got %v", r)
 	}
@@ -49,8 +75,8 @@ func TestMinSparesZeroWhenTrivial(t *testing.T) {
 func TestMinSparesUnreachable(t *testing.T) {
 	dp := simd.New(tech.N22)
 	const n = 800
-	base := dp.P99ChipDelayFO4(4, n, tech.N22.VddNominal, 0)
-	r := MinSpares(dp, 4, n, 0.5, base, 32)
+	base := baseline(t, dp, 4, n)
+	r := minSpares(t, dp, 4, n, 0.5, base, 32)
 	if r.Found {
 		t.Errorf("22nm @0.5V should not be fixable with 32 spares: %v", r)
 	}
@@ -62,45 +88,104 @@ func TestMinSparesUnreachable(t *testing.T) {
 	}
 }
 
+// TestMinSparesCancelled: a cancelled ctx stops the search with
+// context.Canceled instead of a spare count.
+func TestMinSparesCancelled(t *testing.T) {
+	dp := simd.New(tech.N90)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if r, err := MinSparesCtx(ctx, dp, 5, 400, 0.55, 50, 128); !errors.Is(err, context.Canceled) {
+		t.Errorf("MinSparesCtx on a cancelled ctx = (%v, %v), want context.Canceled", r, err)
+	}
+}
+
+// global is a single pool of spares reachable from every lane: one
+// cluster of all lanes.
+func global(lanes, spares int) Placement {
+	return Placement{Lanes: lanes, ClusterSize: lanes, SparesPerCluster: spares}
+}
+
 func TestPlacementRepairable(t *testing.T) {
-	g := Global{NumSpares: 2}
+	g := global(128, 2)
 	if !g.Repairable([]int{5, 77}) || g.Repairable([]int{1, 2, 3}) {
 		t.Error("global repairability wrong")
 	}
-	l := Local{Lanes: 8, ClusterSize: 4, SparesPerCluster: 1}
+	l := Placement{Lanes: 8, ClusterSize: 4, SparesPerCluster: 1}
 	if !l.Repairable([]int{0, 4}) { // one fault per cluster
 		t.Error("local should repair one fault per cluster")
 	}
 	if l.Repairable([]int{0, 1}) { // two faults in cluster 0
 		t.Error("local cannot repair two faults in one cluster")
 	}
-	if l.Spares() != 2 {
-		t.Errorf("local spares = %d", l.Spares())
+	if l.Spares() != 2 || g.Spares() != 2 {
+		t.Errorf("spares = %d local, %d global, want 2 and 2", l.Spares(), g.Spares())
 	}
-	if g.Name() == "" || l.Name() == "" {
-		t.Error("names empty")
+	// A remainder cluster still gets its own spares.
+	if r := (Placement{Lanes: 10, ClusterSize: 4, SparesPerCluster: 1}); r.Spares() != 3 || !r.Repairable([]int{0, 4, 9}) {
+		t.Errorf("remainder cluster: spares %d, repairable %v", r.Spares(), r.Repairable([]int{0, 4, 9}))
 	}
 }
 
 func TestIndependentCoverageGlobalExact(t *testing.T) {
-	g := Global{NumSpares: 1}
-	const n = 4
 	const p = 0.2
 	// P(X ≤ 1), X ~ Bin(4, 0.2) = 0.8^4 + 4·0.2·0.8³ = 0.8192.
-	if got := IndependentCoverage(g, n, p); math.Abs(got-0.8192) > 1e-12 {
+	if got := global(4, 1).IndependentCoverage(p); math.Abs(got-0.8192) > 1e-12 {
 		t.Errorf("coverage = %v, want 0.8192", got)
 	}
 }
 
 func TestIndependentCoverageLocalExact(t *testing.T) {
-	l := Local{Lanes: 8, ClusterSize: 4, SparesPerCluster: 1}
+	l := Placement{Lanes: 8, ClusterSize: 4, SparesPerCluster: 1}
 	const p = 0.1
-	per := 0.0
 	// P(Bin(4, .1) ≤ 1) = .9^4 + 4·.1·.9³.
-	per = math.Pow(0.9, 4) + 4*0.1*math.Pow(0.9, 3)
+	per := math.Pow(0.9, 4) + 4*0.1*math.Pow(0.9, 3)
 	want := per * per
-	if got := IndependentCoverage(l, 8, p); math.Abs(got-want) > 1e-12 {
+	if got := l.IndependentCoverage(p); math.Abs(got-want) > 1e-12 {
 		t.Errorf("coverage = %v, want %v", got, want)
+	}
+}
+
+// TestIndependentCoverageMatchesBruteForce: the analytic binomial
+// composition equals exhaustive enumeration of every fault subset, to
+// 1e-12 relative tolerance — for pooled, clustered, remainder-cluster
+// and spare-free placements.
+func TestIndependentCoverageMatchesBruteForce(t *testing.T) {
+	brute := func(pl Placement, p float64) float64 {
+		total := 0.0
+		for mask := 0; mask < 1<<pl.Lanes; mask++ {
+			var faulty []int
+			prob := 1.0
+			for lane := 0; lane < pl.Lanes; lane++ {
+				if mask&(1<<lane) != 0 {
+					faulty = append(faulty, lane)
+					prob *= p
+				} else {
+					prob *= 1 - p
+				}
+			}
+			if pl.Repairable(faulty) {
+				total += prob
+			}
+		}
+		return total
+	}
+	for _, pl := range []Placement{
+		global(10, 0),
+		global(12, 2),
+		global(12, 12),
+		{Lanes: 12, ClusterSize: 4, SparesPerCluster: 1},
+		{Lanes: 12, ClusterSize: 6, SparesPerCluster: 2},
+		{Lanes: 16, ClusterSize: 4, SparesPerCluster: 0},
+		{Lanes: 13, ClusterSize: 4, SparesPerCluster: 1},  // remainder cluster of 1
+		{Lanes: 14, ClusterSize: 5, SparesPerCluster: 2},  // remainder cluster of 4
+		{Lanes: 11, ClusterSize: 11, SparesPerCluster: 3}, // one cluster of all lanes
+	} {
+		for _, p := range []float64{0.01, 0.2, 0.5, 0.85} {
+			got, want := pl.IndependentCoverage(p), brute(pl, p)
+			if math.Abs(got-want) > 1e-12*math.Max(math.Abs(want), 1e-300) {
+				t.Errorf("%+v p=%v: analytic %v, brute force %v", pl, p, got, want)
+			}
+		}
 	}
 }
 
@@ -109,15 +194,15 @@ func TestIndependentCoverageLocalExact(t *testing.T) {
 // failing none does while it has fewer spares than lanes.
 func TestIndependentCoverageCertainLanes(t *testing.T) {
 	for _, pl := range []Placement{
-		Global{NumSpares: 2},
-		Local{Lanes: 128, ClusterSize: 4, SparesPerCluster: 1},
-		Segmented{Lanes: 128, SegmentSize: 32, SparesPerSegment: 2},
+		global(128, 2),
+		{Lanes: 128, ClusterSize: 4, SparesPerCluster: 1},
+		{Lanes: 128, ClusterSize: 32, SparesPerCluster: 2},
 	} {
-		if got := IndependentCoverage(pl, 128, 0); got != 1 {
-			t.Errorf("%s: coverage at p = 0 is %v, want 1", pl.Name(), got)
+		if got := pl.IndependentCoverage(0); got != 1 {
+			t.Errorf("%+v: coverage at p = 0 is %v, want 1", pl, got)
 		}
-		if got := IndependentCoverage(pl, 128, 1); got != 0 {
-			t.Errorf("%s: coverage at p = 1 is %v, want 0", pl.Name(), got)
+		if got := pl.IndependentCoverage(1); got != 0 {
+			t.Errorf("%+v: coverage at p = 1 is %v, want 0", pl, got)
 		}
 	}
 }
@@ -127,9 +212,9 @@ func TestIndependentCoverageCertainLanes(t *testing.T) {
 func TestGlobalDominatesLocal(t *testing.T) {
 	f := func(rawP float64) bool {
 		p := math.Abs(math.Mod(rawP, 0.2))
-		l := Local{Lanes: 128, ClusterSize: 4, SparesPerCluster: 1}
-		g := Global{NumSpares: l.Spares()}
-		return IndependentCoverage(g, 128, p) >= IndependentCoverage(l, 128, p)-1e-12
+		l := Placement{Lanes: 128, ClusterSize: 4, SparesPerCluster: 1}
+		g := global(128, l.Spares())
+		return g.IndependentCoverage(p) >= l.IndependentCoverage(p)-1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -137,40 +222,40 @@ func TestGlobalDominatesLocal(t *testing.T) {
 }
 
 func TestBurstCoverage(t *testing.T) {
-	l := Local{Lanes: 128, ClusterSize: 4, SparesPerCluster: 1}
-	g := Global{NumSpares: l.Spares()}
+	l := Placement{Lanes: 128, ClusterSize: 4, SparesPerCluster: 1}
+	g := global(128, l.Spares())
 	// A burst of 2 always defeats local sparing when it lands inside a
 	// cluster (3 of 4 positions) and survives otherwise.
-	lc := BurstCoverage(l, 128, 2, 1, 20000)
+	lc := l.BurstCoverage(2, 1, 20000)
 	if math.Abs(lc-0.25) > 0.02 {
 		t.Errorf("local burst-2 coverage = %v, want ≈0.25", lc)
 	}
 	// Global sparing absorbs any burst up to its budget (32).
-	if gc := BurstCoverage(g, 128, 32, 1, 2000); gc != 1 {
+	if gc := g.BurstCoverage(32, 1, 2000); gc != 1 {
 		t.Errorf("global burst-32 coverage = %v, want 1", gc)
 	}
-	if gc := BurstCoverage(g, 128, 33, 1, 2000); gc != 0 {
+	if gc := g.BurstCoverage(33, 1, 2000); gc != 0 {
 		t.Errorf("global burst-33 coverage = %v, want 0", gc)
 	}
 	// Zero-length bursts are trivially covered.
-	if BurstCoverage(l, 128, 0, 1, 10) != 1 {
+	if l.BurstCoverage(0, 1, 10) != 1 {
 		t.Error("empty burst should be covered")
 	}
 }
 
 func TestSegmentedBridgesLocalAndGlobal(t *testing.T) {
 	const lanes = 128
-	local := Local{Lanes: lanes, ClusterSize: 4, SparesPerCluster: 1}
-	seg := Segmented{Lanes: lanes, SegmentSize: 32, SparesPerSegment: 8}
-	global := Global{NumSpares: 32}
+	local := Placement{Lanes: lanes, ClusterSize: 4, SparesPerCluster: 1}
+	seg := Placement{Lanes: lanes, ClusterSize: 32, SparesPerCluster: 8}
+	glob := global(lanes, 32)
 	// All three spend the same spare budget.
-	if local.Spares() != 32 || seg.Spares() != 32 || global.Spares() != 32 {
-		t.Fatalf("budgets differ: %d, %d, %d", local.Spares(), seg.Spares(), global.Spares())
+	if local.Spares() != 32 || seg.Spares() != 32 || glob.Spares() != 32 {
+		t.Fatalf("budgets differ: %d, %d, %d", local.Spares(), seg.Spares(), glob.Spares())
 	}
 	for _, p := range []float64{0.005, 0.02, 0.05, 0.1} {
-		cl := IndependentCoverage(local, lanes, p)
-		cs := IndependentCoverage(seg, lanes, p)
-		cg := IndependentCoverage(global, lanes, p)
+		cl := local.IndependentCoverage(p)
+		cs := seg.IndependentCoverage(p)
+		cg := glob.IndependentCoverage(p)
 		if !(cl <= cs+1e-12 && cs <= cg+1e-12) {
 			t.Errorf("p=%v: coverage ordering violated: local %v, segmented %v, global %v",
 				p, cl, cs, cg)
@@ -179,15 +264,12 @@ func TestSegmentedBridgesLocalAndGlobal(t *testing.T) {
 }
 
 func TestSegmentedRepairable(t *testing.T) {
-	s := Segmented{Lanes: 128, SegmentSize: 32, SparesPerSegment: 2}
+	s := Placement{Lanes: 128, ClusterSize: 32, SparesPerCluster: 2}
 	if !s.Repairable([]int{0, 1, 40}) { // 2 in segment 0, 1 in segment 1
 		t.Error("repairable pattern rejected")
 	}
 	if s.Repairable([]int{0, 1, 2}) { // 3 in segment 0
 		t.Error("over-budget segment accepted")
-	}
-	if s.Name() == "" {
-		t.Error("empty name")
 	}
 }
 
@@ -196,19 +278,19 @@ func TestSegmentedBurstCoverage(t *testing.T) {
 	// the burst straddles a boundary unluckily; coverage must sit
 	// between local's and global's.
 	const lanes = 128
-	local := Local{Lanes: lanes, ClusterSize: 4, SparesPerCluster: 1}
-	seg := Segmented{Lanes: lanes, SegmentSize: 32, SparesPerSegment: 8}
-	global := Global{NumSpares: 32}
+	local := Placement{Lanes: lanes, ClusterSize: 4, SparesPerCluster: 1}
+	seg := Placement{Lanes: lanes, ClusterSize: 32, SparesPerCluster: 8}
+	glob := global(lanes, 32)
 	for _, blen := range []int{4, 8, 12} {
-		cl := BurstCoverage(local, lanes, blen, 1, 4000)
-		cs := BurstCoverage(seg, lanes, blen, 1, 4000)
-		cg := BurstCoverage(global, lanes, blen, 1, 4000)
+		cl := local.BurstCoverage(blen, 1, 4000)
+		cs := seg.BurstCoverage(blen, 1, 4000)
+		cg := glob.BurstCoverage(blen, 1, 4000)
 		if !(cl <= cs+0.02 && cs <= cg+0.02) {
 			t.Errorf("burst %d: ordering violated: %v, %v, %v", blen, cl, cs, cg)
 		}
 	}
 	// Bursts within one segment's budget are always covered.
-	if c := BurstCoverage(seg, lanes, 8, 2, 2000); c < 0.99 {
+	if c := seg.BurstCoverage(8, 2, 2000); c < 0.99 {
 		t.Errorf("burst-8 coverage %v, want ≈1 (8 spares per 32-lane segment)", c)
 	}
 }

@@ -3,7 +3,6 @@ package sram
 import (
 	"testing"
 
-	"github.com/ntvsim/ntvsim/internal/montecarlo"
 	"github.com/ntvsim/ntvsim/internal/tech"
 )
 
@@ -41,6 +40,6 @@ func BenchmarkSRAMChipSample(b *testing.B) {
 		if rem := b.N - i; rem < n {
 			n = rem
 		}
-		montecarlo.Sample(uint64(i), n, smp.Sample)
+		mcSample(b, uint64(i), n, smp.Sample)
 	}
 }

@@ -11,6 +11,17 @@ import (
 	"github.com/ntvsim/ntvsim/internal/tech"
 )
 
+// mcSample runs montecarlo.SampleCtx under context.Background(), which
+// is never cancelled, and fails the test on an error.
+func mcSample(t testing.TB, seed uint64, n int, fn func(r *rng.Stream) float64) []float64 {
+	t.Helper()
+	xs, err := montecarlo.SampleCtx(context.Background(), seed, n, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return xs
+}
+
 func TestModelBudgets(t *testing.T) {
 	m := New(tech.N45)
 	const vdd = 0.55
@@ -115,8 +126,8 @@ func TestBinomialDrawInversion(t *testing.T) {
 // only from the caller's stream.
 func TestSamplerDeterminism(t *testing.T) {
 	smp := New(tech.N45).NewSampler(OpRead, 0.52)
-	a := montecarlo.Sample(77, 500, smp.Sample)
-	b := montecarlo.Sample(77, 500, smp.Sample)
+	a := mcSample(t, 77, 500, smp.Sample)
+	b := mcSample(t, 77, 500, smp.Sample)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("sample %d differs: %v vs %v", i, a[i], b[i])
@@ -128,7 +139,7 @@ func TestSamplerDeterminism(t *testing.T) {
 	// A fresh sampler for the same point draws identically: all state
 	// is in the table, none in the stream position.
 	smp2 := New(tech.N45).NewSampler(OpRead, 0.52)
-	c := montecarlo.Sample(77, 500, smp2.Sample)
+	c := mcSample(t, 77, 500, smp2.Sample)
 	for i := range a {
 		if a[i] != c[i] {
 			t.Fatalf("fresh sampler diverges at %d", i)

@@ -2,10 +2,10 @@ package sram
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"github.com/ntvsim/ntvsim/internal/soda"
+	"github.com/ntvsim/ntvsim/internal/sparing"
 	"github.com/ntvsim/ntvsim/internal/tech"
 	"github.com/ntvsim/ntvsim/internal/xram"
 )
@@ -292,92 +292,23 @@ func TestWithSpareRows(t *testing.T) {
 	}
 }
 
-func TestRowPlacementNames(t *testing.T) {
-	if !strings.Contains((PooledRows{4}).Name(), "4") || (PooledRows{4}).Spares() != 4 {
-		t.Error("pooled placement metadata")
-	}
-	b := BankedRows{Banks: 4, RowsPerBank: 16, SparesPerBank: 2}
-	if b.Spares() != 8 || !strings.Contains(b.Name(), "2") {
-		t.Error("banked placement metadata")
-	}
-}
-
-// TestRowCoverageMatchesBruteForce is the satellite acceptance test:
-// the analytic binomial composition equals exhaustive enumeration of
-// every fault subset on small banks, to 1e-12 relative tolerance.
-func TestRowCoverageMatchesBruteForce(t *testing.T) {
-	brute := func(pl RowPlacement, rows int, p float64) float64 {
-		total := 0.0
-		for mask := 0; mask < 1<<rows; mask++ {
-			var faulty []int
-			for r := 0; r < rows; r++ {
-				if mask&(1<<r) != 0 {
-					faulty = append(faulty, r)
-				}
-			}
-			if !pl.Repairable(faulty) {
-				continue
-			}
-			prob := 1.0
-			for r := 0; r < rows; r++ {
-				if mask&(1<<r) != 0 {
-					prob *= p
-				} else {
-					prob *= 1 - p
-				}
-			}
-			total += prob
-		}
-		return total
-	}
-	cases := []struct {
-		pl   RowPlacement
-		rows int
-	}{
-		{PooledRows{SpareRows: 0}, 10},
-		{PooledRows{SpareRows: 2}, 12},
-		{PooledRows{SpareRows: 12}, 12},
-		{BankedRows{Banks: 3, RowsPerBank: 4, SparesPerBank: 1}, 12},
-		{BankedRows{Banks: 2, RowsPerBank: 6, SparesPerBank: 2}, 12},
-		{BankedRows{Banks: 4, RowsPerBank: 4, SparesPerBank: 0}, 16},
-	}
-	for _, tc := range cases {
-		for _, p := range []float64{0.01, 0.2, 0.5, 0.85} {
-			got := RowCoverage(tc.pl, tc.rows, p)
-			want := brute(tc.pl, tc.rows, p)
-			if relDiff(got, want) > 1e-12 {
-				t.Errorf("%s rows=%d p=%v: analytic %v, brute force %v",
-					tc.pl.Name(), tc.rows, p, got, want)
-			}
-		}
-	}
-}
-
-// TestRowCoverageConsistentWithStructure: a structure's yield is pooled
-// row coverage at its row failure probability, and the SODA map's
-// per-bank spares are exactly the banked placement.
+// TestRowCoverageConsistentWithStructure: a structure's yield is the
+// pooled row coverage of the one repair model (sparing.Placement, a
+// single cluster of all rows) at its row failure probability, and the
+// SODA map's per-bank spares are the clustered case of the same model.
 func TestRowCoverageConsistentWithStructure(t *testing.T) {
+	const pCell = 1e-4
 	s := Structure{Name: "t", Rows: 64, Cols: 128, SpareRows: 3}
-	p := 1e-4
-	if got, want := s.Yield(p), RowCoverage(PooledRows{3}, 64, RowFailProb(p, 128)); relDiff(got, want) > 1e-12 {
+	pooled := sparing.Placement{Lanes: 64, ClusterSize: 64, SparesPerCluster: 3}
+	if got, want := s.Yield(pCell), pooled.IndependentCoverage(RowFailProb(pCell, 128)); relDiff(got, want) > 1e-12 {
 		t.Errorf("structure yield %v != pooled coverage %v", got, want)
 	}
-	// Four independent banks with private spares = BankedRows across
-	// the concatenated row space.
-	pRow := 1e-3
-	banked := RowCoverage(BankedRows{Banks: 4, RowsPerBank: 16, SparesPerBank: 1}, 64, pRow)
-	perBank := RowCoverage(PooledRows{1}, 16, pRow)
-	if relDiff(banked, perBank*perBank*perBank*perBank) > 1e-12 {
-		t.Errorf("banked coverage %v != product of per-bank %v", banked, math.Pow(perBank, 4))
+	// Four banks with one private spare row each = four clusters of 16
+	// across the concatenated row space.
+	bank := Structure{Name: "bank", Rows: 16, Cols: 128, SpareRows: 1}
+	banks := []Structure{bank, bank, bank, bank}
+	clustered := sparing.Placement{Lanes: 64, ClusterSize: 16, SparesPerCluster: 1}
+	if got, want := MapYield(banks, pCell), clustered.IndependentCoverage(RowFailProb(pCell, 128)); relDiff(got, want) > 1e-12 {
+		t.Errorf("banked map yield %v != clustered coverage %v", got, want)
 	}
-}
-
-func TestRowCoverageUnknownPlacementPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for unknown placement")
-		}
-	}()
-	type oddball struct{ RowPlacement }
-	RowCoverage(oddball{}, 4, 0.1)
 }

@@ -1,6 +1,7 @@
 package ssta_test
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -54,7 +55,10 @@ func TestLawP99WithinMCConfidenceInterval(t *testing.T) {
 			law := defaultLaw(node, vdd)
 			got := law.ChipQuantile(0.99)
 
-			ds := simd.New(node).ChipDelays(7, samples, vdd, 0)
+			ds, err := simd.New(node).ChipDelaysCtx(context.Background(), 7, samples, vdd, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			sort.Float64s(ds)
 			lo, hi := quantileCI(ds, 0.99, z99)
 			if got < lo || got > hi {

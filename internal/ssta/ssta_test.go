@@ -1,6 +1,7 @@
 package ssta_test
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -130,7 +131,10 @@ func TestMaxIIDMonotoneInN(t *testing.T) {
 // Carlo rather than analytic timing for deep-NTV sizing.
 func TestChipP99AgainstMonteCarlo(t *testing.T) {
 	mcP99 := func(dp *simd.Datapath, vdd float64) float64 {
-		ds := dp.ChipDelays(3, 4000, vdd, 0)
+		ds, err := dp.ChipDelaysCtx(context.Background(), 3, 4000, vdd, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		sort.Float64s(ds)
 		return stats.QuantileSorted(ds, 0.99)
 	}

@@ -11,6 +11,7 @@
 package yield
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -28,11 +29,15 @@ type Curve struct {
 }
 
 // NewCurve samples n chips of dp at supply vdd with the given spare
-// count and builds their yield curve.
-func NewCurve(dp *simd.Datapath, seed uint64, n int, vdd float64, spares int) *Curve {
-	ds := dp.ChipDelays(seed, n, vdd, spares)
+// count and builds their yield curve. A cancelled ctx stops the sampling
+// and returns ctx's error.
+func NewCurve(ctx context.Context, dp *simd.Datapath, seed uint64, n int, vdd float64, spares int) (*Curve, error) {
+	ds, err := dp.ChipDelaysCtx(ctx, seed, n, vdd, spares)
+	if err != nil {
+		return nil, err
+	}
 	sort.Float64s(ds)
-	return &Curve{Vdd: vdd, Spares: spares, delays: ds}
+	return &Curve{Vdd: vdd, Spares: spares, delays: ds}, nil
 }
 
 // N returns the Monte-Carlo sample count behind the curve.

@@ -1,6 +1,8 @@
 package yield
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -11,7 +13,11 @@ import (
 func testCurve(t *testing.T, spares int) *Curve {
 	t.Helper()
 	dp := simd.New(tech.N90)
-	return NewCurve(dp, 1, 2000, 0.55, spares)
+	c, err := NewCurve(context.Background(), dp, 1, 2000, 0.55, spares)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestYieldMonotone(t *testing.T) {
@@ -103,9 +109,26 @@ func TestCurveString(t *testing.T) {
 func TestPaper99PointConsistency(t *testing.T) {
 	// ClockAt(0.99) must agree with the simd p99 (same seed/config).
 	dp := simd.New(tech.N90)
-	c := NewCurve(dp, 7, 3000, 0.55, 0)
-	p99 := dp.P99ChipDelayFO4(7, 3000, 0.55, 0) * dp.FO4(0.55)
+	c, err := NewCurve(context.Background(), dp, 7, 3000, 0.55, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p99FO4, err := dp.P99ChipDelayFO4Ctx(context.Background(), 7, 3000, 0.55, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p99 := p99FO4 * dp.FO4(0.55)
 	if math.Abs(c.ClockAt(0.99)-p99)/p99 > 0.01 {
 		t.Errorf("yield-99%% clock %v vs p99 %v", c.ClockAt(0.99), p99)
+	}
+}
+
+// TestNewCurveCancelled: a cancelled ctx stops the chip sampling with
+// context.Canceled instead of a curve.
+func TestNewCurveCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if c, err := NewCurve(ctx, simd.New(tech.N90), 1, 2000, 0.55, 0); !errors.Is(err, context.Canceled) || c != nil {
+		t.Errorf("NewCurve on a cancelled ctx = (%v, %v), want (nil, context.Canceled)", c, err)
 	}
 }
