@@ -582,40 +582,77 @@ func (dp *Datapath) PathDelaysCtx(ctx context.Context, seed uint64, n int, vdd f
 	return montecarlo.SampleCtx(ctx, seed, n, s.path)
 }
 
+// SpareSample is one Monte-Carlo draw of n chips, each with dp.Lanes
+// lanes plus room for up to a fixed number of spare lanes. Every spare
+// count up to that bound reads the same lanes, so a curve or search
+// over spare counts carries no independent Monte-Carlo noise between
+// its points. A SpareSample is not safe for concurrent use.
+type SpareSample struct {
+	lanes, width    int       // dp.Lanes; lanes per drawn row, dp.Lanes+maxSpares
+	slab            []float64 // n rows of width lane delays, row-major
+	fo4             float64
+	delays, scratch []float64
+}
+
+// SpareSampleCtx draws the lane delays of n chips of dp.Lanes+maxSpares
+// lanes at supply vdd. A chip's stream is reset by its index, so the
+// first dp.Lanes+a lanes of its row are exactly the lanes a draw with a
+// spares would give it. A cancelled ctx stops the sampling and returns
+// ctx's error.
+func (dp *Datapath) SpareSampleCtx(ctx context.Context, seed uint64, n int, vdd float64, maxSpares int) (*SpareSample, error) {
+	width := dp.Lanes + maxSpares
+	slab, err := montecarlo.SampleFlatCtx(ctx, seed, n, width, dp.sampler(vdd).lanes)
+	if err != nil {
+		return nil, err
+	}
+	return &SpareSample{
+		lanes: dp.Lanes, width: width,
+		slab:    slab,
+		fo4:     dp.FO4(vdd),
+		delays:  make([]float64, n),
+		scratch: make([]float64, width),
+	}, nil
+}
+
+// P99FO4 returns the 99 % FO4 chip delay with the given spare count, at
+// most the sample's maxSpares: each chip keeps the dp.Lanes fastest of
+// its first dp.Lanes+spares lanes.
+func (s *SpareSample) P99FO4(spares int) float64 {
+	k := s.lanes + spares
+	if spares < 0 || k > s.width {
+		panic(fmt.Sprintf("simd: P99FO4(%d) outside the sample's 0..%d spares", spares, s.width-s.lanes))
+	}
+	for i := range s.delays {
+		// The physical system with the spares has exactly Lanes+spares
+		// lanes; use the first Lanes+spares samples of chip i's row
+		// (exchangeable) and keep the Lanes fastest.
+		copy(s.scratch[:k], s.slab[i*s.width:i*s.width+k])
+		s.delays[i] = kthSmallest(s.scratch[:k], s.lanes-1) / s.fo4
+	}
+	sort.Float64s(s.delays)
+	return stats.QuantileSorted(s.delays, 0.99)
+}
+
 // SpareCurveCtx returns the 99 % FO4 chip delay for each spare count in
-// alphas, reusing one set of lane-delay samples across all counts so the
+// alphas, read from one SpareSample drawn at the largest count so the
 // curve is smooth in alpha (no independent MC noise between points).
 // alphas must be non-decreasing ≥ 0.
 func (dp *Datapath) SpareCurveCtx(ctx context.Context, seed uint64, n int, vdd float64, alphas []int) ([]float64, error) {
 	if len(alphas) == 0 {
 		return nil, nil
 	}
-	maxA := alphas[len(alphas)-1]
 	for i := 1; i < len(alphas); i++ {
 		if alphas[i] < alphas[i-1] {
 			panic("simd: SpareCurveCtx alphas must be non-decreasing")
 		}
 	}
-	total := dp.Lanes + maxA
-	slab, err := montecarlo.SampleFlatCtx(ctx, seed, n, total, dp.sampler(vdd).lanes)
+	sample, err := dp.SpareSampleCtx(ctx, seed, n, vdd, alphas[len(alphas)-1])
 	if err != nil {
 		return nil, err
 	}
-	fo4 := dp.FO4(vdd)
 	out := make([]float64, len(alphas))
-	delays := make([]float64, n)
-	scratch := make([]float64, total)
-	for ai, a := range alphas {
-		k := dp.Lanes + a
-		for i := range delays {
-			// The physical system with a spares has exactly Lanes+a
-			// lanes; use the first Lanes+a samples of chip i's row
-			// (exchangeable) and keep the Lanes fastest.
-			copy(scratch[:k], slab[i*total:i*total+k])
-			delays[i] = kthSmallest(scratch[:k], dp.Lanes-1) / fo4
-		}
-		sort.Float64s(delays)
-		out[ai] = stats.QuantileSorted(delays, 0.99)
+	for i, a := range alphas {
+		out[i] = sample.P99FO4(a)
 	}
 	return out, nil
 }

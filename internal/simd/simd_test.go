@@ -150,6 +150,49 @@ func TestSpareCurveMatchesChipDelays(t *testing.T) {
 	}
 }
 
+// TestSpareSampleReadsEverySpareCount: one SpareSample drawn at 128
+// spares answers the p99 of every smaller spare count with the bits a
+// draw at that count gives, for the iid-paths law, the shared die and
+// the spatial field on every calibrated node — a chip's stream is reset
+// by its index, so its narrower row is a prefix of the wider one.
+func TestSpareSampleReadsEverySpareCount(t *testing.T) {
+	must := mustFloats(t)
+	const n, vdd, seed = 120, 0.55, 12
+	for _, corr := range []CorrelationModel{IIDPaths, SharedDie, Spatial} {
+		for _, node := range tech.Nodes() {
+			dp := New(node)
+			dp.Corr = corr
+			sample, err := dp.SpareSampleCtx(bg, seed, n, vdd, 128)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range []int{0, 1, 5, 32, 127, 128} {
+				want := must(dp.SpareCurveCtx(bg, seed, n, vdd, []int{a}))[0]
+				if got := sample.P99FO4(a); !sameBits(got, want) {
+					t.Errorf("%v %s: P99FO4(%d) = %v, a draw at %d spares gives %v", corr, node.Name, a, got, a, want)
+				}
+			}
+		}
+	}
+}
+
+func TestSpareSamplePanicsOutsideItsSpares(t *testing.T) {
+	sample, err := New(tech.N90).SpareSampleCtx(bg, 1, 10, 0.6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spares := range []int{-1, 5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("P99FO4(%d) on a 4-spare sample did not panic", spares)
+				}
+			}()
+			sample.P99FO4(spares)
+		}()
+	}
+}
+
 func TestSpareCurvePanicsOnDecreasing(t *testing.T) {
 	defer func() {
 		if recover() == nil {

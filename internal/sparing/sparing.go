@@ -41,69 +41,44 @@ func (s SearchResult) String() string {
 // chip delay of dp at supply vdd with α spares does not exceed
 // targetFO4 (the baseline 99 % FO4 chip delay at nominal voltage, per
 // §4.1). The search evaluates a doubling ladder followed by a
-// bisection, reusing one lane-delay sample set throughout so the curve
-// is monotone in α. limit caps the search (the paper reports "> 128"
+// bisection, reusing one lane-delay sample set throughout — one
+// simd.SpareSample of n chips drawn at limit spares — so the curve is
+// monotone in α. limit caps the search (the paper reports "> 128"
 // beyond the SIMD width). A cancelled ctx stops the search with ctx's
 // error.
 func MinSparesCtx(ctx context.Context, dp *simd.Datapath, seed uint64, n int, vdd, targetFO4 float64, limit int) (SearchResult, error) {
 	res := SearchResult{Target: targetFO4, Samples: n}
-	// Build the ladder of candidate spare counts: 0, 1, 2, 4, ..., limit.
-	var ladder []int
-	for a := 0; a <= limit; {
-		ladder = append(ladder, a)
-		switch {
-		case a == 0:
-			a = 1
-		default:
-			a *= 2
-		}
-	}
-	if ladder[len(ladder)-1] != limit {
-		ladder = append(ladder, limit)
-	}
-	curve, err := dp.SpareCurveCtx(ctx, seed, n, vdd, ladder)
+	sample, err := dp.SpareSampleCtx(ctx, seed, n, vdd, limit)
 	if err != nil {
 		return res, err
 	}
-
-	// Find the first ladder point meeting the target.
-	hitIdx := -1
-	for i, p99 := range curve {
+	// Walk the ladder of candidate spare counts 0, 1, 2, 4, ..., limit
+	// to the first one meeting the target.
+	lo := -1 // the last failing ladder point
+	for a := 0; ; {
+		p99 := sample.P99FO4(a)
 		if p99 <= targetFO4 {
-			hitIdx = i
+			res.Found = true
+			res.Spares, res.P99 = a, p99
 			break
 		}
-	}
-	if hitIdx == -1 {
-		res.Spares = limit + 1
-		res.P99 = curve[len(curve)-1]
-		return res, nil
-	}
-	res.Found = true
-	if hitIdx == 0 {
-		res.Spares = ladder[0]
-		res.P99 = curve[0]
-		return res, nil
+		if a == limit {
+			res.Spares, res.P99 = limit+1, p99
+			return res, nil
+		}
+		lo = a
+		a = min(max(2*a, 1), limit)
 	}
 
 	// Bisect between the last failing and first passing ladder points.
-	lo, hi := ladder[hitIdx-1], ladder[hitIdx] // lo fails, hi passes
-	p99hi := curve[hitIdx]
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		point, err := dp.SpareCurveCtx(ctx, seed, n, vdd, []int{mid})
-		if err != nil {
-			return res, err
-		}
-		p99 := point[0]
-		if p99 <= targetFO4 {
-			hi, p99hi = mid, p99
+	for res.Spares-lo > 1 {
+		mid := (lo + res.Spares) / 2
+		if p99 := sample.P99FO4(mid); p99 <= targetFO4 {
+			res.Spares, res.P99 = mid, p99
 		} else {
 			lo = mid
 		}
 	}
-	res.Spares = hi
-	res.P99 = p99hi
 	return res, nil
 }
 

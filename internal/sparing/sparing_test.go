@@ -9,6 +9,7 @@ import (
 
 	"github.com/ntvsim/ntvsim/internal/simd"
 	"github.com/ntvsim/ntvsim/internal/tech"
+	"github.com/ntvsim/ntvsim/internal/telemetry"
 )
 
 // baseline is the nominal-voltage 99 % FO4 chip delay of dp with no
@@ -96,6 +97,108 @@ func TestMinSparesCancelled(t *testing.T) {
 	cancel()
 	if r, err := MinSparesCtx(ctx, dp, 5, 400, 0.55, 50, 128); !errors.Is(err, context.Canceled) {
 		t.Errorf("MinSparesCtx on a cancelled ctx = (%v, %v), want context.Canceled", r, err)
+	}
+}
+
+// redrawSearch is the spare search as it ran before it drew its lanes
+// once: the doubling ladder from one SpareCurveCtx call, then a fresh
+// SpareCurveCtx draw at every bisection step. It is kept as the
+// reference the one-draw search must match.
+func redrawSearch(ctx context.Context, dp *simd.Datapath, seed uint64, n int, vdd, targetFO4 float64, limit int) (SearchResult, error) {
+	res := SearchResult{Target: targetFO4, Samples: n}
+	var ladder []int
+	for a := 0; a <= limit; {
+		ladder = append(ladder, a)
+		switch {
+		case a == 0:
+			a = 1
+		default:
+			a *= 2
+		}
+	}
+	if ladder[len(ladder)-1] != limit {
+		ladder = append(ladder, limit)
+	}
+	curve, err := dp.SpareCurveCtx(ctx, seed, n, vdd, ladder)
+	if err != nil {
+		return res, err
+	}
+	hitIdx := -1
+	for i, p99 := range curve {
+		if p99 <= targetFO4 {
+			hitIdx = i
+			break
+		}
+	}
+	if hitIdx == -1 {
+		res.Spares = limit + 1
+		res.P99 = curve[len(curve)-1]
+		return res, nil
+	}
+	res.Found = true
+	if hitIdx == 0 {
+		res.Spares = ladder[0]
+		res.P99 = curve[0]
+		return res, nil
+	}
+	lo, hi := ladder[hitIdx-1], ladder[hitIdx]
+	p99hi := curve[hitIdx]
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		point, err := dp.SpareCurveCtx(ctx, seed, n, vdd, []int{mid})
+		if err != nil {
+			return res, err
+		}
+		if point[0] <= targetFO4 {
+			hi, p99hi = mid, point[0]
+		} else {
+			lo = mid
+		}
+	}
+	res.Spares = hi
+	res.P99 = p99hi
+	return res, nil
+}
+
+// TestMinSparesMatchesRedrawSearch: the search that draws its lanes
+// once finds the same spare count and the same P99, bit for bit, as
+// the search that redrew every chip at each bisection step, on every
+// calibrated node at three near-threshold supplies and three seeds —
+// and a progress reporter on its context sees exactly n chip draws,
+// where the redrawing search made one more pass of n per step.
+func TestMinSparesMatchesRedrawSearch(t *testing.T) {
+	const n, limit = 300, 128
+	var bisected int
+	for _, node := range tech.Nodes() {
+		dp := simd.New(node)
+		base := baseline(t, dp, 1, n)
+		for _, vdd := range []float64{0.50, 0.55, 0.60} {
+			for _, seed := range []uint64{2, 3, 4} {
+				prog := telemetry.NewProgress()
+				got, err := MinSparesCtx(telemetry.WithProgress(context.Background(), prog), dp, seed, n, vdd, base, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := telemetry.NewProgress()
+				want, err := redrawSearch(telemetry.WithProgress(context.Background(), ref), dp, seed, n, vdd, base, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Spares != want.Spares || got.Found != want.Found || math.Float64bits(got.P99) != math.Float64bits(want.P99) {
+					t.Errorf("%s @%.2fV seed %d: search %v, redrawing search %v", node.Name, vdd, seed, got, want)
+				}
+				if s := prog.Snapshot(); s.Done != n || s.Total != n {
+					t.Errorf("%s @%.2fV seed %d: search drew %d of %d chips, want %d", node.Name, vdd, seed, s.Done, s.Total, n)
+				}
+				if ref.Snapshot().Done > n {
+					bisected++
+				}
+			}
+		}
+	}
+	t.Logf("%d of 36 searches bisected", bisected)
+	if bisected == 0 {
+		t.Error("no case reached the bisection: the grid does not exercise it")
 	}
 }
 
