@@ -540,7 +540,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"per-job profiling needs a profile directory; start ntvsimd with -data-dir")
 		return
 	}
-	if !knownExperiment(req.Experiment) {
+	if _, ok := experiments.Lookup(req.Experiment); !ok {
 		writeAPIErrorf(w, http.StatusBadRequest, codeUnknownExperiment,
 			"unknown experiment %q (GET /v1/experiments lists valid ids)", req.Experiment)
 		return
@@ -760,15 +760,6 @@ func fillQuick(c experiments.Config) experiments.Config {
 		c.SearchSamples = q.SearchSamples
 	}
 	return c
-}
-
-func knownExperiment(id string) bool {
-	for _, known := range experiments.IDs() {
-		if id == known {
-			return true
-		}
-	}
-	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -18,10 +18,10 @@
 //	internal/circuit     inverter chains, timing DAGs, adders, multiplier
 //	internal/rng         splittable deterministic PRNG sub-streams
 //	internal/montecarlo  deterministic parallel MC engine (ctx-cancellable)
-//	internal/stats       streaming moments, quantiles, histograms, ECDFs,
+//	internal/stats       moments, quantiles and their CIs, histograms, KS,
 //	                     binomial CDF, Gauss–Hermite and Simpson rules
 //	internal/simd        lane/chip delay sampling of the 128-wide datapath
-//	internal/sparing     spare-lane sizing and placement
+//	internal/sparing     spare-lane sizing over a drawn sample, placement
 //	internal/margin      voltage/frequency margining, combined plans
 //	internal/power       energy-per-op, overhead models
 //	internal/xram        XRAM swizzle crossbar with fault bypass
@@ -47,7 +47,6 @@
 //
 //	cmd/ntvsim      CLI: regenerate any/all tables and figures, run sweeps
 //	cmd/ntvsimd     HTTP daemon: job+sweep API, result cache, metrics, pprof
-//	cmd/ntvsimbench benchmark runner writing BENCH_<date>.json snapshots
 //	cmd/sodarun     run kernels on the PE simulator
 //	cmd/calibrate   re-fit device parameters to the paper anchors
 //

@@ -50,10 +50,11 @@ func main() {
 		node.VddNominal, base, target*1e9, *vdd*1e3)
 
 	// Pure duplication.
-	sr, err := sparing.MinSparesCtx(ctx, dp, seed, *samples, *vdd, base, 128)
+	sample, err := dp.SpareSampleCtx(ctx, seed, *samples, *vdd, 128)
 	if err != nil {
 		log.Fatal(err)
 	}
+	sr := sparing.MinSpares(sample, base)
 	if sr.Found {
 		fmt.Printf("pure duplication:  %3d spares            → %5.2f%% power, %5.2f%% area\n",
 			sr.Spares, power.SparePowerOverheadPct(sr.Spares), power.SpareAreaOverheadPct(sr.Spares))

@@ -92,41 +92,40 @@ func runAblation(ctx context.Context, cfg Config) (Result, error) {
 		return nil, err
 	}
 
-	seed := cfg.Seed + 1
+	seed, n := cfg.Seed+1, cfg.SearchSamples
 	// gain16 is the p99 gain from 16 spares, in percent.
-	gain16 := func(dp *simd.Datapath, vdd float64) (float64, error) {
-		c, err := dp.SpareCurveCtx(ctx, seed, cfg.SearchSamples, vdd, []int{0, 16})
-		if err != nil {
-			return 0, err
-		}
-		return 100 * (1 - c[1]/c[0]), nil
+	gain16 := func(s *simd.SpareSample) float64 {
+		return 100 * (1 - s.P99FO4(16)/s.P99FO4(0))
 	}
 	// minSpares is the spare count that meets target, or -1 (rendered
-	// "—") when even 64 spares miss it.
-	minSpares := func(dp *simd.Datapath, vdd, target float64) (int, error) {
-		sr, err := sparing.MinSparesCtx(ctx, dp, seed, cfg.SearchSamples, vdd, target, 64)
-		if err != nil || !sr.Found {
-			return -1, err
+	// "—") when even the sample's 64 spares miss it.
+	minSpares := func(s *simd.SpareSample, target float64) int {
+		if sr := sparing.MinSpares(s, target); sr.Found {
+			return sr.Spares
 		}
-		return sr.Spares, nil
+		return -1
 	}
 	for _, vdd := range []float64{0.60, 0.55, 0.50} {
 		row := AblationRow{Vdd: vdd}
-		if row.IIDGainPct, err = gain16(iid, vdd); err != nil {
+		// One draw per datapath: the iid-paths and shared-die samples
+		// answer both the 16-spare gain and the 64-spare search.
+		iidSample, err := iid.SpareSampleCtx(ctx, seed, n, vdd, 64)
+		if err != nil {
 			return nil, err
 		}
-		if row.SpatialGainPct, err = gain16(spatial, vdd); err != nil {
+		spatialSample, err := spatial.SpareSampleCtx(ctx, seed, n, vdd, 16)
+		if err != nil {
 			return nil, err
 		}
-		if row.CorrGainPct, err = gain16(corr, vdd); err != nil {
+		corrSample, err := corr.SpareSampleCtx(ctx, seed, n, vdd, 64)
+		if err != nil {
 			return nil, err
 		}
-		if row.IIDSpares, err = minSpares(iid, vdd, baseIID); err != nil {
-			return nil, err
-		}
-		if row.CorrSpares, err = minSpares(corr, vdd, baseCorr); err != nil {
-			return nil, err
-		}
+		row.IIDGainPct = gain16(iidSample)
+		row.SpatialGainPct = gain16(spatialSample)
+		row.CorrGainPct = gain16(corrSample)
+		row.IIDSpares = minSpares(iidSample, baseIID)
+		row.CorrSpares = minSpares(corrSample, baseCorr)
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil

@@ -543,6 +543,24 @@ func TestAblationShape(t *testing.T) {
 	}
 }
 
+// TestAblationDrawsEachChipOnce: an ablation run draws one sample per
+// datapath and supply — at 64 spares for the iid paths and the shared
+// die, whose 16-spare gain and spare search both read it, and at 16 for
+// the spatial field — plus the two nominal baselines. A progress
+// reporter on its ctx sees 11 × SearchSamples chip draws, where drawing
+// the gains and the searches separately made 17×.
+func TestAblationDrawsEachChipOnce(t *testing.T) {
+	const n = 40
+	p := telemetry.NewProgress()
+	cfg := Config{Seed: 5, CircuitSamples: 10, ChipSamples: 10, SearchSamples: n}
+	if _, err := RunCtx(telemetry.WithProgress(context.Background(), p), "ablation", cfg); err != nil {
+		t.Fatal(err)
+	}
+	if s := p.Snapshot(); s.Done != 11*n || s.Total != 11*n {
+		t.Errorf("ablation drew %d of %d chips, want %d", s.Done, s.Total, 11*n)
+	}
+}
+
 // TestAppShape: the kernel-level FV-vs-NTV pricing — uniform slowdown
 // from the clock ratio, several-fold energy savings, verified outputs.
 func TestAppShape(t *testing.T) {

@@ -80,10 +80,10 @@ func runFig5(ctx context.Context, cfg Config) (Result, error) {
 		res.Summaries = append(res.Summaries, stats.Summarize(ds))
 		res.Hists = append(res.Hists, histShape(ds, 24))
 	}
-	match, err := sparing.MinSparesCtx(ctx, dp, cfg.Seed+11, cfg.SearchSamples, vdd, res.BaselineP99, 128)
+	sample, err := dp.SpareSampleCtx(ctx, cfg.Seed+11, cfg.SearchSamples, vdd, 128)
 	if err != nil {
 		return nil, err
 	}
-	res.MatchAlpha = match
+	res.MatchAlpha = sparing.MinSpares(sample, res.BaselineP99)
 	return res, nil
 }

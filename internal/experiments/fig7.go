@@ -75,10 +75,11 @@ func runFig7(ctx context.Context, cfg Config) (Result, error) {
 			return nil, err
 		}
 		for _, vdd := range table1Voltages {
-			sr, err := sparing.MinSparesCtx(ctx, dp, seed+uint64(vdd*1000), cfg.SearchSamples, vdd, base, limit)
+			sample, err := dp.SpareSampleCtx(ctx, seed+uint64(vdd*1000), cfg.SearchSamples, vdd, limit)
 			if err != nil {
 				return nil, err
 			}
+			sr := sparing.MinSpares(sample, base)
 			target := margin.TargetDelay(dp, vdd, base)
 			vr, err := margin.VoltageMarginCtx(ctx, dp, seed+uint64(vdd*1000), cfg.SearchSamples, vdd, target, 0.1e-3, 0)
 			if err != nil {

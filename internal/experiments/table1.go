@@ -95,11 +95,12 @@ func runTable1(ctx context.Context, cfg Config) (Result, error) {
 			return nil, err
 		}
 		for _, vdd := range table1Voltages {
-			sr, err := sparing.MinSparesCtx(nodeCtx, dp, seed+uint64(vdd*1000), cfg.SearchSamples, vdd, base, limit)
+			sample, err := dp.SpareSampleCtx(nodeCtx, seed+uint64(vdd*1000), cfg.SearchSamples, vdd, limit)
 			if err != nil {
 				done()
 				return nil, err
 			}
+			sr := sparing.MinSpares(sample, base)
 			cell := Table1Cell{Node: node.Name, Vdd: vdd, Search: sr}
 			if sr.Found {
 				cell.AreaPct = power.SpareAreaOverheadPct(sr.Spares)

@@ -45,20 +45,6 @@ func TestSampleAllocationsDoNotScaleWithN(t *testing.T) {
 	}
 }
 
-// TestWStreamAllocationFree pins the reduction side: accumulating and
-// merging weighted moments must never touch the heap.
-func TestWStreamAllocationFree(t *testing.T) {
-	var s, o WStream
-	o.Add(1, 1)
-	allocs := testing.AllocsPerRun(100, func() {
-		s.Add(2.5, 0.7)
-		s.Merge(&o)
-	})
-	if allocs != 0 {
-		t.Errorf("WStream Add+Merge allocates %v per op, want 0", allocs)
-	}
-}
-
 // TestTailProbAllocationFree keeps the estimator pass allocation-free
 // over retained sample slabs.
 func TestTailProbAllocationFree(t *testing.T) {

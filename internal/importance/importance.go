@@ -21,10 +21,10 @@
 // variance, so a badly chosen shift degrades gracefully toward plain MC
 // instead of producing unbounded weights.
 //
-// Estimators over the weighted draws (WStream, TailProb,
-// WeightedQuantile) and the effective-sample-size diagnostics
-// (Diagnose) live in weighted.go; docs/SAMPLING.md is the statistical
-// contract for all of them.
+// Estimators over the weighted draws (TailProb, WeightedQuantile) and
+// the effective-sample-size diagnostics (Diagnose, Diagnostics.Merge)
+// live in weighted.go; each reduces the slices SampleCtx returns, and
+// docs/SAMPLING.md is the statistical contract for all of them.
 //
 // # Determinism
 //

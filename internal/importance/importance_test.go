@@ -63,7 +63,7 @@ func TestNullProposalUnitWeights(t *testing.T) {
 				t.Fatalf("params %+v: w[%d] = %v, want exactly 1", p, i, w)
 			}
 		}
-		if ess := ESS(ws); ess != 500 {
+		if ess := Diagnose(ws).ESS; ess != 500 {
 			t.Errorf("params %+v: ESS = %v, want exactly 500", p, ess)
 		}
 	}

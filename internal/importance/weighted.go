@@ -5,157 +5,6 @@ import (
 	"sort"
 )
 
-// WStream accumulates weighted moments one observation at a time using
-// West's (1979) generalization of Welford's recurrence. The zero value
-// is ready to use. With unit weights its mean and second central moment
-// are bit-identical to stats.Stream, so plain-MC and IS reductions
-// share one numerical contract (docs/SAMPLING.md).
-type WStream struct {
-	n     int
-	sumw  float64
-	sumw2 float64
-	mean  float64
-	m2    float64
-	min   float64
-	max   float64
-}
-
-// Add incorporates observation x with weight w ≥ 0. Zero-weight
-// observations still count toward N and the extrema but contribute
-// nothing to the moments.
-func (s *WStream) Add(x, w float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	s.sumw2 += w * w
-	if w == 0 {
-		return
-	}
-	s.sumw += w
-	delta := x - s.mean
-	s.mean += delta * w / s.sumw
-	s.m2 += w * delta * (x - s.mean)
-}
-
-// N returns the number of observations added so far.
-func (s *WStream) N() int { return s.n }
-
-// SumW returns the total weight added so far.
-func (s *WStream) SumW() float64 { return s.sumw }
-
-// Mean returns the self-normalized weighted mean Σwx/Σw, or NaN if no
-// weight has been added.
-func (s *WStream) Mean() float64 {
-	if s.sumw == 0 {
-		return math.NaN()
-	}
-	return s.mean
-}
-
-// Variance returns the weighted sample variance m2/(Σw − 1), the
-// frequency-weights form that reduces bit-identically to
-// stats.Stream.Variance under unit weights. NaN if Σw ≤ 1.
-func (s *WStream) Variance() float64 {
-	if s.sumw <= 1 {
-		return math.NaN()
-	}
-	return s.m2 / (s.sumw - 1)
-}
-
-// StdDev returns the square root of Variance.
-func (s *WStream) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// ESS returns the Kish effective sample size (Σw)²/Σw²: the number of
-// unweighted samples carrying the same estimator variance. Equal to N
-// under unit weights; NaN if nothing was added.
-func (s *WStream) ESS() float64 {
-	if s.sumw2 == 0 {
-		return math.NaN()
-	}
-	return s.sumw * s.sumw / s.sumw2
-}
-
-// StdErr returns the standard error of the weighted mean approximated
-// as StdDev/√ESS — exact for unit weights, and the standard practical
-// approximation for self-normalized importance weights.
-func (s *WStream) StdErr() float64 {
-	return s.StdDev() / math.Sqrt(s.ESS())
-}
-
-// Min returns the smallest observation, or NaN if none were added.
-func (s *WStream) Min() float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	return s.min
-}
-
-// Max returns the largest observation, or NaN if none were added.
-func (s *WStream) Max() float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	return s.max
-}
-
-// Merge combines another stream into s, as if every (x, w) added to o
-// had been added to s. Merging is associative up to floating-point
-// rounding and bit-identical to stats.Stream.Merge under unit weights,
-// so sharded importance-sampling sweeps reduce exactly like plain-MC
-// ones.
-func (s *WStream) Merge(o *WStream) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	s.n += o.n
-	s.sumw2 += o.sumw2
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	if o.sumw == 0 {
-		return
-	}
-	if s.sumw == 0 {
-		s.sumw, s.mean, s.m2 = o.sumw, o.mean, o.m2
-		return
-	}
-	w1, w2 := s.sumw, o.sumw
-	delta := o.mean - s.mean
-	total := w1 + w2
-	s.mean += delta * w2 / total
-	s.m2 += o.m2 + delta*delta*w1*w2/total
-	s.sumw = total
-}
-
-// ESS returns the Kish effective sample size (Σw)²/Σw² of a weight
-// vector, or 0 for an empty or all-zero one.
-func ESS(ws []float64) float64 {
-	var sumw, sumw2 float64
-	for _, w := range ws {
-		sumw += w
-		sumw2 += w * w
-	}
-	if sumw2 == 0 {
-		return 0
-	}
-	return sumw * sumw / sumw2
-}
-
 // TailProb estimates p = Pr[X > t] from weighted samples with the
 // self-normalized estimator Σwᵢ·1{xᵢ>t}/Σwᵢ and returns it with its
 // delta-method standard error √(Σwᵢ²(1{xᵢ>t}−p̂)²)/Σwᵢ. With unit

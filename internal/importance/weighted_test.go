@@ -4,16 +4,11 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-
-	"github.com/ntvsim/ntvsim/internal/stats"
 )
 
-// Property tests for the weighted estimators, mirroring the stats
-// Merge suite: for any partition of a weighted sample into per-shard
-// streams and any merge order, the merged stream must agree with
-// single-stream accumulation — and under unit weights the agreement
-// with stats.Stream must be bit-exact, so plain-MC and IS sweeps share
-// one reduction contract.
+// Tests for the slice estimators over weighted draws: TailProb and
+// WeightedQuantile reduce to their plain-MC forms under unit weights,
+// and the quantile does not depend on the order of the draws.
 
 // relClose reports whether a and b agree to within tol relative to
 // their magnitude (absolute near zero).
@@ -23,31 +18,6 @@ func relClose(a, b, tol float64) bool {
 		scale = 1
 	}
 	return math.Abs(a-b) <= tol*scale
-}
-
-const wTolDefault = 1e-12
-
-func checkWStreamsAgree(t *testing.T, label string, got, want *WStream, tol float64) {
-	t.Helper()
-	if got.N() != want.N() {
-		t.Fatalf("%s: N = %d, want %d", label, got.N(), want.N())
-	}
-	if got.Min() != want.Min() || got.Max() != want.Max() {
-		t.Fatalf("%s: extrema (%v,%v) != (%v,%v)",
-			label, got.Min(), got.Max(), want.Min(), want.Max())
-	}
-	if !relClose(got.SumW(), want.SumW(), tol) {
-		t.Fatalf("%s: sumw %v != %v", label, got.SumW(), want.SumW())
-	}
-	if !relClose(got.Mean(), want.Mean(), tol) {
-		t.Fatalf("%s: mean %v != %v", label, got.Mean(), want.Mean())
-	}
-	if !relClose(got.Variance(), want.Variance(), tol) {
-		t.Fatalf("%s: variance %v != %v", label, got.Variance(), want.Variance())
-	}
-	if !relClose(got.ESS(), want.ESS(), tol) {
-		t.Fatalf("%s: ESS %v != %v", label, got.ESS(), want.ESS())
-	}
 }
 
 // weightedSample draws n (x, w) pairs with importance-like bounded
@@ -60,206 +30,6 @@ func weightedSample(r *rand.Rand, n int) (xs, ws []float64) {
 		ws[i] = math.Exp(r.NormFloat64()) // log-normal, heavy-ish tail
 	}
 	return xs, ws
-}
-
-// TestWStreamUnitWeightsBitIdenticalToStream is the cross-sampler
-// contract stated in docs/SAMPLING.md: with every w = 1 the weighted
-// recurrences evaluate the exact same float operations as
-// stats.Stream, so MC-as-IS produces bit-identical moments.
-func TestWStreamUnitWeightsBitIdenticalToStream(t *testing.T) {
-	r := rand.New(rand.NewPCG(1, 2))
-	var ref stats.Stream
-	var w WStream
-	for i := 0; i < 10000; i++ {
-		x := r.NormFloat64()*1e-9 + 5 // cancellation-hostile scale
-		ref.Add(x)
-		w.Add(x, 1)
-	}
-	if w.Mean() != ref.Mean() {
-		t.Errorf("mean %v != stats.Stream mean %v (must be bit-identical)", w.Mean(), ref.Mean())
-	}
-	if w.Variance() != ref.Variance() {
-		t.Errorf("variance %v != stats.Stream variance %v (must be bit-identical)", w.Variance(), ref.Variance())
-	}
-	if w.N() != ref.N() || w.Min() != ref.Min() || w.Max() != ref.Max() {
-		t.Errorf("n/extrema differ from stats.Stream")
-	}
-	if w.StdErr() != ref.StdErr() {
-		t.Errorf("stderr %v != stats.Stream stderr %v", w.StdErr(), ref.StdErr())
-	}
-}
-
-// TestWStreamUnitWeightMergeBitIdenticalToStream extends the bit-exact
-// contract to Merge: the same shard structure reduced through WStream
-// and stats.Stream must agree exactly.
-func TestWStreamUnitWeightMergeBitIdenticalToStream(t *testing.T) {
-	r := rand.New(rand.NewPCG(3, 4))
-	xs := make([]float64, 4096)
-	for i := range xs {
-		xs[i] = r.NormFloat64() * 7
-	}
-	for _, shards := range []int{2, 3, 7, 16} {
-		var refTotal stats.Stream
-		var wTotal WStream
-		for s := 0; s < shards; s++ {
-			var ref stats.Stream
-			var w WStream
-			for i := s; i < len(xs); i += shards {
-				ref.Add(xs[i])
-				w.Add(xs[i], 1)
-			}
-			refTotal.Merge(&ref)
-			wTotal.Merge(&w)
-		}
-		if wTotal.Mean() != refTotal.Mean() || wTotal.Variance() != refTotal.Variance() {
-			t.Errorf("%d shards: merged (%v, %v) != stats.Stream (%v, %v)",
-				shards, wTotal.Mean(), wTotal.Variance(), refTotal.Mean(), refTotal.Variance())
-		}
-	}
-}
-
-// TestWStreamMergeMatchesSingleStream partitions one weighted sample
-// into k chunks and checks chunked accumulation + left-to-right merge
-// against the single stream.
-func TestWStreamMergeMatchesSingleStream(t *testing.T) {
-	r := rand.New(rand.NewPCG(5, 6))
-	xs, ws := weightedSample(r, 5000)
-	var want WStream
-	for i := range xs {
-		want.Add(xs[i], ws[i])
-	}
-	for _, chunks := range []int{1, 2, 5, 13, 64} {
-		var got WStream
-		for c := 0; c < chunks; c++ {
-			lo := len(xs) * c / chunks
-			hi := len(xs) * (c + 1) / chunks
-			var part WStream
-			for i := lo; i < hi; i++ {
-				part.Add(xs[i], ws[i])
-			}
-			got.Merge(&part)
-		}
-		checkWStreamsAgree(t, "chunks", &got, &want, wTolDefault)
-	}
-}
-
-// TestWStreamMergeOrderInsensitive merges the same shards forward,
-// reversed, and shuffled; all orders must agree to rounding.
-func TestWStreamMergeOrderInsensitive(t *testing.T) {
-	r := rand.New(rand.NewPCG(7, 8))
-	xs, ws := weightedSample(r, 3000)
-	const shards = 10
-	parts := make([]WStream, shards)
-	for i := range xs {
-		parts[i%shards].Add(xs[i], ws[i])
-	}
-	merge := func(order []int) *WStream {
-		var total WStream
-		for _, s := range order {
-			part := parts[s] // copy: Merge mutates the receiver only
-			total.Merge(&part)
-		}
-		return &total
-	}
-	fwd := make([]int, shards)
-	rev := make([]int, shards)
-	for i := range fwd {
-		fwd[i] = i
-		rev[i] = shards - 1 - i
-	}
-	shuf := r.Perm(shards)
-	want := merge(fwd)
-	checkWStreamsAgree(t, "reversed", merge(rev), want, wTolDefault)
-	checkWStreamsAgree(t, "shuffled", merge(shuf), want, wTolDefault)
-}
-
-// TestWStreamTreeMerge reduces shards pairwise (the engine's merge
-// shape for large sweeps) and compares against serial accumulation.
-func TestWStreamTreeMerge(t *testing.T) {
-	r := rand.New(rand.NewPCG(9, 10))
-	xs, ws := weightedSample(r, 4096)
-	var want WStream
-	for i := range xs {
-		want.Add(xs[i], ws[i])
-	}
-	level := make([]WStream, 16)
-	for i := range xs {
-		level[i%16].Add(xs[i], ws[i])
-	}
-	for len(level) > 1 {
-		next := make([]WStream, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			merged := level[i]
-			if i+1 < len(level) {
-				merged.Merge(&level[i+1])
-			}
-			next = append(next, merged)
-		}
-		level = next
-	}
-	checkWStreamsAgree(t, "tree", &level[0], &want, wTolDefault)
-}
-
-// TestWStreamZeroWeight pins the zero-weight contract: counted in N
-// and the extrema, invisible to the moments.
-func TestWStreamZeroWeight(t *testing.T) {
-	var s WStream
-	s.Add(10, 0)
-	if s.N() != 1 || s.Min() != 10 || s.Max() != 10 {
-		t.Errorf("zero-weight bookkeeping: %+v", s)
-	}
-	if !math.IsNaN(s.Mean()) {
-		t.Errorf("Mean with zero total weight = %v, want NaN", s.Mean())
-	}
-	s.Add(2, 1)
-	s.Add(4, 1)
-	if s.Mean() != 3 {
-		t.Errorf("Mean = %v, want 3", s.Mean())
-	}
-	if s.Min() != 2 || s.Max() != 10 {
-		t.Errorf("extrema (%v,%v), want (2,10)", s.Min(), s.Max())
-	}
-}
-
-// TestWStreamMergeEmpty covers the empty/zero-weight merge corners.
-func TestWStreamMergeEmpty(t *testing.T) {
-	var a, b WStream
-	a.Add(1, 1)
-	a.Add(3, 1)
-	before := a
-	a.Merge(&b)
-	if a != before {
-		t.Errorf("merging empty changed stream: %+v", a)
-	}
-	b.Merge(&a)
-	if b.Mean() != a.Mean() || b.N() != a.N() {
-		t.Errorf("merge into empty: %+v", b)
-	}
-	var zw WStream
-	zw.Add(99, 0)
-	a.Merge(&zw)
-	if a.N() != 3 || a.Mean() != 2 || a.Max() != 99 {
-		t.Errorf("merge of zero-weight stream: %+v", a)
-	}
-}
-
-// TestWStreamESS pins the two ends of the ESS scale.
-func TestWStreamESS(t *testing.T) {
-	var s WStream
-	for i := 0; i < 50; i++ {
-		s.Add(float64(i), 1)
-	}
-	if s.ESS() != 50 {
-		t.Errorf("unit-weight ESS = %v, want exactly 50", s.ESS())
-	}
-	var d WStream
-	d.Add(0, 1000)
-	for i := 0; i < 99; i++ {
-		d.Add(float64(i), 1e-6)
-	}
-	if ess := d.ESS(); ess > 1.01 {
-		t.Errorf("dominated ESS = %v, want ≈ 1", ess)
-	}
 }
 
 // TestTailProbUnitWeightsBinomial reduces TailProb to the plain

@@ -52,13 +52,14 @@ func VoltageMarginCtx(ctx context.Context, dp *simd.Datapath, seed uint64, n int
 		stepV = 0.1e-3
 	}
 	p99At := func(vm float64) (float64, error) {
-		// SpareCurveCtx reports FO4 units at its own supply; convert back
-		// to absolute seconds at vdd+vm for comparison with the target.
-		curve, err := dp.SpareCurveCtx(ctx, seed, n, vdd+vm, []int{spares})
+		// P99ChipDelayFO4Ctx reports FO4 units at its own supply; convert
+		// back to absolute seconds at vdd+vm for comparison with the
+		// target.
+		p99, err := dp.P99ChipDelayFO4Ctx(ctx, seed, n, vdd+vm, spares)
 		if err != nil {
 			return 0, err
 		}
-		return curve[0] * dp.FO4(vdd+vm), nil
+		return p99 * dp.FO4(vdd+vm), nil
 	}
 	res := VoltageResult{Vdd: vdd, Target: target}
 	lo, hi := 0.0, 0.0

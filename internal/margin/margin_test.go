@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/ntvsim/ntvsim/internal/power"
 	"github.com/ntvsim/ntvsim/internal/simd"
 	"github.com/ntvsim/ntvsim/internal/tech"
 )
@@ -64,11 +65,11 @@ func TestVoltageMarginMeetsTarget(t *testing.T) {
 		t.Errorf("achieved p99 %v above target %v", vr.P99, target)
 	}
 	// Minimality: one step less must miss the target.
-	below, err := dp.SpareCurveCtx(context.Background(), 1, n, vdd+vr.Margin-0.1e-3, []int{0})
+	below, err := dp.P99ChipDelayFO4Ctx(context.Background(), 1, n, vdd+vr.Margin-0.1e-3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lower := below[0] * dp.FO4(vdd+vr.Margin-0.1e-3)
+	lower := below * dp.FO4(vdd+vr.Margin-0.1e-3)
 	if lower <= target {
 		t.Errorf("margin−step already meets target: %v ≤ %v", lower, target)
 	}
@@ -105,6 +106,78 @@ func TestSparesReduceRequiredMargin(t *testing.T) {
 	m8 := voltageMargin(t, dp, 3, n, vdd, target, 8)
 	if m8.Margin >= m0.Margin {
 		t.Errorf("8 spares should reduce margin: %v vs %v", m8.Margin, m0.Margin)
+	}
+}
+
+// slabMargin is the voltage-margin search as it ran while it read each
+// trial point from a simd.SpareSample drawn at that point's supply: a
+// slab of n × (Lanes+spares) lane delays, every lane inverted, then a
+// selection per chip. It is kept as the reference VoltageMarginCtx must
+// match.
+func slabMargin(t *testing.T, dp *simd.Datapath, seed uint64, n int, vdd, target, stepV float64, spares int) VoltageResult {
+	t.Helper()
+	p99At := func(vm float64) float64 {
+		sample, err := dp.SpareSampleCtx(context.Background(), seed, n, vdd+vm, spares)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sample.P99FO4(spares) * dp.FO4(vdd+vm)
+	}
+	res := VoltageResult{Vdd: vdd, Target: target}
+	lo, hi := 0.0, 0.0
+	p99 := p99At(0)
+	if p99 <= target {
+		res.P99 = p99
+		return res
+	}
+	for hi = stepV * 8; ; hi *= 2 {
+		p99 = p99At(hi)
+		if p99 <= target {
+			break
+		}
+		lo = hi
+		if hi > 0.3 {
+			res.Margin, res.P99, res.PowerPct = math.Inf(1), p99, math.Inf(1)
+			return res
+		}
+	}
+	for hi-lo > stepV/2 {
+		mid := (lo + hi) / 2
+		if p99At(mid) <= target {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	vm := math.Ceil(hi/stepV-1e-9) * stepV
+	res.Margin = vm
+	res.P99 = p99At(vm)
+	res.PowerPct = power.MarginPowerOverheadPct(vdd, vm)
+	return res
+}
+
+// TestVoltageMarginMatchesSlabSearch: reading each trial point with
+// P99ChipDelayFO4Ctx — no slab, and at zero spares only the lanes that
+// can be slowest inverted — gives the margin, the achieved P99 and the
+// power of the slab-reading search bit for bit, on every calibrated
+// node at three near-threshold supplies and three spare counts.
+func TestVoltageMarginMatchesSlabSearch(t *testing.T) {
+	const n, seed = 300, 9
+	for _, node := range tech.Nodes() {
+		dp := simd.New(node)
+		base := baseline(t, dp, seed, n)
+		for _, vdd := range []float64{0.50, 0.55, 0.60} {
+			target := TargetDelay(dp, vdd, base)
+			for _, spares := range []int{0, 2, 8} {
+				got := voltageMargin(t, dp, seed, n, vdd, target, spares)
+				want := slabMargin(t, dp, seed, n, vdd, target, 0.1e-3, spares)
+				if math.Float64bits(got.Margin) != math.Float64bits(want.Margin) ||
+					math.Float64bits(got.P99) != math.Float64bits(want.P99) ||
+					math.Float64bits(got.PowerPct) != math.Float64bits(want.PowerPct) {
+					t.Errorf("%s @%.2fV, %d spares: search %+v, slab search %+v", node.Name, vdd, spares, got, want)
+				}
+			}
+		}
 	}
 }
 

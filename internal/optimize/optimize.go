@@ -1,11 +1,11 @@
-// Package optimize provides the small derivative-free optimizers used by
-// device-model calibration and margin search: Nelder–Mead simplex for
-// multivariate least-squares fits, golden-section search for univariate
-// minimization, and bisection for root finding.
+// Package optimize provides the derivative-free Nelder–Mead simplex
+// minimizer that device-model calibration (internal/tech) fits its
+// least-squares objective with. The one-dimensional searches elsewhere
+// (the spare, margin and quantile solves) bisect inline, each on its
+// own monotone criterion.
 package optimize
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -144,63 +144,4 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NelderMeadOptions) 
 	}
 	sort.Slice(simplex, func(a, b int) bool { return simplex[a].f < simplex[b].f })
 	return Result{X: simplex[0].x, F: simplex[0].f, Iters: iters}
-}
-
-// GoldenSection minimizes a unimodal function f on [a, b] to the given
-// x-tolerance and returns the minimizing point.
-func GoldenSection(f func(float64) float64, a, b, tol float64) float64 {
-	if b < a {
-		a, b = b, a
-	}
-	if tol <= 0 {
-		tol = 1e-9
-	}
-	const invPhi = 0.6180339887498949
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for b-a > tol {
-		if f1 < f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = f(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = f(x2)
-		}
-	}
-	return (a + b) / 2
-}
-
-// Bisect finds x in [a, b] with f(x) = 0 given f(a) and f(b) of opposite
-// sign, to the given x-tolerance. It returns an error if the bracket is
-// invalid.
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if (fa > 0) == (fb > 0) {
-		return 0, fmt.Errorf("optimize: Bisect bracket [%g, %g] does not change sign (f=%g, %g)", a, b, fa, fb)
-	}
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	for b-a > tol {
-		m := (a + b) / 2
-		fm := f(m)
-		if fm == 0 {
-			return m, nil
-		}
-		if (fm > 0) == (fa > 0) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	return (a + b) / 2, nil
 }

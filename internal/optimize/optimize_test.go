@@ -55,42 +55,3 @@ func TestNelderMeadEmpty(t *testing.T) {
 		t.Error("zero-dimensional objective mishandled")
 	}
 }
-
-func TestGoldenSection(t *testing.T) {
-	f := func(x float64) float64 { return (x - 1.7) * (x - 1.7) }
-	x := GoldenSection(f, -10, 10, 1e-9)
-	if math.Abs(x-1.7) > 1e-7 {
-		t.Errorf("GoldenSection = %v, want 1.7", x)
-	}
-	// Reversed bracket should also work.
-	x = GoldenSection(f, 10, -10, 1e-9)
-	if math.Abs(x-1.7) > 1e-7 {
-		t.Errorf("reversed bracket = %v", x)
-	}
-}
-
-func TestBisect(t *testing.T) {
-	f := func(x float64) float64 { return x*x*x - 8 }
-	x, err := Bisect(f, 0, 10, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x-2) > 1e-9 {
-		t.Errorf("root = %v, want 2", x)
-	}
-}
-
-func TestBisectBadBracket(t *testing.T) {
-	f := func(x float64) float64 { return x*x + 1 }
-	if _, err := Bisect(f, -1, 1, 1e-9); err == nil {
-		t.Error("expected bracket error")
-	}
-}
-
-func TestBisectEndpointRoot(t *testing.T) {
-	f := func(x float64) float64 { return x }
-	x, err := Bisect(f, 0, 5, 1e-9)
-	if err != nil || x != 0 {
-		t.Errorf("endpoint root: x=%v err=%v", x, err)
-	}
-}

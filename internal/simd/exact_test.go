@@ -140,9 +140,9 @@ func TestKthSmallestMatchesSort(t *testing.T) {
 	}
 }
 
-// TestSpareCurveMatchesSortLoop pins SpareCurveCtx's partial selection
-// against the full sort it replaced: every curve point, bit for bit,
-// for the iid-paths law and the shared-die ablation.
+// TestSpareCurveMatchesSortLoop pins SpareSample's partial selection
+// against the full sort it replaced: every spare count of one sample,
+// bit for bit, for the iid-paths law and the shared-die ablation.
 func TestSpareCurveMatchesSortLoop(t *testing.T) {
 	must := mustFloats(t)
 	const n, vdd = 500, 0.55
@@ -150,7 +150,7 @@ func TestSpareCurveMatchesSortLoop(t *testing.T) {
 	for _, corr := range []CorrelationModel{IIDPaths, SharedDie} {
 		dp := New(tech.N32)
 		dp.Corr = corr
-		got := must(dp.SpareCurveCtx(bg, 4, n, vdd, alphas))
+		got := spareP99s(t, dp, 4, n, vdd, alphas)
 		width := dp.Lanes + alphas[len(alphas)-1]
 		slab := must(montecarlo.SampleFlatCtx(bg, 4, n, width, dp.sampler(vdd).lanes))
 		fo4 := dp.FO4(vdd)
@@ -163,7 +163,7 @@ func TestSpareCurveMatchesSortLoop(t *testing.T) {
 			}
 			sort.Float64s(delays)
 			if want := stats.QuantileSorted(delays, 0.99); !sameBits(got[ai], want) {
-				t.Errorf("%v alpha %d: SpareCurveCtx %v, sort loop %v", corr, a, got[ai], want)
+				t.Errorf("%v alpha %d: SpareSample %v, sort loop %v", corr, a, got[ai], want)
 			}
 		}
 	}

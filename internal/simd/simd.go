@@ -31,6 +31,12 @@
 // spared chip partially selects its slowest kept lane; both reproduce
 // the full inversion and sort bit for bit (the package's exactness
 // tests pin this).
+//
+// P99ChipDelayFO4Ctx reads the paper's 99 % chip delay at one spare
+// count. A question over several spare counts of the same chips — a
+// spare curve, or internal/sparing's spare search — draws one
+// SpareSample at the largest count and reads every smaller count from
+// it, with the bits P99ChipDelayFO4Ctx gives at that count.
 package simd
 
 import (
@@ -158,11 +164,6 @@ func (dp *Datapath) law(vdd float64) *ssta.Table {
 	return ssta.LawFor(dp.Node.Dev, dp.Node.Var, vdd, dp.ChainLen, dp.PathsPerLane, dp.Lanes).Table()
 }
 
-// SamplePathDelay draws one critical-path delay (seconds) at supply vdd.
-func (dp *Datapath) SamplePathDelay(r *rng.Stream, vdd float64) float64 {
-	return dp.sampler(vdd).path(r)
-}
-
 // ErrNoAnalyticLaw is returned by the analytic chip-law accessors when
 // the datapath is configured for gate-level (Exact) or correlated
 // sampling, where the chip delay does not follow the iid-paths law.
@@ -205,18 +206,6 @@ func (dp *Datapath) ChipQuantileFn(vdd float64) (func(u float64) float64, error)
 	return tbl.Chip, nil
 }
 
-// SampleLaneDelays draws the delays of len(dst) lanes of one chip at
-// supply vdd into dst (seconds).
-//
-// In the default (paper) mode every lane is an independent draw from the
-// lane law — the maximum of PathsPerLane iid path delays, sampled by a
-// single inverse-CDF lookup. In Correlated mode all lanes share one
-// die-level variation draw; in Exact mode every gate of every path is
-// sampled individually.
-func (dp *Datapath) SampleLaneDelays(r *rng.Stream, vdd float64, dst []float64) {
-	dp.sampler(vdd).lanes(r, dst)
-}
-
 // sampler is a datapath's sampling state at one supply: the law or
 // moment table its mode reads, resolved once per Monte-Carlo call so
 // the per-chip draws never consult the memo.
@@ -256,7 +245,12 @@ func (s sampler) path(r *rng.Stream) float64 {
 	return law.Path(r.Float64())
 }
 
-// lanes draws the delays of len(dst) lanes of one chip into dst.
+// lanes draws the delays of len(dst) lanes of one chip into dst
+// (seconds). In the default (paper) mode every lane is an independent
+// draw from the lane law — the maximum of PathsPerLane iid path delays,
+// sampled by a single inverse-CDF lookup. SharedDie lanes share one
+// die-level variation draw, Spatial lanes read one AR(1) field, and in
+// Exact mode every gate of every path is sampled individually.
 func (s sampler) lanes(r *rng.Stream, dst []float64) {
 	dp, vdd := s.dp, s.vdd
 	if dp.Exact {
@@ -554,7 +548,8 @@ func (dp *Datapath) ChipDelaysFO4Ctx(ctx context.Context, seed uint64, n int, vd
 
 // P99ChipDelayFO4Ctx returns the 99 % point of the FO4-normalized chip
 // delay distribution — the paper's operating metric for every
-// architecture-level comparison.
+// architecture-level comparison. It reads one spare count from n chip
+// draws; a search over spare counts draws one SpareSample instead.
 func (dp *Datapath) P99ChipDelayFO4Ctx(ctx context.Context, seed uint64, n int, vdd float64, spares int) (float64, error) {
 	ds, err := dp.ChipDelaysFO4Ctx(ctx, seed, n, vdd, spares)
 	if err != nil {
@@ -614,13 +609,21 @@ func (dp *Datapath) SpareSampleCtx(ctx context.Context, seed uint64, n int, vdd 
 	}, nil
 }
 
+// MaxSpares returns the largest spare count the sample can read: the
+// maxSpares it was drawn with.
+func (s *SpareSample) MaxSpares() int { return s.width - s.lanes }
+
+// Chips returns the number of chips drawn.
+func (s *SpareSample) Chips() int { return len(s.delays) }
+
 // P99FO4 returns the 99 % FO4 chip delay with the given spare count, at
-// most the sample's maxSpares: each chip keeps the dp.Lanes fastest of
-// its first dp.Lanes+spares lanes.
+// most MaxSpares: each chip keeps the dp.Lanes fastest of its first
+// dp.Lanes+spares lanes. It equals, bit for bit, dp.P99ChipDelayFO4Ctx
+// with the same seed, chip count, supply and spare count.
 func (s *SpareSample) P99FO4(spares int) float64 {
 	k := s.lanes + spares
 	if spares < 0 || k > s.width {
-		panic(fmt.Sprintf("simd: P99FO4(%d) outside the sample's 0..%d spares", spares, s.width-s.lanes))
+		panic(fmt.Sprintf("simd: P99FO4(%d) outside the sample's 0..%d spares", spares, s.MaxSpares()))
 	}
 	for i := range s.delays {
 		// The physical system with the spares has exactly Lanes+spares
@@ -631,28 +634,4 @@ func (s *SpareSample) P99FO4(spares int) float64 {
 	}
 	sort.Float64s(s.delays)
 	return stats.QuantileSorted(s.delays, 0.99)
-}
-
-// SpareCurveCtx returns the 99 % FO4 chip delay for each spare count in
-// alphas, read from one SpareSample drawn at the largest count so the
-// curve is smooth in alpha (no independent MC noise between points).
-// alphas must be non-decreasing ≥ 0.
-func (dp *Datapath) SpareCurveCtx(ctx context.Context, seed uint64, n int, vdd float64, alphas []int) ([]float64, error) {
-	if len(alphas) == 0 {
-		return nil, nil
-	}
-	for i := 1; i < len(alphas); i++ {
-		if alphas[i] < alphas[i-1] {
-			panic("simd: SpareCurveCtx alphas must be non-decreasing")
-		}
-	}
-	sample, err := dp.SpareSampleCtx(ctx, seed, n, vdd, alphas[len(alphas)-1])
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(alphas))
-	for i, a := range alphas {
-		out[i] = sample.P99FO4(a)
-	}
-	return out, nil
 }

@@ -29,6 +29,21 @@ func mustFloats(t testing.TB) func([]float64, error) []float64 {
 	}
 }
 
+// spareP99s draws one SpareSample at the largest of alphas (the last)
+// and reads its 99 % FO4 chip delay at each spare count in alphas.
+func spareP99s(t testing.TB, dp *Datapath, seed uint64, n int, vdd float64, alphas []int) []float64 {
+	t.Helper()
+	sample, err := dp.SpareSampleCtx(bg, seed, n, vdd, alphas[len(alphas)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, len(alphas))
+	for i, a := range alphas {
+		out[i] = sample.P99FO4(a)
+	}
+	return out
+}
+
 func testPath() *Datapath {
 	// Reduced dimensions keep the exact (gate-level) comparisons fast
 	// while exercising the same code paths as the full 128×100 system.
@@ -126,9 +141,8 @@ func TestChipDelayDeterministic(t *testing.T) {
 }
 
 func TestSparesReduceP99(t *testing.T) {
-	must := mustFloats(t)
 	dp := New(tech.N90)
-	curve := must(dp.SpareCurveCtx(bg, 10, 3000, 0.55, []int{0, 2, 8, 32}))
+	curve := spareP99s(t, dp, 10, 3000, 0.55, []int{0, 2, 8, 32})
 	for i := 1; i < len(curve); i++ {
 		if curve[i] >= curve[i-1] {
 			t.Errorf("p99 must fall with spares: %v", curve)
@@ -136,27 +150,40 @@ func TestSparesReduceP99(t *testing.T) {
 	}
 }
 
-func TestSpareCurveMatchesChipDelays(t *testing.T) {
-	must := mustFloats(t)
-	dp := New(tech.N90)
-	const vdd = 0.6
-	curve := must(dp.SpareCurveCtx(bg, 11, 3000, vdd, []int{0}))
-	direct, err := dp.P99ChipDelayFO4Ctx(bg, 11, 3000, vdd, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(curve[0]-direct)/direct > 1e-9 {
-		t.Errorf("SpareCurveCtx(0) = %v, direct = %v", curve[0], direct)
+// TestSpareSampleMatchesChipDelays: a SpareSample drawn at exactly the
+// spare count it is read at gives P99ChipDelayFO4Ctx's bits — the
+// zero-spare max-uniform draw and the spared partial selection against
+// the sample's selection over whole rows — for the iid-paths law, the
+// shared die and the spatial field.
+func TestSpareSampleMatchesChipDelays(t *testing.T) {
+	const n, vdd, seed = 3000, 0.6, 11
+	for _, corr := range []CorrelationModel{IIDPaths, SharedDie, Spatial} {
+		dp := New(tech.N90)
+		dp.Corr = corr
+		dp.CorrLanes = 8
+		for _, spares := range []int{0, 8} {
+			sample, err := dp.SpareSampleCtx(bg, seed, n, vdd, spares)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := dp.P99ChipDelayFO4Ctx(bg, seed, n, vdd, spares)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sample.P99FO4(spares); !sameBits(got, direct) {
+				t.Errorf("%v, %d spares: SpareSample p99 %v, P99ChipDelayFO4Ctx %v", corr, spares, got, direct)
+			}
+		}
 	}
 }
 
 // TestSpareSampleReadsEverySpareCount: one SpareSample drawn at 128
-// spares answers the p99 of every smaller spare count with the bits a
-// draw at that count gives, for the iid-paths law, the shared die and
-// the spatial field on every calibrated node — a chip's stream is reset
-// by its index, so its narrower row is a prefix of the wider one.
+// spares answers the p99 of every smaller spare count with the bits
+// P99ChipDelayFO4Ctx's draw at that count gives, for the iid-paths law,
+// the shared die and the spatial field on every calibrated node — a
+// chip's stream is reset by its index, so its narrower row is a prefix
+// of the wider one.
 func TestSpareSampleReadsEverySpareCount(t *testing.T) {
-	must := mustFloats(t)
 	const n, vdd, seed = 120, 0.55, 12
 	for _, corr := range []CorrelationModel{IIDPaths, SharedDie, Spatial} {
 		for _, node := range tech.Nodes() {
@@ -167,7 +194,10 @@ func TestSpareSampleReadsEverySpareCount(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, a := range []int{0, 1, 5, 32, 127, 128} {
-				want := must(dp.SpareCurveCtx(bg, seed, n, vdd, []int{a}))[0]
+				want, err := dp.P99ChipDelayFO4Ctx(bg, seed, n, vdd, a)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if got := sample.P99FO4(a); !sameBits(got, want) {
 					t.Errorf("%v %s: P99FO4(%d) = %v, a draw at %d spares gives %v", corr, node.Name, a, got, a, want)
 				}
@@ -193,15 +223,6 @@ func TestSpareSamplePanicsOutsideItsSpares(t *testing.T) {
 	}
 }
 
-func TestSpareCurvePanicsOnDecreasing(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for decreasing alphas")
-		}
-	}()
-	_, _ = New(tech.N90).SpareCurveCtx(bg, 1, 10, 0.6, []int{4, 2})
-}
-
 func TestLowerVddSlowerAndWider(t *testing.T) {
 	must := mustFloats(t)
 	dp := New(tech.N90)
@@ -219,7 +240,6 @@ func TestLowerVddSlowerAndWider(t *testing.T) {
 }
 
 func TestCorrelatedModeSparesLessEffective(t *testing.T) {
-	must := mustFloats(t)
 	// The ablation result: under die-level correlation, dropping slow
 	// lanes buys much less p99 improvement than under the paper's iid
 	// assumption.
@@ -227,8 +247,8 @@ func TestCorrelatedModeSparesLessEffective(t *testing.T) {
 	corr := New(tech.N90)
 	corr.Corr = SharedDie
 	const vdd = 0.55
-	iidCurve := must(iid.SpareCurveCtx(bg, 13, 4000, vdd, []int{0, 16}))
-	corrCurve := must(corr.SpareCurveCtx(bg, 13, 4000, vdd, []int{0, 16}))
+	iidCurve := spareP99s(t, iid, 13, 4000, vdd, []int{0, 16})
+	corrCurve := spareP99s(t, corr, 13, 4000, vdd, []int{0, 16})
 	iidGain := 1 - iidCurve[1]/iidCurve[0]
 	corrGain := 1 - corrCurve[1]/corrCurve[0]
 	if corrGain >= iidGain {
@@ -269,13 +289,12 @@ func TestP99ConsistentWithSortedSample(t *testing.T) {
 }
 
 func TestSpatialInterpolatesBetweenExtremes(t *testing.T) {
-	must := mustFloats(t)
 	// The p99 gain from spares under the spatial model must land between
 	// the iid and shared-die extremes, approaching each at its limit.
 	const vdd = 0.55
 	const n = 3000
 	gain := func(dp *Datapath) float64 {
-		c := must(dp.SpareCurveCtx(bg, 21, n, vdd, []int{0, 16}))
+		c := spareP99s(t, dp, 21, n, vdd, []int{0, 16})
 		return 1 - c[1]/c[0]
 	}
 	iid := New(tech.N90)
@@ -335,8 +354,9 @@ func TestSpatialNeighborCorrelation(t *testing.T) {
 	for i := range rows {
 		rows[i] = make([]float64, dp.Lanes)
 	}
+	s := dp.sampler(0.55)
 	for i := 0; i < n; i++ {
-		dp.SampleLaneDelays(rngFor(uint64(i)), 0.55, rows[i])
+		s.lanes(rngFor(uint64(i)), rows[i])
 	}
 	corrAt := func(d int) float64 {
 		var x, y []float64

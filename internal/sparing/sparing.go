@@ -3,6 +3,11 @@
 // variation-induced timing errors at near-threshold voltage, and the
 // comparison between global and local spare placement (Appendix D).
 //
+// The spare search (MinSpares) draws no chips: it reads every trial
+// spare count from one simd.SpareSample the caller drew, so a caller
+// that also needs other spare counts of the same chips reads them from
+// that sample too.
+//
 // One placement value (Placement: clusters of lanes, each with its own
 // spares) covers local, segmented and global sparing, and its coverage
 // is exact from binomial laws. The repair units need not be lanes: a
@@ -11,7 +16,6 @@
 package sparing
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -22,9 +26,9 @@ import (
 
 // SearchResult reports a spare-count search.
 type SearchResult struct {
-	Spares  int     // minimal spare count meeting the target, or limit+1 if not found
-	Found   bool    // false if even the limit did not meet the target
-	P99     float64 // 99% FO4 chip delay achieved at Spares (or at the limit)
+	Spares  int     // minimal spare count meeting the target, or the sample's MaxSpares+1 if not found
+	Found   bool    // false if even MaxSpares did not meet the target
+	P99     float64 // 99% FO4 chip delay achieved at Spares (or at MaxSpares)
 	Target  float64 // 99% FO4 chip delay target (baseline at nominal voltage)
 	Samples int
 }
@@ -37,21 +41,17 @@ func (s SearchResult) String() string {
 	return fmt.Sprintf("%d spares (p99 %.2f FO4 ≤ target %.2f)", s.Spares, s.P99, s.Target)
 }
 
-// MinSparesCtx finds the minimal spare count α such that the 99 % FO4
-// chip delay of dp at supply vdd with α spares does not exceed
+// MinSpares finds the minimal spare count α such that the 99 % FO4
+// chip delay of the sampled chips with α spares does not exceed
 // targetFO4 (the baseline 99 % FO4 chip delay at nominal voltage, per
 // §4.1). The search evaluates a doubling ladder followed by a
-// bisection, reusing one lane-delay sample set throughout — one
-// simd.SpareSample of n chips drawn at limit spares — so the curve is
-// monotone in α. limit caps the search (the paper reports "> 128"
-// beyond the SIMD width). A cancelled ctx stops the search with ctx's
-// error.
-func MinSparesCtx(ctx context.Context, dp *simd.Datapath, seed uint64, n int, vdd, targetFO4 float64, limit int) (SearchResult, error) {
-	res := SearchResult{Target: targetFO4, Samples: n}
-	sample, err := dp.SpareSampleCtx(ctx, seed, n, vdd, limit)
-	if err != nil {
-		return res, err
-	}
+// bisection, reading every point from the one sample, so the curve is
+// monotone in α. The sample's MaxSpares caps the search (the paper
+// reports "> 128" beyond the SIMD width); draw it with
+// dp.SpareSampleCtx at the supply of interest.
+func MinSpares(sample *simd.SpareSample, targetFO4 float64) SearchResult {
+	res := SearchResult{Target: targetFO4, Samples: sample.Chips()}
+	limit := sample.MaxSpares()
 	// Walk the ladder of candidate spare counts 0, 1, 2, 4, ..., limit
 	// to the first one meeting the target.
 	lo := -1 // the last failing ladder point
@@ -64,7 +64,7 @@ func MinSparesCtx(ctx context.Context, dp *simd.Datapath, seed uint64, n int, vd
 		}
 		if a == limit {
 			res.Spares, res.P99 = limit+1, p99
-			return res, nil
+			return res
 		}
 		lo = a
 		a = min(max(2*a, 1), limit)
@@ -79,7 +79,7 @@ func MinSparesCtx(ctx context.Context, dp *simd.Datapath, seed uint64, n int, vd
 			lo = mid
 		}
 	}
-	return res, nil
+	return res
 }
 
 // Placement is a spare-placement policy for repairability analysis:

@@ -23,14 +23,15 @@ func baseline(t *testing.T, dp *simd.Datapath, seed uint64, n int) float64 {
 	return base
 }
 
-// minSpares runs MinSparesCtx under context.Background().
+// minSpares draws n chips of dp at vdd with room for limit spares,
+// under context.Background(), and runs MinSpares over them.
 func minSpares(t *testing.T, dp *simd.Datapath, seed uint64, n int, vdd, target float64, limit int) SearchResult {
 	t.Helper()
-	r, err := MinSparesCtx(context.Background(), dp, seed, n, vdd, target, limit)
+	sample, err := dp.SpareSampleCtx(context.Background(), seed, n, vdd, limit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return MinSpares(sample, target)
 }
 
 func TestMinSparesMonotoneTarget(t *testing.T) {
@@ -52,12 +53,12 @@ func TestMinSparesMonotoneTarget(t *testing.T) {
 	}
 	// The minimal count is genuinely minimal: one fewer must miss.
 	if r.Spares > 0 {
-		below, err := dp.SpareCurveCtx(context.Background(), 2, n, vdd, []int{r.Spares - 1})
+		below, err := dp.P99ChipDelayFO4Ctx(context.Background(), 2, n, vdd, r.Spares-1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if below[0] <= base {
-			t.Errorf("spares-1 (%d) already meets target: %v ≤ %v", r.Spares-1, below[0], base)
+		if below <= base {
+			t.Errorf("spares-1 (%d) already meets target: %v ≤ %v", r.Spares-1, below, base)
 		}
 	}
 }
@@ -89,22 +90,24 @@ func TestMinSparesUnreachable(t *testing.T) {
 	}
 }
 
-// TestMinSparesCancelled: a cancelled ctx stops the search with
-// context.Canceled instead of a spare count.
+// TestMinSparesCancelled: the spare search draws nothing itself, so
+// cancellation stops the draw it reads — a cancelled ctx makes
+// SpareSampleCtx return context.Canceled instead of a sample.
 func TestMinSparesCancelled(t *testing.T) {
 	dp := simd.New(tech.N90)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if r, err := MinSparesCtx(ctx, dp, 5, 400, 0.55, 50, 128); !errors.Is(err, context.Canceled) {
-		t.Errorf("MinSparesCtx on a cancelled ctx = (%v, %v), want context.Canceled", r, err)
+	if s, err := dp.SpareSampleCtx(ctx, 5, 400, 0.55, 128); !errors.Is(err, context.Canceled) {
+		t.Errorf("SpareSampleCtx on a cancelled ctx = (%v, %v), want context.Canceled", s, err)
 	}
 }
 
-// redrawSearch is the spare search as it ran before it drew its lanes
-// once: the doubling ladder from one SpareCurveCtx call, then a fresh
-// SpareCurveCtx draw at every bisection step. It is kept as the
-// reference the one-draw search must match.
-func redrawSearch(ctx context.Context, dp *simd.Datapath, seed uint64, n int, vdd, targetFO4 float64, limit int) (SearchResult, error) {
+// redrawSearch is the spare search as it ran before it read one drawn
+// sample: the doubling ladder, then the bisection, with every point a
+// fresh P99ChipDelayFO4Ctx draw of the n chips at that spare count. It
+// is kept as the reference the one-sample search must match, and it
+// also reports how many bisection steps it took.
+func redrawSearch(ctx context.Context, dp *simd.Datapath, seed uint64, n int, vdd, targetFO4 float64, limit int) (SearchResult, int, error) {
 	res := SearchResult{Target: targetFO4, Samples: n}
 	var ladder []int
 	for a := 0; a <= limit; {
@@ -119,9 +122,13 @@ func redrawSearch(ctx context.Context, dp *simd.Datapath, seed uint64, n int, vd
 	if ladder[len(ladder)-1] != limit {
 		ladder = append(ladder, limit)
 	}
-	curve, err := dp.SpareCurveCtx(ctx, seed, n, vdd, ladder)
-	if err != nil {
-		return res, err
+	curve := make([]float64, len(ladder))
+	for i, a := range ladder {
+		p99, err := dp.P99ChipDelayFO4Ctx(ctx, seed, n, vdd, a)
+		if err != nil {
+			return res, 0, err
+		}
+		curve[i] = p99
 	}
 	hitIdx := -1
 	for i, p99 := range curve {
@@ -133,39 +140,40 @@ func redrawSearch(ctx context.Context, dp *simd.Datapath, seed uint64, n int, vd
 	if hitIdx == -1 {
 		res.Spares = limit + 1
 		res.P99 = curve[len(curve)-1]
-		return res, nil
+		return res, 0, nil
 	}
 	res.Found = true
 	if hitIdx == 0 {
 		res.Spares = ladder[0]
 		res.P99 = curve[0]
-		return res, nil
+		return res, 0, nil
 	}
 	lo, hi := ladder[hitIdx-1], ladder[hitIdx]
 	p99hi := curve[hitIdx]
-	for hi-lo > 1 {
+	steps := 0
+	for ; hi-lo > 1; steps++ {
 		mid := (lo + hi) / 2
-		point, err := dp.SpareCurveCtx(ctx, seed, n, vdd, []int{mid})
+		point, err := dp.P99ChipDelayFO4Ctx(ctx, seed, n, vdd, mid)
 		if err != nil {
-			return res, err
+			return res, steps, err
 		}
-		if point[0] <= targetFO4 {
-			hi, p99hi = mid, point[0]
+		if point <= targetFO4 {
+			hi, p99hi = mid, point
 		} else {
 			lo = mid
 		}
 	}
 	res.Spares = hi
 	res.P99 = p99hi
-	return res, nil
+	return res, steps, nil
 }
 
-// TestMinSparesMatchesRedrawSearch: the search that draws its lanes
-// once finds the same spare count and the same P99, bit for bit, as
-// the search that redrew every chip at each bisection step, on every
+// TestMinSparesMatchesRedrawSearch: the search over one drawn sample
+// finds the same spare count and the same P99, bit for bit, as the
+// search that redraws every chip at each point it reads, on every
 // calibrated node at three near-threshold supplies and three seeds —
-// and a progress reporter on its context sees exactly n chip draws,
-// where the redrawing search made one more pass of n per step.
+// and a progress reporter on the draw's context sees exactly n chip
+// draws, where the redrawing search made one pass of n per point.
 func TestMinSparesMatchesRedrawSearch(t *testing.T) {
 	const n, limit = 300, 128
 	var bisected int
@@ -175,12 +183,12 @@ func TestMinSparesMatchesRedrawSearch(t *testing.T) {
 		for _, vdd := range []float64{0.50, 0.55, 0.60} {
 			for _, seed := range []uint64{2, 3, 4} {
 				prog := telemetry.NewProgress()
-				got, err := MinSparesCtx(telemetry.WithProgress(context.Background(), prog), dp, seed, n, vdd, base, limit)
+				sample, err := dp.SpareSampleCtx(telemetry.WithProgress(context.Background(), prog), seed, n, vdd, limit)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref := telemetry.NewProgress()
-				want, err := redrawSearch(telemetry.WithProgress(context.Background(), ref), dp, seed, n, vdd, base, limit)
+				got := MinSpares(sample, base)
+				want, steps, err := redrawSearch(context.Background(), dp, seed, n, vdd, base, limit)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -190,7 +198,7 @@ func TestMinSparesMatchesRedrawSearch(t *testing.T) {
 				if s := prog.Snapshot(); s.Done != n || s.Total != n {
 					t.Errorf("%s @%.2fV seed %d: search drew %d of %d chips, want %d", node.Name, vdd, seed, s.Done, s.Total, n)
 				}
-				if ref.Snapshot().Done > n {
+				if steps > 0 {
 					bisected++
 				}
 			}

@@ -150,20 +150,6 @@ func TestClarkAgainstExactQuadrature(t *testing.T) {
 	}
 }
 
-func TestSum(t *testing.T) {
-	got := Sum(Gaussian{1, 3}, Gaussian{2, 4})
-	if got.Mu != 3 || got.Sigma != 5 {
-		t.Errorf("Sum = %+v, want {3 5}", got)
-	}
-	if z := Sum(); z != (Gaussian{}) {
-		t.Errorf("empty Sum = %+v", z)
-	}
-	one := Gaussian{7, 2}
-	if got := Sum(one); got != one {
-		t.Errorf("unary Sum = %+v", got)
-	}
-}
-
 // TestMaxIIDGolden pins MaxIID outputs bit-for-bit. The values were
 // captured from the pre-memoization O(n) tournament recursion, so they
 // also prove the per-level memoization changed nothing — the recursion

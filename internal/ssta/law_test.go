@@ -165,13 +165,3 @@ func TestLawDegenerateD2D(t *testing.T) {
 		t.Errorf("degenerate chip p99 %.12g, want closed-form %.12g", got, want)
 	}
 }
-
-// TestChipModelLaw pins the ChipModel.Law accessor to the NewLaw
-// construction.
-func TestChipModelLaw(t *testing.T) {
-	node := tech.N32
-	m := ssta.ChipModel{Paths: 100, Lanes: 128, Dev: node.Dev, Var: node.Var, ChainLen: tech.ChainLength}
-	if got, want := m.Law(0.55).ChipQuantile(0.99), defaultLaw(node, 0.55).ChipQuantile(0.99); got != want {
-		t.Errorf("ChipModel.Law quantile %v != NewLaw %v", got, want)
-	}
-}

@@ -9,7 +9,7 @@
 // finite set of random variables", 1961). This package provides both
 // flows:
 //
-//   - the Clark moment algebra (Clark, MaxIID, Sum) for cheap Gaussian
+//   - the Clark moment algebra (Clark, MaxIID) for cheap Gaussian
 //     moment summaries, and
 //   - the Law type: the full analytic chip-delay law built by
 //     conditioning on the die-level (D2D) variation axes and applying
@@ -81,18 +81,6 @@ func Clark(x, y Gaussian, rho float64) Gaussian {
 	return Gaussian{Mu: m1, Sigma: math.Sqrt(v)}
 }
 
-// Sum returns the moment-matched sum of independent Gaussians: means
-// add, variances add. It is exact (sums of independent Gaussians are
-// Gaussian) and is the chain-delay propagation step of the SSTA flow.
-func Sum(gs ...Gaussian) Gaussian {
-	var mu, v float64
-	for _, g := range gs {
-		mu += g.Mu
-		v += g.Sigma * g.Sigma
-	}
-	return Gaussian{Mu: mu, Sigma: math.Sqrt(v)}
-}
-
 // MaxIID returns the Clark-iterated approximation of the maximum of n
 // independent copies of g. Pairing is balanced (tournament order) —
 // iterating a tournament keeps the Gaussian re-interpretation error
@@ -154,10 +142,4 @@ func (m ChipModel) ChipP99(vdd float64) float64 {
 	lane := MaxIID(path, m.Paths)
 	chip := MaxIID(lane, m.Lanes)
 	return chip.Quantile(0.99)
-}
-
-// Law returns the analytic chip-delay law of the model at supply vdd —
-// see NewLaw for the construction.
-func (m ChipModel) Law(vdd float64) *Law {
-	return NewLaw(m.Dev, m.Var, vdd, m.ChainLen, m.Paths, m.Lanes)
 }

@@ -5,24 +5,6 @@ import (
 	"testing"
 )
 
-func TestECDFBasics(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {9, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); got != c.want {
-			t.Errorf("At(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if e.N() != 4 {
-		t.Errorf("N = %d", e.N())
-	}
-	if got := e.Quantile(0.5); got != 2 {
-		t.Errorf("Quantile(0.5) = %v", got)
-	}
-}
-
 func TestKSStatisticIdentical(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	if d := KSStatistic(xs, xs); d != 0 {
@@ -65,21 +47,5 @@ func TestKSDifferentDistributionAboveCritical(t *testing.T) {
 	d := KSStatistic(xs, ys)
 	if crit := KSCritical(n, n, 0.01); d < crit {
 		t.Errorf("shifted-distribution KS %v below critical %v", d, crit)
-	}
-}
-
-func TestKSTestNormal(t *testing.T) {
-	r := rand.New(rand.NewPCG(15, 16))
-	xs := make([]float64, 2000)
-	for i := range xs {
-		xs[i] = 2 + 3*r.NormFloat64()
-	}
-	d := KSTestNormal(xs, Normal{Mu: 2, Sigma: 3})
-	if d > 0.05 {
-		t.Errorf("one-sample KS %v too large for matching normal", d)
-	}
-	dWrong := KSTestNormal(xs, Normal{Mu: 0, Sigma: 3})
-	if dWrong < 0.2 {
-		t.Errorf("one-sample KS %v too small for wrong mean", dWrong)
 	}
 }

@@ -94,50 +94,3 @@ func standardNormalQuantile(p float64) float64 {
 	x -= u / (1 + x*u/2)
 	return x
 }
-
-// LogNormal is the distribution of exp(N) where N ~ Normal(Mu, Sigma).
-// Gate delays at very low voltage are strongly right-skewed and are well
-// described by a log-normal.
-type LogNormal struct {
-	Mu    float64 // mean of log(X)
-	Sigma float64 // standard deviation of log(X)
-}
-
-// PDF returns the probability density at x (0 for x ≤ 0).
-func (l LogNormal) PDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return Normal{l.Mu, l.Sigma}.PDF(math.Log(x)) / x
-}
-
-// CDF returns P(X ≤ x).
-func (l LogNormal) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return Normal{l.Mu, l.Sigma}.CDF(math.Log(x))
-}
-
-// Quantile returns the inverse CDF at probability p.
-func (l LogNormal) Quantile(p float64) float64 {
-	return math.Exp(Normal{l.Mu, l.Sigma}.Quantile(p))
-}
-
-// Mean returns E[X] = exp(Mu + Sigma²/2).
-func (l LogNormal) Mean() float64 {
-	return math.Exp(l.Mu + l.Sigma*l.Sigma/2)
-}
-
-// FitLogNormal estimates LogNormal parameters from positive samples by
-// the method of moments on log(x). Non-positive samples yield NaN fields.
-func FitLogNormal(xs []float64) LogNormal {
-	logs := make([]float64, len(xs))
-	for i, x := range xs {
-		if x <= 0 {
-			return LogNormal{math.NaN(), math.NaN()}
-		}
-		logs[i] = math.Log(x)
-	}
-	return LogNormal{Mu: Mean(logs), Sigma: StdDev(logs)}
-}

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -97,36 +96,5 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLogNormal(t *testing.T) {
-	l := LogNormal{Mu: 1, Sigma: 0.25}
-	if got, want := l.Mean(), math.Exp(1+0.25*0.25/2); !almostEqual(got, want, 1e-12) {
-		t.Errorf("Mean = %v, want %v", got, want)
-	}
-	if l.CDF(0) != 0 || l.PDF(-1) != 0 {
-		t.Error("log-normal must vanish for x ≤ 0")
-	}
-	// Median is exp(Mu).
-	if got := l.Quantile(0.5); !almostEqual(got, math.E, 1e-9) {
-		t.Errorf("median = %v, want e", got)
-	}
-}
-
-func TestFitLogNormal(t *testing.T) {
-	r := rand.New(rand.NewPCG(7, 8))
-	want := LogNormal{Mu: -0.5, Sigma: 0.3}
-	xs := make([]float64, 20000)
-	for i := range xs {
-		xs[i] = math.Exp(want.Mu + want.Sigma*r.NormFloat64())
-	}
-	got := FitLogNormal(xs)
-	if !almostEqual(got.Mu, want.Mu, 0.01) || !almostEqual(got.Sigma, want.Sigma, 0.01) {
-		t.Errorf("fit = %+v, want ≈%+v", got, want)
-	}
-	bad := FitLogNormal([]float64{1, -2, 3})
-	if !math.IsNaN(bad.Mu) {
-		t.Error("fit with non-positive sample should be NaN")
 	}
 }

@@ -1,14 +1,18 @@
 // Package stats provides the descriptive statistics, distributions and
 // hypothesis tests used throughout the Monte-Carlo variation study:
-// moments, quantiles, histograms, empirical CDFs, the Gaussian,
-// log-normal and binomial distributions, and the Kolmogorov–Smirnov
-// test. It is also the one home of the quadrature rules every Gaussian
-// expectation in the repository is integrated with: Gauss–Hermite for
-// smooth integrands and normal-weighted Simpson for tail-dominated ones.
+// moments, quantiles and their order-statistic confidence intervals,
+// histograms, the Gaussian and binomial distributions, and the
+// two-sample Kolmogorov–Smirnov test. It is also the one home of the
+// quadrature rules every Gaussian expectation in the repository is
+// integrated with: Gauss–Hermite for smooth integrands and
+// normal-weighted Simpson for tail-dominated ones.
 //
-// All functions operate on float64 samples. Unless stated otherwise they
-// do not modify their inputs; functions that need sorted data either sort
-// a copy or state the precondition explicitly.
+// All functions operate on float64 samples held in slices: the
+// Monte-Carlo engine returns every sample in index order, so moments
+// are reduced from the slice and no streaming accumulator is needed.
+// Unless stated otherwise they do not modify their inputs; functions
+// that need sorted data either sort a copy or state the precondition
+// explicitly.
 package stats
 
 import (

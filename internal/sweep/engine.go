@@ -499,29 +499,38 @@ func (sw *Sweep) markRunning(idx int) {
 // so concurrent retries don't thunder in lockstep.
 var shardBackoff = jobs.Backoff{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond, Seed: 0x5eed}
 
-// runShard evaluates one grid point, retrying transient failures and
-// contained panics in place up to the spec's retry budget. Every
-// attempt re-evaluates the same Point — same derived seed — so a
-// retried shard's output is byte-identical to a first-try one.
+// runShard evaluates one grid point of the sweep under the span
+// sweep/<id>/shard/<n>, recording each in-place retry on the shard.
 func (sw *Sweep) runShard(ctx context.Context, idx int, pt Point) (*ShardResult, error) {
-	retries := sw.spec.shardRetries()
-	var (
-		sr  *ShardResult
-		err error
-	)
+	return evalWithRetries(ctx, sw.spec, pt, fmt.Sprintf("sweep/%s/shard/%d", sw.ID, idx),
+		func() { sw.noteRetry(idx) })
+}
+
+// evalWithRetries evaluates pt under a span named span, retrying
+// transient failures and contained panics in place up to the
+// normalized spec's retry budget, calling onRetry before each retry's
+// backoff (seeded by the spec seed plus the point index). Every attempt
+// re-evaluates the same Point — same derived seed — so a retried
+// shard's output is byte-identical to a first-try one. The in-process
+// engine and the cluster worker (EvalShard) both evaluate through it.
+func evalWithRetries(ctx context.Context, spec Spec, pt Point, span string, onRetry func()) (*ShardResult, error) {
 	for attempt := 1; ; attempt++ {
+		var (
+			sr  *ShardResult
+			err error
+		)
 		if ferr := faults.Fire(ctx, faults.SiteSweepShard); ferr != nil {
-			sr, err = nil, ferr
+			err = ferr
 		} else {
-			spanCtx, sp := telemetry.StartSpan(ctx, fmt.Sprintf("sweep/%s/shard/%d", sw.ID, idx))
-			sr, err = safeEvalPoint(spanCtx, sw.spec, pt)
+			spanCtx, sp := telemetry.StartSpan(ctx, span)
+			sr, err = safeEvalPoint(spanCtx, spec, pt)
 			sp.End()
 		}
-		if err == nil || ctx.Err() != nil || !jobs.IsTransient(err) || attempt > retries {
+		if err == nil || ctx.Err() != nil || !jobs.IsTransient(err) || attempt > spec.shardRetries() {
 			return sr, err
 		}
-		sw.noteRetry(idx)
-		if serr := shardBackoff.Sleep(ctx, sw.spec.Seed+uint64(idx), attempt); serr != nil {
+		onRetry()
+		if serr := shardBackoff.Sleep(ctx, spec.Seed+uint64(pt.Index), attempt); serr != nil {
 			return nil, serr
 		}
 	}

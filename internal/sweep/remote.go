@@ -4,10 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-
-	"github.com/ntvsim/ntvsim/internal/faults"
-	"github.com/ntvsim/ntvsim/internal/jobs"
-	"github.com/ntvsim/ntvsim/internal/telemetry"
 )
 
 // RemoteQueue is a sink for shards executed out of process — the
@@ -126,34 +122,17 @@ func (sw *Sweep) watchRemote() {
 // — same panic containment, same transient-only in-place retries with
 // the seeded shard backoff, same derived Point seed — and returns the
 // result plus how many retries were absorbed. It is the worker-side
-// evaluation entry point of cluster mode: because it shares evalPoint
-// and the retry discipline with the in-process engine, a sweep fanned
-// out over N workers merges byte-identical to RunSerial.
+// evaluation entry point of cluster mode: because it runs the
+// in-process engine's retry loop (evalWithRetries), a sweep fanned out
+// over N workers merges byte-identical to RunSerial.
 func EvalShard(ctx context.Context, spec Spec, pt Point) (*ShardResult, int, error) {
 	ns, err := spec.Normalized()
 	if err != nil {
 		return nil, 0, err
 	}
-	maxRetries := ns.shardRetries()
 	retried := 0
-	for attempt := 1; ; attempt++ {
-		var sr *ShardResult
-		var err error
-		if ferr := faults.Fire(ctx, faults.SiteSweepShard); ferr != nil {
-			sr, err = nil, ferr
-		} else {
-			spanCtx, sp := telemetry.StartSpan(ctx, fmt.Sprintf("cluster/shard/%d", pt.Index))
-			sr, err = safeEvalPoint(spanCtx, ns, pt)
-			sp.End()
-		}
-		if err == nil || ctx.Err() != nil || !jobs.IsTransient(err) || attempt > maxRetries {
-			return sr, retried, err
-		}
-		retried++
-		if serr := shardBackoff.Sleep(ctx, ns.Seed+uint64(pt.Index), attempt); serr != nil {
-			return nil, retried, serr
-		}
-	}
+	sr, err := evalWithRetries(ctx, ns, pt, fmt.Sprintf("cluster/shard/%d", pt.Index), func() { retried++ })
+	return sr, retried, err
 }
 
 // NewID returns a fresh sweep id. The cluster coordinator assigns ids

@@ -23,16 +23,17 @@ func TestGateDelayMatchesQuadratureMoments(t *testing.T) {
 	s := testSampler()
 	r := rng.New(100)
 	const vdd = 0.6
-	var st stats.Stream
-	for i := 0; i < 200000; i++ {
-		st.Add(s.FreshGateDelay(r, vdd))
+	xs := make([]float64, 200000)
+	for i := range xs {
+		xs[i] = s.FreshGateDelay(r, vdd)
 	}
+	mean, sd := stats.Mean(xs), stats.StdDev(xs)
 	qm, qv := device.GateMoments(s.Dev, s.Var, vdd)
-	if math.Abs(st.Mean()-qm)/qm > 0.01 {
-		t.Errorf("MC mean %v vs quadrature %v", st.Mean(), qm)
+	if math.Abs(mean-qm)/qm > 0.01 {
+		t.Errorf("MC mean %v vs quadrature %v", mean, qm)
 	}
-	if math.Abs(st.StdDev()-math.Sqrt(qv))/math.Sqrt(qv) > 0.03 {
-		t.Errorf("MC sd %v vs quadrature %v", st.StdDev(), math.Sqrt(qv))
+	if math.Abs(sd-math.Sqrt(qv))/math.Sqrt(qv) > 0.03 {
+		t.Errorf("MC sd %v vs quadrature %v", sd, math.Sqrt(qv))
 	}
 }
 
@@ -41,16 +42,17 @@ func TestChainDelayMatchesQuadratureMoments(t *testing.T) {
 	r := rng.New(200)
 	const vdd = 0.5
 	const n = 30
-	var st stats.Stream
-	for i := 0; i < 40000; i++ {
-		st.Add(s.FreshChainDelay(r, vdd, n))
+	xs := make([]float64, 40000)
+	for i := range xs {
+		xs[i] = s.FreshChainDelay(r, vdd, n)
 	}
+	mean, sd := stats.Mean(xs), stats.StdDev(xs)
 	qm, qv := device.ChainMoments(s.Dev, s.Var, vdd, n)
-	if math.Abs(st.Mean()-qm)/qm > 0.01 {
-		t.Errorf("MC mean %v vs quadrature %v", st.Mean(), qm)
+	if math.Abs(mean-qm)/qm > 0.01 {
+		t.Errorf("MC mean %v vs quadrature %v", mean, qm)
 	}
-	if math.Abs(st.StdDev()-math.Sqrt(qv))/math.Sqrt(qv) > 0.05 {
-		t.Errorf("MC sd %v vs quadrature %v", st.StdDev(), math.Sqrt(qv))
+	if math.Abs(sd-math.Sqrt(qv))/math.Sqrt(qv) > 0.05 {
+		t.Errorf("MC sd %v vs quadrature %v", sd, math.Sqrt(qv))
 	}
 }
 
@@ -60,19 +62,20 @@ func TestDieCorrelationWithinDie(t *testing.T) {
 	// Two gates on the same die must be positively correlated; on
 	// different dies, uncorrelated.
 	const n = 50000
-	var sameCov, crossCov stats.Stream
+	sameProd := make([]float64, n)
+	crossProd := make([]float64, n)
 	for i := 0; i < n; i++ {
 		die := s.Die(r)
 		g1 := s.GateDelay(r, 0.5, die)
 		g2 := s.GateDelay(r, 0.5, die)
 		die3 := s.Die(r)
 		g3 := s.GateDelay(r, 0.5, die3)
-		sameCov.Add(g1 * g2)
-		crossCov.Add(g1 * g3)
+		sameProd[i] = g1 * g2
+		crossProd[i] = g1 * g3
 	}
 	qm, _ := device.GateMoments(s.Dev, s.Var, 0.5)
-	same := sameCov.Mean() - qm*qm
-	cross := crossCov.Mean() - qm*qm
+	same := stats.Mean(sameProd) - qm*qm
+	cross := stats.Mean(crossProd) - qm*qm
 	if same <= 0 {
 		t.Errorf("same-die covariance %v should be positive", same)
 	}
@@ -106,19 +109,20 @@ func TestDelaysArePositive(t *testing.T) {
 func TestDieFieldsDistribution(t *testing.T) {
 	s := testSampler()
 	r := rng.New(600)
-	var dvth, mul stats.Stream
-	for i := 0; i < 100000; i++ {
+	dvth := make([]float64, 100000)
+	logMul := make([]float64, len(dvth))
+	for i := range dvth {
 		d := s.Die(r)
-		dvth.Add(d.DVth)
-		mul.Add(math.Log(d.Mul))
+		dvth[i] = d.DVth
+		logMul[i] = math.Log(d.Mul)
 	}
-	if math.Abs(dvth.Mean()) > 1e-4 {
-		t.Errorf("D2D Vth mean %v, want 0", dvth.Mean())
+	if m := stats.Mean(dvth); math.Abs(m) > 1e-4 {
+		t.Errorf("D2D Vth mean %v, want 0", m)
 	}
-	if math.Abs(dvth.StdDev()-s.Var.SigmaVthD2D)/s.Var.SigmaVthD2D > 0.02 {
-		t.Errorf("D2D Vth sd %v, want %v", dvth.StdDev(), s.Var.SigmaVthD2D)
+	if sd := stats.StdDev(dvth); math.Abs(sd-s.Var.SigmaVthD2D)/s.Var.SigmaVthD2D > 0.02 {
+		t.Errorf("D2D Vth sd %v, want %v", sd, s.Var.SigmaVthD2D)
 	}
-	if math.Abs(mul.StdDev()-s.Var.SigmaMulD2D)/s.Var.SigmaMulD2D > 0.02 {
-		t.Errorf("D2D mul log-sd %v, want %v", mul.StdDev(), s.Var.SigmaMulD2D)
+	if sd := stats.StdDev(logMul); math.Abs(sd-s.Var.SigmaMulD2D)/s.Var.SigmaMulD2D > 0.02 {
+		t.Errorf("D2D mul log-sd %v, want %v", sd, s.Var.SigmaMulD2D)
 	}
 }
