@@ -8,6 +8,7 @@ import (
 	"github.com/ntvsim/ntvsim/internal/importance"
 	"github.com/ntvsim/ntvsim/internal/report"
 	"github.com/ntvsim/ntvsim/internal/simd"
+	"github.com/ntvsim/ntvsim/internal/ssta"
 	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/tech"
 )
@@ -80,10 +81,9 @@ func runTailYield(ctx context.Context, cfg Config) (Result, error) {
 	node := tech.N22
 	const vdd = 0.5
 	stdNormal := stats.Normal{Mu: 0, Sigma: 1}
-	fn, err := simd.New(node).ChipQuantileFn(vdd)
-	if err != nil {
-		return nil, err
-	}
+	// The canonical datapath's chip law: the table simd.New(node)
+	// samples, whose censoring floor the tail estimator reads.
+	tbl := ssta.LawFor(node.Dev, node.Var, vdd, tech.ChainLength, simd.DefaultPathsPerLane, simd.DefaultLanes).Table()
 	nMC := cfg.ChipSamples
 	nIS := nMC / 10
 	if nIS < 1000 {
@@ -91,26 +91,24 @@ func runTailYield(ctx context.Context, cfg Config) (Result, error) {
 	}
 	res := &TailYieldResult{Node: node, Vdd: vdd, MCSamples: nMC, ISSamples: nIS}
 	for i, k := range []float64{2, 3, 4} {
-		pTrue := 1 - stdNormal.CDF(k)
-		target := fn(stdNormal.CDF(k))
+		u := stdNormal.CDF(k)
+		pTrue := 1 - u
+		target, floor := tbl.Chip(u), tbl.ChipFloor(u)
 		seed := cfg.Seed + uint64(41+i)
 
 		mcCtx, done := phase(ctx, fmt.Sprintf("mc/%.0fsigma", k))
-		xs, ws, err := importance.SampleCtx(mcCtx, importance.Params{Mix: 1}, seed, nMC, fn)
+		pMC, seMC, _, err := importance.TailProbCtx(mcCtx, importance.Params{Mix: 1}, seed, nMC, tbl.Chip, target, floor)
 		done()
 		if err != nil {
 			return nil, err
 		}
-		pMC, seMC := importance.TailProb(xs, ws, target)
 
 		isCtx, done := phase(ctx, fmt.Sprintf("is/%.0fsigma", k))
-		xs, ws, err = importance.SampleCtx(isCtx, importance.Params{Shift: k}, seed, nIS, fn)
+		pIS, seIS, diag, err := importance.TailProbCtx(isCtx, importance.Params{Shift: k}, seed, nIS, tbl.Chip, target, floor)
 		done()
 		if err != nil {
 			return nil, err
 		}
-		pIS, seIS := importance.TailProb(xs, ws, target)
-		diag := importance.Diagnose(ws)
 
 		res.Rows = append(res.Rows, TailYieldRow{
 			Sigma:       k,

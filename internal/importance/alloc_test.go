@@ -1,6 +1,7 @@
 package importance
 
 import (
+	"context"
 	"runtime"
 	"testing"
 )
@@ -57,5 +58,26 @@ func TestTailProbAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() { TailProb(xs, ws, 2048) })
 	if allocs != 0 {
 		t.Errorf("TailProb allocates %v per call, want 0", allocs)
+	}
+}
+
+// TestTailProbCtxAllocationBound: the tail estimator allocates per
+// call — its row slab, one worker stream, closure plumbing — never per
+// sample, so quadrupling the sample count leaves the count unchanged.
+func TestTailProbCtxAllocationBound(t *testing.T) {
+	tail := func(n int) func() {
+		return func() {
+			if _, _, _, err := TailProbCtx(context.Background(), Params{Shift: 3, Mix: 0.25}, 5, n, identity, 3, stdNormal.CDF(2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	small := allocsSingleWorker(tail(1024))
+	large := allocsSingleWorker(tail(4096))
+	if large > small {
+		t.Errorf("TailProbCtx allocations scale with n: %v @1024 vs %v @4096", small, large)
+	}
+	if large > 12 {
+		t.Errorf("TailProbCtx(n=4096) allocates %v per call, want ≤ 12", large)
 	}
 }

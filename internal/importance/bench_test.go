@@ -1,10 +1,10 @@
 package importance
 
 import (
+	"context"
 	"math"
 	"testing"
 
-	"github.com/ntvsim/ntvsim/internal/simd"
 	"github.com/ntvsim/ntvsim/internal/tech"
 )
 
@@ -12,10 +12,11 @@ import (
 // 4σ chip tail-yield target the importance sampler buys its speedup in
 // variance, not wall-clock — per-sample cost is within a small factor
 // of plain MC while the equal-accuracy sample count drops by orders of
-// magnitude. Both benchmarks draw the same number of samples from the
-// same analytic chip law; xreduction on the IS side is the per-sample
-// variance ratio binomial/IS, i.e. how many MC samples one IS sample
-// is worth at this target.
+// magnitude. Both benchmarks run the tail estimator the sweep kernels
+// run (TailProbCtx, censoring at the chip table's floor) for the same
+// number of samples from the same analytic chip law; xreduction on the
+// IS side is the per-sample variance ratio binomial/IS, i.e. how many
+// MC samples one IS sample is worth at this target.
 
 const (
 	benchVdd     = 0.5
@@ -23,27 +24,22 @@ const (
 	benchSigma   = 4.0
 )
 
-func benchChipLaw(b *testing.B) (fn func(float64) float64, target float64) {
-	b.Helper()
-	dp := simd.New(tech.N32)
-	fn, err := dp.ChipQuantileFn(benchVdd)
-	if err != nil {
-		b.Fatal(err)
-	}
-	target, err = dp.ChipQuantile(benchVdd, stdNormal.CDF(benchSigma))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return fn, target
+// benchChipLaw returns the chip quantile map of the 32 nm datapath at
+// benchVdd, the benchSigma target and the table's censoring floor there.
+func benchChipLaw() (fn func(float64) float64, target, floor float64) {
+	tbl := chipTable(tech.N32, benchVdd)
+	u := stdNormal.CDF(benchSigma)
+	return tbl.Chip, tbl.Chip(u), tbl.ChipFloor(u)
 }
 
 func BenchmarkKernelMCTailYield(b *testing.B) {
-	fn, target := benchChipLaw(b)
+	fn, target, floor := benchChipLaw()
 	pTrue := 1 - stdNormal.CDF(benchSigma)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		xs, ws := sample(b, Params{Mix: 1}, uint64(i)+1, benchSamples, fn)
-		TailProb(xs, ws, target)
+		if _, _, _, err := TailProbCtx(context.Background(), Params{Mix: 1}, uint64(i)+1, benchSamples, fn, target, floor); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(benchSamples), "samples/op")
 	// At p ≈ 3.2e-5 a 4096-sample MC run usually sees zero events, so
@@ -52,14 +48,16 @@ func BenchmarkKernelMCTailYield(b *testing.B) {
 }
 
 func BenchmarkKernelISTailYield(b *testing.B) {
-	fn, target := benchChipLaw(b)
+	fn, target, floor := benchChipLaw()
 	pTrue := 1 - stdNormal.CDF(benchSigma)
 	params := Params{Shift: benchSigma, Mix: DefaultMix}
 	var p, se float64
+	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		xs, ws := sample(b, params, uint64(i)+1, benchSamples, fn)
-		p, se = TailProb(xs, ws, target)
+		if p, se, _, err = TailProbCtx(context.Background(), params, uint64(i)+1, benchSamples, fn, target, floor); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(benchSamples), "samples/op")
 	b.ReportMetric(se/p, "relerr/op")

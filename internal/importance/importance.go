@@ -26,6 +26,14 @@
 // live in weighted.go; each reduces the slices SampleCtx returns, and
 // docs/SAMPLING.md is the statistical contract for all of them.
 //
+// TailProbCtx is the tail estimator the tail-yield kernels run: the
+// draws of SampleCtx reduced by TailProb and Diagnose, bit for bit, but
+// without the arithmetic no tail indicator reads. A draw whose
+// quantile-map input lies at or below a censoring floor the caller
+// proves (ssta.Table.ChipFloor) cannot land above the target, so it is
+// neither pushed through the map nor, far enough below, through Φ; at
+// Mix = 1 its weight is exactly 1 without an exp.
+//
 // # Determinism
 //
 // SampleCtx draws through montecarlo.SampleFlatCtx, so sample index i
@@ -101,9 +109,23 @@ func (p Params) draw(r *rng.Stream) (z, w float64) {
 // weight returns the self-normalized likelihood weight
 // w(z) = φ(z)/q(z) = 1/(mix + (1−mix)·exp(shift·z − shift²/2)),
 // bounded above by 1/mix by the defensive component.
+//
+// At mix = 1 (plain MC) the weight is 1/(1 + 0·exp(e)), exactly 1
+// whenever exp(e) is finite, so the exp is skipped there. The exponent
+// e is at most z²/2, and every finite z the ziggurat returns has
+// |z| < 15, so this is every plain-MC draw; the e < maxExpArg test
+// still sends the rest (an infinite z, or a shift so large that e
+// rounds to +Inf or NaN) through the formula, keeping their bits too.
 func (p Params) weight(z float64) float64 {
-	return 1 / (p.Mix + (1-p.Mix)*math.Exp(p.Shift*z-p.Shift*p.Shift/2))
+	e := p.Shift*z - p.Shift*p.Shift/2
+	if p.Mix == 1 && e < maxExpArg {
+		return 1
+	}
+	return 1 / (p.Mix + (1-p.Mix)*math.Exp(e))
 }
+
+// maxExpArg bounds the exponents whose exp is finite: exp(709) ≈ 8.2e307.
+const maxExpArg = 709
 
 // SampleCtx draws n importance-weighted samples of the pushforward
 // X = fn(Φ(Z)) with Z from the proposal, returning values and their
@@ -145,4 +167,99 @@ func SampleCtx(ctx context.Context, p Params, seed uint64, n int, fn func(u floa
 	}
 	samplesTotal.Add(float64(n))
 	return xs, ws, nil
+}
+
+// zMargin is the gap the z-stage of TailProbCtx keeps below the u-stage
+// floor: a z whose computed Φ is at most uFloor − zMargin.
+const zMargin = 1e-12
+
+// TailProbCtx estimates p = Pr[X > target] for X = fn(Φ(Z)), Z from
+// the proposal, and returns it with its delta-method standard error
+// and the weight diagnostics. The three equal, bit for bit, what
+// TailProb(xs, ws, target) and Diagnose(ws) return over the draws
+// SampleCtx(ctx, p, seed, n, fn) makes: it draws exactly as SampleCtx
+// does (sample i consumes the (seed, i) sub-stream) and reduces with
+// TailProb's and Diagnose's arithmetic in sample-index order. Like
+// Diagnose, it publishes the diagnostics to the package gauges.
+//
+// It keeps only each draw's (indicator, weight) pair, 2n floats, and
+// skips the arithmetic no indicator reads, in two stages:
+//
+//   - u-stage (exact): uFloor is a level at or below which every u has
+//     fn(u) ≤ target (ssta.Table.ChipFloor gives one for a chip
+//     quantile map and the target it returns at the tail level; −∞
+//     censors nothing). A draw with Φ(z) ≤ uFloor scores 0 without
+//     evaluating fn.
+//   - z-stage: zFloor is a z whose computed Φ is at most
+//     uFloor − zMargin, and a draw with z < zFloor scores 0 without
+//     evaluating Φ. This rests on one assumption about math.Erfc: its
+//     absolute error stays far below zMargin = 1e-12 (near Φ = 1 it is
+//     a few ulps, ≈4e-16). The true Φ is increasing, so for every z
+//     below zFloor the computed Φ(z) exceeds the computed Φ(zFloor) by
+//     at most twice that error and stays at or below uFloor. The
+//     package tests check the bound.
+//
+// Its allocations are per call (the row slab, one stream per worker),
+// never per sample. fn must be safe for concurrent calls.
+func TailProbCtx(ctx context.Context, p Params, seed uint64, n int, fn func(u float64) float64, target, uFloor float64) (prob, stderr float64, d Diagnostics, err error) {
+	p, err = p.Normalized()
+	if err != nil {
+		return 0, 0, Diagnostics{}, err
+	}
+	zFloor := zFloorFor(uFloor)
+	rows, err := montecarlo.SampleFlatCtx(ctx, seed, n, 2, func(r *rng.Stream, dst []float64) {
+		z, w := p.draw(r)
+		h := 0.0
+		if !(z < zFloor) {
+			if u := stdNormal.CDF(z); !(u <= uFloor) && fn(u) > target {
+				h = 1
+			}
+		}
+		dst[0], dst[1] = h, w
+	})
+	if err != nil {
+		return 0, 0, Diagnostics{}, err
+	}
+	samplesTotal.Add(float64(n))
+	// TailProb's and Diagnose's sums, each in sample-index order.
+	var sumw, sumwh, sumw2, maxW float64
+	for i := 0; i < len(rows); i += 2 {
+		w := rows[i+1]
+		sumw += w
+		if rows[i] == 1 {
+			sumwh += w
+		}
+		sumw2 += w * w
+		if w > maxW {
+			maxW = w
+		}
+	}
+	d = diagnostics(n, sumw, sumw2, maxW)
+	publish(d)
+	if sumw == 0 {
+		return math.NaN(), math.NaN(), d, nil
+	}
+	prob = sumwh / sumw
+	var v float64
+	for i := 0; i < len(rows); i += 2 {
+		dv := rows[i+1] * (rows[i] - prob)
+		v += dv * dv
+	}
+	return prob, math.Sqrt(v) / sumw, d, nil
+}
+
+// zFloorFor returns TailProbCtx's z-stage floor for uFloor: a z whose
+// computed Φ is at most uFloor − zMargin, found from the quantile and
+// stepped down, by doubling steps, until Φ confirms it. It returns −∞,
+// censoring nothing, when uFloor − zMargin is not positive.
+func zFloorFor(uFloor float64) float64 {
+	level := uFloor - zMargin
+	if !(level > 0) {
+		return math.Inf(-1)
+	}
+	z := stdNormal.Quantile(level)
+	for step := 0x1p-52 * math.Max(1, math.Abs(z)); stdNormal.CDF(z) > level; step *= 2 {
+		z -= step
+	}
+	return z
 }

@@ -101,15 +101,23 @@ type Diagnostics struct {
 // package telemetry gauges (ntvsim_is_ess_ratio, ntvsim_is_max_weight,
 // ntvsim_is_degenerate_total).
 func Diagnose(ws []float64) Diagnostics {
-	d := Diagnostics{N: len(ws)}
-	var sumw, sumw2 float64
+	var sumw, sumw2, maxW float64
 	for _, w := range ws {
 		sumw += w
 		sumw2 += w * w
-		if w > d.MaxW {
-			d.MaxW = w
+		if w > maxW {
+			maxW = w
 		}
 	}
+	d := diagnostics(len(ws), sumw, sumw2, maxW)
+	publish(d)
+	return d
+}
+
+// diagnostics builds the diagnostics of n weights from their sum, their
+// sum of squares and their largest value (0 when none is positive).
+func diagnostics(n int, sumw, sumw2, maxW float64) Diagnostics {
+	d := Diagnostics{N: n, MaxW: maxW}
 	if sumw2 > 0 {
 		d.ESS = sumw * sumw / sumw2
 	}
@@ -117,7 +125,6 @@ func Diagnose(ws []float64) Diagnostics {
 		d.ESSFrac = d.ESS / float64(d.N)
 		d.Degenerate = d.ESSFrac < DegenerateESSFrac
 	}
-	publish(d)
 	return d
 }
 

@@ -25,3 +25,25 @@ func BenchmarkReset(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkStreamFloat64 measures one uniform draw, the chip draw's
+// inner step (one per lane).
+func BenchmarkStreamFloat64(b *testing.B) {
+	s := NewSub(20120603, 0)
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += s.Float64()
+	}
+	_ = sink
+}
+
+// BenchmarkStreamNorm measures one standard-normal draw, the gate-level
+// samplers' and the importance sampler's inner step.
+func BenchmarkStreamNorm(b *testing.B) {
+	s := NewSub(20120603, 0)
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += s.Norm()
+	}
+	_ = sink
+}

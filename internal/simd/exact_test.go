@@ -88,6 +88,28 @@ func TestChipDrawMatchesReference(t *testing.T) {
 	})
 }
 
+// TestWideChipDrawMatchesReference covers the zero-spare chips wider
+// than DefaultLanes, which draw into the spared path's buffers instead
+// of the DefaultLanes array: one width on the stack array, one past it
+// on the heap.
+func TestWideChipDrawMatchesReference(t *testing.T) {
+	must := mustFloats(t)
+	const chips = 300
+	for _, lanes := range []int{DefaultLanes + 1, maxStackLanes + 1} {
+		dp := New(tech.N32)
+		dp.Lanes = lanes
+		for _, vdd := range []float64{0.5, 0.6} {
+			law := dp.law(vdd)
+			got := must(dp.ChipDelaysCtx(bg, 9, chips, vdd, 0))
+			for i, g := range got {
+				if want := referenceChip(law, lanes, rng.NewSub(9, i)); !sameBits(g, want) {
+					t.Fatalf("%d lanes vdd %g chip %d: %v, reference %v", lanes, vdd, i, g, want)
+				}
+			}
+		}
+	}
+}
+
 // TestSpareChipDrawMatchesReference covers the spared draw — stack
 // array and partial selection, plus the heap fallback for chips wider
 // than the stack array — against the sort-based reference.

@@ -27,10 +27,10 @@
 // shard, sweep and the SSTA estimator share it. A gate-level exact
 // sampler (Exact) remains available and is statistically
 // indistinguishable (KS tests in the package tests). A zero-spare chip
-// inverts only the lanes whose uniforms can reach the maximum, and a
-// spared chip partially selects its slowest kept lane; both reproduce
-// the full inversion and sort bit for bit (the package's exactness
-// tests pin this).
+// tracks its largest uniform while drawing and inverts only the lanes
+// whose uniforms can reach the maximum, and a spared chip partially
+// selects its slowest kept lane; both reproduce the full inversion and
+// sort bit for bit (the package's exactness tests pin this).
 //
 // P99ChipDelayFO4Ctx reads the paper's 99 % chip delay at one spare
 // count. A question over several spare counts of the same chips — a
@@ -444,11 +444,18 @@ func (dp *Datapath) SampleChipDelay(r *rng.Stream, vdd float64, spares int) floa
 const maxStackLanes = 256
 
 // chip draws one chip delay with the given spare count. A zero-spare
-// law-based chip draws its uniforms in lane order and inverts only the
-// lanes that can be slowest (ssta.Table.MaxLane); with spares, the chip
-// delay is the (spares+1)-th slowest lane, found by partial selection.
-// Both return exactly the value the full inversion and sort would.
+// law-based chip draws its uniforms in lane order, tracking the largest,
+// and inverts only the lanes that can be slowest (ssta.Table.MaxLane);
+// with spares, the chip delay is the (spares+1)-th slowest lane, found
+// by partial selection. Both return exactly the value the full
+// inversion and sort would. A zero-spare chip of at most DefaultLanes
+// lanes draws into an array of that size, so the paper's chip zeroes
+// no more stack than it fills.
 func (s sampler) chip(r *rng.Stream, spares int) float64 {
+	if spares == 0 && s.law != nil && s.dp.Lanes <= DefaultLanes {
+		var buf [DefaultLanes]float64
+		return s.maxLane(r, buf[:s.dp.Lanes])
+	}
 	total := s.dp.Lanes + spares
 	var buf [maxStackLanes]float64
 	var lanes []float64
@@ -458,10 +465,7 @@ func (s sampler) chip(r *rng.Stream, spares int) float64 {
 		lanes = make([]float64, total)
 	}
 	if spares == 0 && s.law != nil {
-		for i := range lanes {
-			lanes[i] = r.Float64()
-		}
-		return s.law.MaxLane(lanes)
+		return s.maxLane(r, lanes)
 	}
 	s.lanes(r, lanes)
 	if spares == 0 {
@@ -474,6 +478,21 @@ func (s sampler) chip(r *rng.Stream, spares int) float64 {
 		return worst
 	}
 	return kthSmallest(lanes, s.dp.Lanes-1)
+}
+
+// maxLane draws one uniform per lane of us, in lane order, and returns
+// the slowest lane's delay, handing the table the largest uniform found
+// while drawing.
+func (s sampler) maxLane(r *rng.Stream, us []float64) float64 {
+	maxU := 0.0
+	for i := range us {
+		u := r.Float64()
+		us[i] = u
+		if u > maxU {
+			maxU = u
+		}
+	}
+	return s.law.MaxLane(us, maxU)
 }
 
 // kthSmallest returns the value sort.Float64s(a) would leave at a[k],

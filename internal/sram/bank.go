@@ -46,13 +46,20 @@ func (s Structure) Validate() error {
 // at least one failing cell, 1−(1−p)^cols, computed in log space so
 // sub-ppb cell probabilities do not vanish in the subtraction.
 func RowFailProb(pCell float64, cols int) float64 {
+	return rowFailProb(pCell, math.Log1p(-pCell), cols)
+}
+
+// rowFailProb is RowFailProb given logq = Log1p(−pCell), so a caller
+// composing several structures at one cell probability takes the
+// logarithm once.
+func rowFailProb(pCell, logq float64, cols int) float64 {
 	switch {
 	case pCell <= 0:
 		return 0
 	case pCell >= 1:
 		return 1
 	}
-	return -math.Expm1(float64(cols) * math.Log1p(-pCell))
+	return -math.Expm1(float64(cols) * logq)
 }
 
 // Yield returns the probability that the structure is repairable when

@@ -131,37 +131,51 @@ func (s *ChipSampler) cellProb(die float64) float64 {
 
 // Sample draws one chip and returns 1 if every structure in the map is
 // repairable, else 0 — the yield indicator the sweep kernels average.
+// It reads the chip's row law once, Log1p(−p) for the cell probability
+// p shared by every structure, and walks each structure's failing-row
+// count only as far as the repair decision needs: its value is the one
+// a full inversion of every count would give.
 func (s *ChipSampler) Sample(r *rng.Stream) float64 {
 	mChips.Inc()
 	die := r.Gauss(0, s.sigma)
 	p := s.cellProb(die)
+	logq := math.Log1p(-p)
 	for _, st := range s.m.Map {
-		pRow := RowFailProb(p, st.Cols)
-		if binomialDraw(r.Float64(), st.Rows, pRow) > st.SpareRows {
+		if binomialExceeds(r.Float64(), st.Rows, rowFailProb(p, logq, st.Cols), st.SpareRows) {
 			return 0
 		}
 	}
 	return 1
 }
 
-// binomialDraw inverts a Bin(n, p) law at the uniform u by walking the
-// pmf in its recursive form. For p > ½ it draws the complement so the
-// walk always starts from the high-mass end of a numerically
-// representable pmf(0) = (1−p)^n.
-func binomialDraw(u float64, n int, p float64) int {
+// binomialExceeds reports whether the Bin(n, p) draw at the uniform u
+// exceeds m: the inversion walks the pmf in its recursive form from
+// the high-mass end, drawing the complement for p > ½ so that the
+// starting pmf(0) = (1−p)^n is representable, and stops as soon as the
+// answer is known — at m+1, or at n−m in the complement branch.
+func binomialExceeds(u float64, n int, p float64, m int) bool {
 	switch {
 	case n <= 0 || p <= 0:
-		return 0
+		return 0 > m
 	case p >= 1:
-		return n
+		return n > m
 	case p > 0.5:
-		return n - binomialDraw(1-u, n, 1-p)
+		// The draw is n − k for k the complement law's draw at 1−u,
+		// and n − k > m exactly when k < n−m.
+		return binomialWalk(1-u, n, 1-p, n-m) < n-m
 	}
+	return binomialWalk(u, n, p, m+1) > m
+}
+
+// binomialWalk inverts a Bin(n, p) law, 0 < p ≤ ½, at the uniform u by
+// walking the pmf, but stops once the count reaches stop: it returns
+// min(draw, stop) for stop ≥ 0, and 0 for a negative stop.
+func binomialWalk(u float64, n int, p float64, stop int) int {
 	q := 1 - p
 	pmf := math.Pow(q, float64(n))
 	cdf := pmf
 	k := 0
-	for cdf < u && k < n {
+	for cdf < u && k < n && k < stop {
 		pmf *= float64(n-k) / float64(k+1) * p / q
 		k++
 		cdf += pmf

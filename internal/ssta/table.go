@@ -16,10 +16,10 @@ type Table struct {
 	x                []float64 // delay knots, seconds, ascending
 	path, lane, chip column    // the law's PathCDF, LaneCDF and ChipCDF at x
 
-	// maxDraw holds when the lane column is guided and the delay knots
-	// strictly increase from a non-negative origin: the conditions
-	// under which maxLane equals the max over every lane's inversion.
-	maxDraw bool
+	// ordered holds when the delay knots strictly increase from a
+	// non-negative origin. With a guided column it is the condition
+	// under which MaxLane skips lanes and ChipFloor censors draws.
+	ordered bool
 }
 
 // tableKnots is the delay-grid resolution of a Table. The chip p99
@@ -55,10 +55,10 @@ func (l *Law) tabulate() *Table {
 		}
 	}
 	t := &Table{x: x, path: newColumn(path), lane: newColumn(lane), chip: newColumn(chip)}
-	t.maxDraw = t.lane.guide != nil && x[0] >= 0
+	t.ordered = x[0] >= 0
 	for k := 1; k < len(x); k++ {
 		if !(x[k] > x[k-1]) {
-			t.maxDraw = false
+			t.ordered = false
 		}
 	}
 	return t
@@ -160,16 +160,19 @@ func interp(x, f []float64, i int, u float64) float64 {
 }
 
 // MaxLane returns the slowest of the lanes drawn at the uniforms us,
-// every one in [0, 1): the max of Lane(u) over us. When maxDraw holds
-// it inverts only the lanes that can reach that max. Let i be the grid
-// interval of the largest uniform. Interpolation is monotone inside an
-// interval and neighbouring intervals disagree by at most an ulp at
-// their shared knot, so a lane with u ≤ lane.f[i−2] lands at most an
-// ulp above x[i−2], which is no more than x[i−1], itself no more than
-// the largest uniform's delay. Such lanes cannot change the max and are
-// skipped: typically one to three inversions instead of one per lane.
-func (t *Table) MaxLane(us []float64) float64 {
-	if !t.maxDraw {
+// every one in [0, 1): the max of Lane(u) over us. maxU is the largest
+// of the uniforms, which the caller tracks while drawing them. When the
+// lane column is guided and the knots are ordered, MaxLane inverts only
+// the lanes that can reach that max. Let i be the grid interval of
+// maxU. Interpolation is monotone inside an interval and neighbouring
+// intervals disagree by at most an ulp at their shared knot, so a lane
+// with u ≤ lane.f[i−2] lands at most an ulp above x[i−2], which is no
+// more than x[i−1], itself no more than maxU's delay. Such lanes cannot
+// change the max and are skipped: typically one to three inversions
+// instead of one per lane, in a single pass over us.
+func (t *Table) MaxLane(us []float64, maxU float64) float64 {
+	lane := t.lane
+	if !t.ordered || lane.guide == nil {
 		worst := math.Inf(-1)
 		for _, u := range us {
 			if d := t.Lane(u); d > worst {
@@ -178,13 +181,6 @@ func (t *Table) MaxLane(us []float64) float64 {
 		}
 		return worst
 	}
-	maxU := us[0]
-	for _, u := range us[1:] {
-		if u > maxU {
-			maxU = u
-		}
-	}
-	lane := t.lane
 	floor := math.Inf(-1)
 	if i := lane.search(maxU); i >= 2 {
 		floor = lane.f[i-2]
@@ -198,4 +194,24 @@ func (t *Table) MaxLane(us []float64) float64 {
 		}
 	}
 	return worst
+}
+
+// ChipFloor returns the censoring floor of the chip column at u: a
+// level at or below which every uniform v has Chip(v) ≤ Chip(u), so an
+// estimator that only asks whether a draw lands above Chip(u) need not
+// invert it. With i the index the search for u in the chip column
+// returns, the floor is chip.f[i−2], by MaxLane's two-knot argument:
+// such a v inverts to at most an ulp above x[i−2], no more than x[i−1],
+// and Chip(u) is at least x[i−1]. ChipFloor returns −∞, censoring
+// nothing, when the chip column is not non-decreasing (it has no
+// guide), the knots are not ordered, or i < 2.
+func (t *Table) ChipFloor(u float64) float64 {
+	chip := t.chip
+	if !t.ordered || chip.guide == nil {
+		return math.Inf(-1)
+	}
+	if i := sort.SearchFloat64s(chip.f, u); i >= 2 {
+		return chip.f[i-2]
+	}
+	return math.Inf(-1)
 }

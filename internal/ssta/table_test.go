@@ -108,8 +108,8 @@ func TestLawColumnsNonDecreasing(t *testing.T) {
 				t.Errorf("vdd %g: %s column has no guide", vdd, name)
 			}
 		}
-		if !tbl.maxDraw {
-			t.Errorf("vdd %g: table does not take the max-uniform chip draw", vdd)
+		if !tbl.ordered {
+			t.Errorf("vdd %g: table knots are not ordered: no max-uniform chip draw, no tail censoring", vdd)
 		}
 	})
 }
@@ -205,16 +205,17 @@ func TestMaxLaneMatchesEveryLane(t *testing.T) {
 	law := LawFor(tech.N45.Dev, tech.N45.Var, 0.55, tech.ChainLength, testPaths, testLanes)
 	gated := law.Table()
 	ungated := *gated
-	ungated.maxDraw = false
+	ungated.ordered = false
 	check := func(us []float64) {
 		t.Helper()
-		want := math.Inf(-1)
+		want, maxU := math.Inf(-1), math.Inf(-1)
 		for _, u := range us {
 			want = math.Max(want, gated.Lane(u))
+			maxU = math.Max(maxU, u)
 		}
 		for _, tbl := range []*Table{gated, &ungated} {
-			if got := tbl.MaxLane(us); !sameBits(got, want) {
-				t.Fatalf("uniforms %v (maxDraw %v): MaxLane %v, max over lanes %v", us, tbl.maxDraw, got, want)
+			if got := tbl.MaxLane(us, maxU); !sameBits(got, want) {
+				t.Fatalf("uniforms %v (ordered %v): MaxLane %v, max over lanes %v", us, tbl.ordered, got, want)
 			}
 		}
 	}
@@ -232,6 +233,56 @@ func TestMaxLaneMatchesEveryLane(t *testing.T) {
 			check([]float64{f, u})
 		}
 	}
+}
+
+// TestChipFloorCensorsOnlyBelowTarget: for every chip-column knot
+// level u, its neighbours one ulp away and a mid-interval level, every
+// uniform at or below ChipFloor(u) inverts no higher than Chip(u): the
+// floor itself, the ulps just below it, each knot under it and 200
+// random uniforms under it. A table whose knots are not ordered
+// censors nothing, and nor does a level in the first two intervals.
+func TestChipFloorCensorsOnlyBelowTarget(t *testing.T) {
+	forEachTable(t, []float64{0.40, 0.55, 0.80}, func(t *testing.T, vdd float64, _ *Law, tbl *Table) {
+		r := rng.New(uint64(vdd * 1e4))
+		f := tbl.chip.f
+		check := func(u float64) {
+			t.Helper()
+			floor, target := tbl.ChipFloor(u), tbl.Chip(u)
+			if math.IsInf(floor, -1) {
+				return
+			}
+			below := []float64{floor, math.Nextafter(floor, 0), math.Nextafter(math.Nextafter(floor, 0), 0)}
+			for k := 0; k < len(f) && f[k] <= floor; k += 7 {
+				below = append(below, f[k])
+			}
+			for k := 0; k < 200; k++ {
+				below = append(below, floor*r.Float64())
+			}
+			for _, v := range below {
+				if x := tbl.Chip(v); x > target {
+					t.Fatalf("vdd %g: u %v floor %v: Chip(%v) = %v above Chip(u) = %v", vdd, u, floor, v, x, target)
+				}
+			}
+		}
+		for i := 1; i < len(f); i++ {
+			if f[i] >= 1 {
+				break
+			}
+			check(f[i])
+			check(math.Nextafter(f[i], 1))
+			check(math.Nextafter(f[i], 0))
+			check(f[i-1] + (f[i]-f[i-1])/2)
+		}
+		check(1)
+		if fl := tbl.ChipFloor(f[1]); !math.IsInf(fl, -1) {
+			t.Errorf("vdd %g: floor %v at a level in the second interval, want -Inf", vdd, fl)
+		}
+		unordered := *tbl
+		unordered.ordered = false
+		if fl := unordered.ChipFloor(0.99); !math.IsInf(fl, -1) {
+			t.Errorf("vdd %g: unordered table censors below %v, want -Inf", vdd, fl)
+		}
+	})
 }
 
 // TestTableLaneKS: 2·10⁵ lane draws through the table are a sample of

@@ -18,10 +18,14 @@ import (
 
 func benchPoint() (tech.Node, float64) { return tech.N22, 0.55 }
 
-func benchEvalMC(b *testing.B, id string) {
+func benchEvalMC(b *testing.B, id string) { benchEvalMCAt(b, id, 3) }
+
+// benchEvalMCAt times kernel id's Monte-Carlo estimator with tail
+// targets at tailSigma.
+func benchEvalMCAt(b *testing.B, id string, tailSigma float64) {
 	node, vdd := benchPoint()
 	k := kernels[id]
-	opt := Options{TailSigma: 3}
+	opt := Options{TailSigma: tailSigma}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := k.Eval(context.Background(), node, vdd, k.DefaultSamples, 42, opt); err != nil {
@@ -52,6 +56,14 @@ func BenchmarkKernelP99ChipClockSSTA(b *testing.B) { benchEvalSSTA(b, "p99chipcl
 
 func BenchmarkKernelTailYieldMC(b *testing.B)   { benchEvalMC(b, "tailyield") }
 func BenchmarkKernelTailYieldSSTA(b *testing.B) { benchEvalSSTA(b, "tailyield") }
+
+// BenchmarkKernelTailYieldMCDefaultSigma times tailyield at the tail
+// target a spec that omits tail_sigma gets, DefaultTailSigma, which is
+// what mc-study's tail sweeps run; the σ 3 case above keeps the
+// committed snapshots' series.
+func BenchmarkKernelTailYieldMCDefaultSigma(b *testing.B) {
+	benchEvalMCAt(b, "tailyield", DefaultTailSigma)
+}
 
 // BenchmarkKernelSSTALawBuild is the one-time cost the law cache
 // amortizes: constructing the analytic chip-delay law from scratch.

@@ -119,19 +119,16 @@ func Kernels() []Kernel {
 // one estimand, one rng layout, and one reduction, so their estimates
 // agree within CI tolerance at any sigma where MC converges. The target
 // is the quantile map's own Φ(k) point, so the threshold and the
-// samples it judges come from one approximation of the law.
+// samples it judges come from one approximation of the law, and the
+// table's censoring floor at that point spares the estimator every
+// draw that cannot reach it.
 func tailYieldEval(ctx context.Context, node tech.Node, vdd float64, samples int, seed uint64, p importance.Params, tailSigma float64) (float64, *importance.Diagnostics, error) {
-	fn, err := simd.New(node).ChipQuantileFn(vdd)
+	tbl := chipLaw(node, vdd).Table()
+	u := stdNormal.CDF(tailSigma)
+	loss, _, diag, err := importance.TailProbCtx(ctx, p, seed, samples, tbl.Chip, tbl.Chip(u), tbl.ChipFloor(u))
 	if err != nil {
 		return 0, nil, err
 	}
-	target := fn(stdNormal.CDF(tailSigma))
-	xs, ws, err := importance.SampleCtx(ctx, p, seed, samples, fn)
-	if err != nil {
-		return 0, nil, err
-	}
-	loss, _ := importance.TailProb(xs, ws, target)
-	diag := importance.Diagnose(ws)
 	return loss * 1e6, &diag, nil
 }
 
