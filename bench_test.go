@@ -133,7 +133,7 @@ func BenchmarkTable3(b *testing.B) {
 func BenchmarkTable4(b *testing.B) {
 	res := run(b, "table4").(*experiments.Table4Result)
 	if c := res.Cell("22nm PTM HP", 0.50); c != nil {
-		b.ReportMetric(c.Result.DropPct, "drop22nm@0.5V%")
+		b.ReportMetric(c.DropPct, "drop22nm@0.5V%")
 	}
 }
 

@@ -22,7 +22,7 @@
 //	                     binomial CDF, Gauss–Hermite and Simpson rules
 //	internal/simd        lane/chip delay sampling of the 128-wide datapath
 //	internal/sparing     spare-lane sizing over a drawn sample, placement
-//	internal/margin      voltage/frequency margining, combined plans
+//	internal/margin      voltage-margin search, combined plans
 //	internal/power       energy-per-op, overhead models
 //	internal/xram        XRAM swizzle crossbar with fault bypass
 //	internal/soda        Diet SODA PE functional simulator + kernels

@@ -81,12 +81,14 @@ func runApp(ctx context.Context, cfg Config) (Result, error) {
 
 	// Variation-aware clocks: the FV baseline 99 % chip delay, and the
 	// NTV clock after the Table 2 margin restores the same FO4 target.
-	base, err := dp.P99ChipDelayFO4Ctx(ctx, cfg.Seed+41, cfg.SearchSamples, node.VddNominal, 0)
+	// Both draw with Table 2's 90 nm (node 0) seeds, so the margin is
+	// its 0.55 V cell.
+	base, err := dp.P99ChipDelayFO4Ctx(ctx, table2Seed(cfg, 0, 0), cfg.SearchSamples, node.VddNominal, 0)
 	if err != nil {
 		return nil, err
 	}
 	target := margin.TargetDelay(dp, vddNTV, base)
-	vr, err := margin.VoltageMarginCtx(ctx, dp, cfg.Seed+41, cfg.SearchSamples, vddNTV, target, 0.1e-3, 0)
+	vr, err := margin.VoltageMarginCtx(ctx, dp, table2Seed(cfg, 0, vddNTV), cfg.SearchSamples, vddNTV, target, 0.1e-3, 0)
 	if err != nil {
 		return nil, err
 	}

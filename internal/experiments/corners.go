@@ -3,13 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/ntvsim/ntvsim/internal/corners"
 	"github.com/ntvsim/ntvsim/internal/report"
 	"github.com/ntvsim/ntvsim/internal/simd"
-	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/tech"
 )
 
@@ -78,18 +76,21 @@ func runCorners(ctx context.Context, cfg Config) (Result, error) {
 	for ni, node := range tech.Nodes() {
 		dp := simd.New(node)
 		paths := dp.Lanes * dp.PathsPerLane
-		for _, vdd := range []float64{0.50, 0.60, 0.70, node.VddNominal} {
+		// The statistical chip is Figure 4's: its curve at 0.50, 0.60 and
+		// 0.70 V, and its baseline at the nominal supply.
+		vdds := []float64{fig2Vdd(node, 0.50), fig2Vdd(node, 0.60), fig2Vdd(node, 0.70)}
+		base, p99, err := p99Curve(ctx, dp, fig4Seed(cfg, ni), cfg.ChipSamples, vdds)
+		if err != nil {
+			return nil, err
+		}
+		vdds, p99 = append(vdds, node.VddNominal), append(p99, base)
+		for i, vdd := range vdds {
 			s := corners.ChipSignoff(node, vdd, paths)
-			ds, err := dp.ChipDelaysCtx(ctx, cfg.Seed+uint64(ni)*59, cfg.ChipSamples, vdd, 0)
-			if err != nil {
-				return nil, err
-			}
-			sort.Float64s(ds)
-			p99 := stats.QuantileSorted(ds, 0.99)
+			p := p99[i] * dp.FO4(vdd)
 			res.Cells = append(res.Cells, CornersCell{
 				Node: node.Name, Vdd: vdd, Signoff: s,
-				StatisticalP99: p99,
-				OverMarginPct:  corners.OverMarginPct(s, p99),
+				StatisticalP99: p,
+				OverMarginPct:  corners.OverMarginPct(s, p),
 			})
 		}
 	}

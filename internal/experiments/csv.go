@@ -83,8 +83,7 @@ func (r *Table4Result) CSV() [][]string {
 	rows := [][]string{{"node", "vdd_v", "tclk_ns", "tva_clk_ns", "drop_pct"}}
 	for _, c := range r.Cells {
 		rows = append(rows, []string{
-			c.Node, f(c.Vdd), f(c.Result.TClk * 1e9), f(c.Result.TVaClk * 1e9),
-			f(c.Result.DropPct),
+			c.Node, f(c.Vdd), f(c.TClk * 1e9), f(c.TVaClk * 1e9), f(c.DropPct),
 		})
 	}
 	return rows

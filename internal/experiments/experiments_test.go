@@ -401,8 +401,8 @@ func TestFig8Shape(t *testing.T) {
 // and stay small at 90 nm / high Vdd.
 func TestTable4Shape(t *testing.T) {
 	res := runQuick(t, "table4").(*Table4Result)
-	d90hi := res.Cell("90nm GP", 0.70).Result.DropPct
-	d22lo := res.Cell("22nm PTM HP", 0.50).Result.DropPct
+	d90hi := res.Cell("90nm GP", 0.70).DropPct
+	d22lo := res.Cell("22nm PTM HP", 0.50).DropPct
 	if d90hi > 5 {
 		t.Errorf("90nm @0.7V drop %v%% should be small", d90hi)
 	}
@@ -410,7 +410,7 @@ func TestTable4Shape(t *testing.T) {
 		t.Errorf("22nm @0.5V drop %v%%, paper ≈20%%", d22lo)
 	}
 	for _, c := range res.Cells {
-		if c.Result.TVaClk < c.Result.TClk {
+		if c.TVaClk < c.TClk {
 			t.Errorf("%s @%gV: T_va below T_clk", c.Node, c.Vdd)
 		}
 	}

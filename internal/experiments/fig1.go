@@ -77,8 +77,10 @@ func runFig1(ctx context.Context, cfg Config) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		chain, err := montecarlo.SampleCtx(ctx, cfg.Seed+uint64(vdd*1000)+7, cfg.CircuitSamples, func(r *rng.Stream) float64 {
-			return sampler.FreshChainDelay(r, vdd, tech.ChainLength)
+		// The chain column restates Figure 2's 90 nm (node 0) chains.
+		cv := fig2Vdd(node, vdd)
+		chain, err := montecarlo.SampleCtx(ctx, fig2Seed(cfg, 0, cv), cfg.CircuitSamples, func(r *rng.Stream) float64 {
+			return sampler.FreshChainDelay(r, cv, tech.ChainLength)
 		})
 		if err != nil {
 			return nil, err

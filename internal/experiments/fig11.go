@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/ntvsim/ntvsim/internal/montecarlo"
 	"github.com/ntvsim/ntvsim/internal/report"
-	"github.com/ntvsim/ntvsim/internal/rng"
-	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/tech"
 	"github.com/ntvsim/ntvsim/internal/variation"
 )
@@ -67,15 +64,15 @@ func runFig11(ctx context.Context, cfg Config) (Result, error) {
 	for ni, node := range tech.Nodes() {
 		sampler := variation.NewSampler(node.Dev, node.Var)
 		s := Fig11Series{Node: node, Lengths: fig11Lengths}
+		// Every length draws from Figure 2's seed at 0.55 V, one of its
+		// grid points: the lengths nest, and N = 50 is Figure 2's value.
+		seed := fig2Seed(cfg, ni, vdd)
 		for _, n := range fig11Lengths {
-			chain, err := montecarlo.SampleCtx(ctx, cfg.Seed+uint64(ni*100+n), cfg.CircuitSamples,
-				func(r *rng.Stream) float64 {
-					return sampler.FreshChainDelay(r, vdd, n)
-				})
+			v, err := sampler.ChainThreeSigmaCtx(ctx, seed, cfg.CircuitSamples, vdd, n)
 			if err != nil {
 				return nil, err
 			}
-			s.ThreeSig = append(s.ThreeSig, stats.ThreeSigmaOverMu(chain))
+			s.ThreeSig = append(s.ThreeSig, v)
 		}
 		res.Series = append(res.Series, s)
 	}

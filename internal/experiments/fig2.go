@@ -6,10 +6,7 @@ import (
 	"math"
 	"strings"
 
-	"github.com/ntvsim/ntvsim/internal/montecarlo"
 	"github.com/ntvsim/ntvsim/internal/report"
-	"github.com/ntvsim/ntvsim/internal/rng"
-	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/tech"
 	"github.com/ntvsim/ntvsim/internal/variation"
 )
@@ -73,6 +70,21 @@ func fig2Grid(n tech.Node) []float64 {
 	return grid
 }
 
+// fig2Vdd returns the point of fig2Grid(n) at vdd. The grid adds 50 mV
+// steps, so from 0.60 V up its supplies sit a few ulps off the decimal
+// value; a view that restates a Figure 2 or Figure 4 point draws at the
+// grid's own supply.
+func fig2Vdd(n tech.Node, vdd float64) float64 {
+	return fig2Grid(n)[int(math.Round((vdd-0.50)/0.05))]
+}
+
+// fig2Seed is the seed of Figure 2's chains on node index ni at grid
+// supply vdd. Figure 1's and the Kogge-Stone validation's chain columns
+// and Figure 11 draw with it, so they restate Figure 2's points.
+func fig2Seed(cfg Config, ni int, vdd float64) uint64 {
+	return cfg.Seed + uint64(ni*1000) + uint64(vdd*100)
+}
+
 func runFig2(ctx context.Context, cfg Config) (Result, error) {
 	res := &Fig2Result{Samples: cfg.CircuitSamples}
 	for ni, node := range tech.Nodes() {
@@ -80,16 +92,13 @@ func runFig2(ctx context.Context, cfg Config) (Result, error) {
 		sampler := variation.NewSampler(node.Dev, node.Var)
 		s := Fig2Series{Node: node}
 		for _, vdd := range fig2Grid(node) {
-			chain, err := montecarlo.SampleCtx(nodeCtx, cfg.Seed+uint64(ni*1000)+uint64(vdd*100), cfg.CircuitSamples,
-				func(r *rng.Stream) float64 {
-					return sampler.FreshChainDelay(r, vdd, tech.ChainLength)
-				})
+			v, err := sampler.ChainThreeSigmaCtx(nodeCtx, fig2Seed(cfg, ni, vdd), cfg.CircuitSamples, vdd, tech.ChainLength)
 			if err != nil {
 				done()
 				return nil, err
 			}
 			s.Vdd = append(s.Vdd, vdd)
-			s.ThreeSig = append(s.ThreeSig, stats.ThreeSigmaOverMu(chain))
+			s.ThreeSig = append(s.ThreeSig, v)
 		}
 		done()
 		res.Series = append(res.Series, s)

@@ -91,17 +91,20 @@ func runFig3(ctx context.Context, cfg Config) (Result, error) {
 		return nil, err
 	}
 	add("1-wide @1V", nominal, lanes)
-	chips, err := dp.ChipDelaysCtx(ctx, cfg.Seed+3, cfg.ChipSamples, nominal, 0)
+	// The 128-wide curves are Figure 4's 90 nm (node 0) chips: its
+	// nominal baseline, then its grid points.
+	chips, err := dp.ChipDelaysCtx(ctx, fig4Seed(cfg, 0), cfg.ChipSamples, nominal, 0)
 	if err != nil {
 		return nil, err
 	}
 	add("128-wide @1V", nominal, chips)
 	for _, vdd := range []float64{0.6, 0.55, 0.5} {
-		chips, err := dp.ChipDelaysCtx(ctx, cfg.Seed+uint64(vdd*100), cfg.ChipSamples, vdd, 0)
+		v := fig2Vdd(node, vdd)
+		chips, err := dp.ChipDelaysCtx(ctx, fig4Seed(cfg, 0), cfg.ChipSamples, v, 0)
 		if err != nil {
 			return nil, err
 		}
-		add(fmt.Sprintf("128-wide @%.2fV", vdd), vdd, chips)
+		add(fmt.Sprintf("128-wide @%.2fV", vdd), v, chips)
 	}
 	return res, nil
 }

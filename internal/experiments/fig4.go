@@ -44,7 +44,7 @@ func (r *Fig4Result) Render() string {
 	fmt.Fprintf(&b, "Figure 4: performance drop (%%) vs Vdd, 128-wide SIMD, %d samples\n", r.Samples)
 	t := report.NewTable("", "Vdd", "90nm GP", "45nm GP", "32nm PTM HP", "22nm PTM HP")
 	grid := r.Series[0].Vdd
-	for gi, v := range grid {
+	for _, v := range grid {
 		cells := []string{fmt.Sprintf("%.2f V", v)}
 		for _, s := range r.Series {
 			cell := "—"
@@ -55,7 +55,6 @@ func (r *Fig4Result) Render() string {
 			}
 			cells = append(cells, cell)
 		}
-		_ = gi
 		t.AddRowf(cells...)
 	}
 	b.WriteString(t.String())
@@ -73,27 +72,43 @@ func (s Fig4Series) Drop(vdd float64) float64 {
 	return math.NaN()
 }
 
+// fig4Seed is the seed of Figure 4's chips on node index ni, at every
+// supply and at the nominal baseline. Table 4, the corners comparison
+// and Figure 3's 128-wide curves draw with it.
+func fig4Seed(cfg Config, ni int) uint64 {
+	return cfg.Seed + uint64(ni)*97
+}
+
+// p99Curve returns dp's 99 % FO4 chip delay at its nominal supply and
+// at each of vdds, n chips drawn from seed at every supply: Figure 4's
+// baseline and curve, which Table 4 and the corners comparison restate.
+func p99Curve(ctx context.Context, dp *simd.Datapath, seed uint64, n int, vdds []float64) (base float64, p99 []float64, err error) {
+	if base, err = dp.P99ChipDelayFO4Ctx(ctx, seed, n, dp.Node.VddNominal, 0); err != nil {
+		return 0, nil, err
+	}
+	p99 = make([]float64, len(vdds))
+	for i, vdd := range vdds {
+		if p99[i], err = dp.P99ChipDelayFO4Ctx(ctx, seed, n, vdd, 0); err != nil {
+			return 0, nil, err
+		}
+	}
+	return base, p99, nil
+}
+
 func runFig4(ctx context.Context, cfg Config) (Result, error) {
 	res := &Fig4Result{Samples: cfg.ChipSamples}
 	for ni, node := range tech.Nodes() {
 		nodeCtx, done := phase(ctx, "node/"+node.Name)
-		dp := simd.New(node)
-		base, err := dp.P99ChipDelayFO4Ctx(nodeCtx, cfg.Seed+uint64(ni)*97, cfg.ChipSamples, node.VddNominal, 0)
+		grid := fig2Grid(node)
+		base, p99, err := p99Curve(nodeCtx, simd.New(node), fig4Seed(cfg, ni), cfg.ChipSamples, grid)
+		done()
 		if err != nil {
-			done()
 			return nil, err
 		}
-		s := Fig4Series{Node: node, Baseline: base}
-		for _, vdd := range fig2Grid(node) {
-			p99, err := dp.P99ChipDelayFO4Ctx(nodeCtx, cfg.Seed+uint64(ni)*97, cfg.ChipSamples, vdd, 0)
-			if err != nil {
-				done()
-				return nil, err
-			}
-			s.Vdd = append(s.Vdd, vdd)
-			s.DropPct = append(s.DropPct, 100*(p99/base-1))
+		s := Fig4Series{Node: node, Baseline: base, Vdd: grid}
+		for _, p := range p99 {
+			s.DropPct = append(s.DropPct, 100*(p/base-1))
 		}
-		done()
 		res.Series = append(res.Series, s)
 	}
 	return res, nil

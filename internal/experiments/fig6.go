@@ -87,7 +87,7 @@ func runFig6(ctx context.Context, cfg Config) (Result, error) {
 
 	sweepCtx, done := phase(ctx, "voltage-sweep")
 	for _, v := range []float64{0.600, 0.605, 0.610, 0.615, 0.620} {
-		ds, err := dp.ChipDelaysCtx(sweepCtx, cfg.Seed+19, cfg.ChipSamples, v, 0)
+		ds, err := dp.ChipDelaysCtx(sweepCtx, fig8Seed(cfg), cfg.ChipSamples, v, 0)
 		if err != nil {
 			done()
 			return nil, err
@@ -99,7 +99,7 @@ func runFig6(ctx context.Context, cfg Config) (Result, error) {
 	done()
 	spareCtx, done := phase(ctx, "spare-sweep")
 	for _, a := range []int{0, 4, 8, 16, 32} {
-		ds, err := dp.ChipDelaysCtx(spareCtx, cfg.Seed+19, cfg.ChipSamples, vdd, a)
+		ds, err := dp.ChipDelaysCtx(spareCtx, fig8Seed(cfg), cfg.ChipSamples, vdd, a)
 		if err != nil {
 			done()
 			return nil, err
@@ -110,7 +110,7 @@ func runFig6(ctx context.Context, cfg Config) (Result, error) {
 	}
 	done()
 	searchCtx, done := phase(ctx, "margin-search")
-	vr, err := margin.VoltageMarginCtx(searchCtx, dp, cfg.Seed+19, cfg.SearchSamples, vdd, res.Target, 0.1e-3, 0)
+	vr, err := margin.VoltageMarginCtx(searchCtx, dp, fig8Seed(cfg), cfg.SearchSamples, vdd, res.Target, 0.1e-3, 0)
 	done()
 	if err != nil {
 		return nil, err

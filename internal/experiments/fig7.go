@@ -5,12 +5,8 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/ntvsim/ntvsim/internal/margin"
 	"github.com/ntvsim/ntvsim/internal/power"
 	"github.com/ntvsim/ntvsim/internal/report"
-	"github.com/ntvsim/ntvsim/internal/simd"
-	"github.com/ntvsim/ntvsim/internal/sparing"
-	"github.com/ntvsim/ntvsim/internal/tech"
 )
 
 func init() {
@@ -64,44 +60,35 @@ func (r *Fig7Result) Render() string {
 	return b.String()
 }
 
+// runFig7 runs Tables 1 and 2, whose cells share one node × Vdd order.
 func runFig7(ctx context.Context, cfg Config) (Result, error) {
-	const limit = 128
+	t1, err := runTable1(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	t2, err := runTable2(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig7Result{Samples: cfg.SearchSamples}
-	for ni, node := range tech.Nodes() {
-		dp := simd.New(node)
-		seed := cfg.Seed + uint64(ni)*3631
-		base, err := dp.P99ChipDelayFO4Ctx(ctx, seed, cfg.SearchSamples, node.VddNominal, 0)
-		if err != nil {
-			return nil, err
+	for i, c := range t1.(*Table1Result).Cells {
+		sr, vr := c.Search, t2.(*Table2Result).Cells[i].Result
+		pt := Fig7Point{
+			Node: c.Node, Vdd: c.Vdd,
+			DupSpares: sr.Spares, DupFound: sr.Found,
+			DupPowerPct:    power.SparePowerOverheadPct(sr.Spares),
+			MarginMV:       vr.Margin * 1e3,
+			MarginPowerPct: vr.PowerPct,
 		}
-		for _, vdd := range table1Voltages {
-			sample, err := dp.SpareSampleCtx(ctx, seed+uint64(vdd*1000), cfg.SearchSamples, vdd, limit)
-			if err != nil {
-				return nil, err
-			}
-			sr := sparing.MinSpares(sample, base)
-			target := margin.TargetDelay(dp, vdd, base)
-			vr, err := margin.VoltageMarginCtx(ctx, dp, seed+uint64(vdd*1000), cfg.SearchSamples, vdd, target, 0.1e-3, 0)
-			if err != nil {
-				return nil, err
-			}
-			pt := Fig7Point{
-				Node: node.Name, Vdd: vdd,
-				DupSpares: sr.Spares, DupFound: sr.Found,
-				DupPowerPct:    power.SparePowerOverheadPct(sr.Spares),
-				MarginMV:       vr.Margin * 1e3,
-				MarginPowerPct: vr.PowerPct,
-			}
-			switch {
-			case !sr.Found:
-				pt.Winner = "margining"
-			case pt.DupPowerPct <= pt.MarginPowerPct:
-				pt.Winner = "duplication"
-			default:
-				pt.Winner = "margining"
-			}
-			res.Points = append(res.Points, pt)
+		switch {
+		case !sr.Found:
+			pt.Winner = "margining"
+		case pt.DupPowerPct <= pt.MarginPowerPct:
+			pt.Winner = "duplication"
+		default:
+			pt.Winner = "margining"
 		}
+		res.Points = append(res.Points, pt)
 	}
 	return res, nil
 }

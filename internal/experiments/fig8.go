@@ -60,6 +60,13 @@ func (r *Fig8Result) Render() string {
 	return b.String()
 }
 
+// fig8Seed is the seed of Figure 8's chips at every supply and spare
+// count. Figure 6's sweeps and margin search draw with it, so they
+// restate Figure 8's 0-spare column and 600 mV row.
+func fig8Seed(cfg Config) uint64 {
+	return cfg.Seed + 23
+}
+
 func runFig8(ctx context.Context, cfg Config) (Result, error) {
 	node := tech.N45
 	const vdd = 0.600
@@ -76,7 +83,7 @@ func runFig8(ctx context.Context, cfg Config) (Result, error) {
 	res.Target = margin.TargetDelay(dp, vdd, base)
 	for _, v := range res.Voltages {
 		// One draw at the largest spare count answers every column.
-		sample, err := dp.SpareSampleCtx(ctx, cfg.Seed+23, cfg.ChipSamples, v, res.Spares[len(res.Spares)-1])
+		sample, err := dp.SpareSampleCtx(ctx, fig8Seed(cfg), cfg.ChipSamples, v, res.Spares[len(res.Spares)-1])
 		if err != nil {
 			return nil, err
 		}
@@ -127,12 +134,14 @@ func runTable3(ctx context.Context, cfg Config) (Result, error) {
 	const vdd = 0.600
 	dp := simd.New(node)
 	res := &Table3Result{Node: node, Vdd: vdd, Samples: cfg.SearchSamples}
-	base, err := dp.P99ChipDelayFO4Ctx(ctx, cfg.Seed, cfg.SearchSamples, node.VddNominal, 0)
+	// Table 2's 45 nm (node 1) baseline and search seeds: the 0-spare
+	// row is its 0.60 V cell.
+	base, err := dp.P99ChipDelayFO4Ctx(ctx, table2Seed(cfg, 1, 0), cfg.SearchSamples, node.VddNominal, 0)
 	if err != nil {
 		return nil, err
 	}
 	target := margin.TargetDelay(dp, vdd, base)
-	res.Choices, err = margin.CombinedCtx(ctx, dp, cfg.Seed+29, cfg.SearchSamples, vdd, target, 0.1e-3,
+	res.Choices, err = margin.CombinedCtx(ctx, dp, table2Seed(cfg, 1, vdd), cfg.SearchSamples, vdd, target, 0.1e-3,
 		[]int{0, 1, 2, 4, 8, 16, 26})
 	if err != nil {
 		return nil, err

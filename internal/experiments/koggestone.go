@@ -89,9 +89,9 @@ func runKoggeStone(ctx context.Context, cfg Config) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		chain, err := montecarlo.SampleCtx(ctx, seed+3, cfg.CircuitSamples, func(r *rng.Stream) float64 {
-			return sampler.FreshChainDelay(r, vdd, tech.ChainLength)
-		})
+		// The chain column restates Figure 2's 90 nm (node 0) point.
+		cv := fig2Vdd(node, vdd)
+		chain, err := sampler.ChainThreeSigmaCtx(ctx, fig2Seed(cfg, 0, cv), cfg.CircuitSamples, cv, tech.ChainLength)
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +100,7 @@ func runKoggeStone(ctx context.Context, cfg Config) (Result, error) {
 			KS64:   stats.ThreeSigmaOverMu(ksDelays),
 			Ripple: stats.ThreeSigmaOverMu(rcDelays),
 			Mult16: stats.ThreeSigmaOverMu(multDelays),
-			Chain:  stats.ThreeSigmaOverMu(chain),
+			Chain:  chain,
 		})
 	}
 	return res, nil

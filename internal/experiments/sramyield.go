@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/ntvsim/ntvsim/internal/montecarlo"
 	"github.com/ntvsim/ntvsim/internal/report"
 	"github.com/ntvsim/ntvsim/internal/simd"
 	"github.com/ntvsim/ntvsim/internal/soda"
 	"github.com/ntvsim/ntvsim/internal/sram"
-	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/tech"
 )
 
@@ -175,11 +173,11 @@ func runSRAMYield(ctx context.Context, cfg Config) (Result, error) {
 		for j, vdd := range sramVdds {
 			seed := cfg.Seed + uint64(100+10*(i*len(sramVdds)+j))
 			ptCtx, done := phase(ctx, fmt.Sprintf("crossover/%dnm/%.2fV", node.Feature, vdd))
-			read, err := memYieldMC(ptCtx, m, sram.OpRead, seed, n, vdd)
+			read, err := m.NewSampler(sram.OpRead, vdd).YieldPctCtx(ptCtx, seed, n)
 			if err != nil {
 				return nil, err
 			}
-			write, err := memYieldMC(ptCtx, m, sram.OpWrite, seed+1, n, vdd)
+			write, err := m.NewSampler(sram.OpWrite, vdd).YieldPctCtx(ptCtx, seed+1, n)
 			if err != nil {
 				return nil, err
 			}
@@ -213,7 +211,7 @@ func runSRAMYield(ctx context.Context, cfg Config) (Result, error) {
 	for k, split := range spareSplits {
 		seed := cfg.Seed + uint64(500+10*k)
 		spCtx, done := phase(ctx, "sparesplit/"+strings.ReplaceAll(split.name, " ", "-"))
-		mem, err := memYieldMC(spCtx, sram.New(node).WithSpareRows(split.rows), sram.OpRead, seed, n, vdd)
+		mem, err := sram.New(node).WithSpareRows(split.rows).NewSampler(sram.OpRead, vdd).YieldPctCtx(spCtx, seed, n)
 		if err != nil {
 			return nil, err
 		}
@@ -234,15 +232,4 @@ func runSRAMYield(ctx context.Context, cfg Config) (Result, error) {
 		})
 	}
 	return res, nil
-}
-
-// memYieldMC estimates the chip-level memory yield by Monte Carlo, in
-// percent.
-func memYieldMC(ctx context.Context, m sram.Model, op sram.Op, seed uint64, n int, vdd float64) (float64, error) {
-	smp := m.NewSampler(op, vdd)
-	xs, err := montecarlo.SampleCtx(ctx, seed, n, smp.Sample)
-	if err != nil {
-		return 0, err
-	}
-	return 100 * stats.Mean(xs), nil
 }

@@ -61,19 +61,26 @@ func (r *Table2Result) Render() string {
 	return b.String()
 }
 
+// table2Seed is the seed of Table 2's margin search on node index ni at
+// supply vdd; the node's nominal baseline draws from table2Seed(cfg,
+// ni, 0). Table 3 and the app extension search with them, so their
+// 0-spare margins are Table 2's cells.
+func table2Seed(cfg Config, ni int, vdd float64) uint64 {
+	return cfg.Seed + uint64(ni)*2357 + uint64(vdd*1000)
+}
+
 func runTable2(ctx context.Context, cfg Config) (Result, error) {
 	res := &Table2Result{Samples: cfg.SearchSamples}
 	const step = 0.1e-3 // 0.1 mV search granularity
 	for ni, node := range tech.Nodes() {
 		dp := simd.New(node)
-		seed := cfg.Seed + uint64(ni)*2357
-		base, err := dp.P99ChipDelayFO4Ctx(ctx, seed, cfg.SearchSamples, node.VddNominal, 0)
+		base, err := dp.P99ChipDelayFO4Ctx(ctx, table2Seed(cfg, ni, 0), cfg.SearchSamples, node.VddNominal, 0)
 		if err != nil {
 			return nil, err
 		}
 		for _, vdd := range table1Voltages {
 			target := margin.TargetDelay(dp, vdd, base)
-			vr, err := margin.VoltageMarginCtx(ctx, dp, seed+uint64(vdd*1000), cfg.SearchSamples, vdd, target, step, 0)
+			vr, err := margin.VoltageMarginCtx(ctx, dp, table2Seed(cfg, ni, vdd), cfg.SearchSamples, vdd, target, step, 0)
 			if err != nil {
 				return nil, err
 			}

@@ -18,16 +18,19 @@ func init() {
 
 // Table4Cell is one node × voltage entry of Table 4 (Appendix E).
 type Table4Cell struct {
-	Node   string
-	Vdd    float64
-	Result margin.FrequencyResult
+	Node    string
+	Vdd     float64
+	TClk    float64 // designed clock period, seconds
+	TVaClk  float64 // variation-aware clock period, seconds
+	DropPct float64 // performance degradation, percent
 }
 
 // Table4Result reproduces Table 4: frequency margining — the designed
 // clock period T_clk, the variation-aware period T_va-clk covering the
 // 99 % chip delay, and the performance drop. The paper's conclusion:
 // drops approach ~20 % at advanced nodes, making frequency margining
-// unattractive there.
+// unattractive there. Its 99 % chip delays are Figure 4's, so every
+// drop is Figure 4's drop at the same node and supply.
 type Table4Result struct {
 	Samples int
 	Cells   []Table4Cell
@@ -54,9 +57,9 @@ func (r *Table4Result) Render() string {
 	t := report.NewTable("", "node", "Vdd", "T_clk", "T_va-clk", "perf drop")
 	for _, c := range r.Cells {
 		t.AddRowf(c.Node, fmt.Sprintf("%.2f V", c.Vdd),
-			fmt.Sprintf("%.2f ns", c.Result.TClk*1e9),
-			fmt.Sprintf("%.2f ns", c.Result.TVaClk*1e9),
-			fmt.Sprintf("%.2f%%", c.Result.DropPct))
+			fmt.Sprintf("%.2f ns", c.TClk*1e9),
+			fmt.Sprintf("%.2f ns", c.TVaClk*1e9),
+			fmt.Sprintf("%.2f%%", c.DropPct))
 	}
 	b.WriteString(t.String())
 	return b.String()
@@ -66,17 +69,21 @@ func runTable4(ctx context.Context, cfg Config) (Result, error) {
 	res := &Table4Result{Samples: cfg.ChipSamples}
 	for ni, node := range tech.Nodes() {
 		dp := simd.New(node)
-		seed := cfg.Seed + uint64(ni)*4241
-		base, err := dp.P99ChipDelayFO4Ctx(ctx, seed, cfg.ChipSamples, node.VddNominal, 0)
+		vdds := make([]float64, len(table1Voltages))
+		for i, vdd := range table1Voltages {
+			vdds[i] = fig2Vdd(node, vdd)
+		}
+		base, p99, err := p99Curve(ctx, dp, fig4Seed(cfg, ni), cfg.ChipSamples, vdds)
 		if err != nil {
 			return nil, err
 		}
-		for _, vdd := range table1Voltages {
-			fr, err := margin.FrequencyMarginCtx(ctx, dp, seed, cfg.ChipSamples, vdd, base)
-			if err != nil {
-				return nil, err
-			}
-			res.Cells = append(res.Cells, Table4Cell{Node: node.Name, Vdd: vdd, Result: fr})
+		for i, vdd := range vdds {
+			res.Cells = append(res.Cells, Table4Cell{
+				Node: node.Name, Vdd: vdd,
+				TClk:    margin.TargetDelay(dp, vdd, base),
+				TVaClk:  p99[i] * dp.FO4(vdd),
+				DropPct: 100 * (p99[i]/base - 1),
+			})
 		}
 	}
 	return res, nil

@@ -1,6 +1,8 @@
-// Package margin implements voltage margining (§4.2), frequency
-// margining (§4.3) and the combined duplication+margin design-space
-// search (§4.4) for a wide SIMD datapath at near-threshold voltage.
+// Package margin implements voltage margining (§4.2) and the combined
+// duplication+margin design-space search (§4.4) for a wide SIMD
+// datapath at near-threshold voltage. Frequency margining (§4.3) needs
+// no search: Table 4 (internal/experiments) reads it off Figure 4's 99 %
+// chip delays, with TargetDelay as the designed clock period.
 //
 // The common target follows the paper: a 128-wide system operating at a
 // near-threshold voltage V must achieve the same *FO4-normalized* 99 %
@@ -40,21 +42,25 @@ func (v VoltageResult) String() string {
 	return fmt.Sprintf("Vdd=%.3g V margin=%.1f mV power+%.1f%%", v.Vdd, v.Margin*1e3, v.PowerPct)
 }
 
-// VoltageMarginCtx finds the smallest supply increase V_M (at stepV
-// granularity, e.g. 0.1 mV) such that the 99 % chip delay of dp with the
-// given spare count at vdd+V_M meets the absolute delay target. The same
-// seed is used at every trial voltage, so the 99 % delay is a smooth,
-// monotone function of V_M and bisection is exact. Every trial-voltage
-// evaluation polls ctx between Monte-Carlo worker chunks, and the search
-// stops with ctx's error as soon as one observes cancellation.
+// VoltageMarginCtx finds the smallest supply increase V_M on the stepV
+// grid (e.g. 0.1 mV) such that the 99 % chip delay of dp with the given
+// spare count at vdd+V_M meets the absolute delay target. The same seed
+// is used at every trial voltage, so the 99 % delay is a smooth,
+// monotone function of V_M and bisecting the step count k is exact.
+// Trial supplies are vdd + k·stepV, so searches at one vdd share them
+// and their chip laws, and the answer's p99 is its own trial's. Every
+// trial-voltage evaluation polls ctx between Monte-Carlo worker chunks,
+// and the search stops with ctx's error as soon as one observes
+// cancellation.
 func VoltageMarginCtx(ctx context.Context, dp *simd.Datapath, seed uint64, n int, vdd, target, stepV float64, spares int) (VoltageResult, error) {
 	if stepV <= 0 {
 		stepV = 0.1e-3
 	}
-	p99At := func(vm float64) (float64, error) {
+	p99At := func(k int) (float64, error) {
 		// P99ChipDelayFO4Ctx reports FO4 units at its own supply; convert
 		// back to absolute seconds at vdd+vm for comparison with the
 		// target.
+		vm := float64(k) * stepV
 		p99, err := dp.P99ChipDelayFO4Ctx(ctx, seed, n, vdd+vm, spares)
 		if err != nil {
 			return 0, err
@@ -62,7 +68,6 @@ func VoltageMarginCtx(ctx context.Context, dp *simd.Datapath, seed uint64, n int
 		return p99 * dp.FO4(vdd+vm), nil
 	}
 	res := VoltageResult{Vdd: vdd, Target: target}
-	lo, hi := 0.0, 0.0
 	p99, err := p99At(0)
 	if err != nil {
 		return res, err
@@ -71,74 +76,38 @@ func VoltageMarginCtx(ctx context.Context, dp *simd.Datapath, seed uint64, n int
 		res.P99 = p99
 		return res, nil // no margin needed
 	}
-	// Exponentially widen until the target is met.
-	for hi = stepV * 8; ; hi *= 2 {
-		p99, err = p99At(hi)
-		if err != nil {
+	// Exponentially widen until the target is met: lo steps miss it, hi
+	// steps meet it with p99.
+	lo, hi := 0, 8
+	for {
+		if p99, err = p99At(hi); err != nil {
 			return res, err
 		}
 		if p99 <= target {
 			break
 		}
-		lo = hi
-		if hi > 0.3 { // 300 mV of margin means the model has no solution
-			res.Margin = math.Inf(1)
-			res.P99 = p99
-			res.PowerPct = math.Inf(1)
+		if float64(hi)*stepV > 0.3 { // 300 mV of margin means the model has no solution
+			res.Margin, res.P99, res.PowerPct = math.Inf(1), p99, math.Inf(1)
 			return res, nil
 		}
+		lo, hi = hi, 2*hi
 	}
-	for hi-lo > stepV/2 {
+	for hi-lo > 1 {
 		mid := (lo + hi) / 2
 		p99mid, err := p99At(mid)
 		if err != nil {
 			return res, err
 		}
 		if p99mid <= target {
-			hi = mid
+			hi, p99 = mid, p99mid
 		} else {
 			lo = mid
 		}
 	}
-	// Round the margin up to the step grid (margins are specified at
-	// design time on a regulator grid, and rounding down would miss the
-	// target).
-	vm := math.Ceil(hi/stepV-1e-9) * stepV
-	res.Margin = vm
-	res.P99, err = p99At(vm)
-	if err != nil {
-		return res, err
-	}
-	res.PowerPct = power.MarginPowerOverheadPct(vdd, vm)
+	res.Margin = float64(hi) * stepV
+	res.P99 = p99
+	res.PowerPct = power.MarginPowerOverheadPct(vdd, res.Margin)
 	return res, nil
-}
-
-// FrequencyResult reports frequency margining at one voltage (§4.3 /
-// Table 4): the designed clock period, the variation-aware period that
-// actually covers the 99 % chip delay, and the throughput loss.
-type FrequencyResult struct {
-	Vdd     float64
-	TClk    float64 // designed clock period, seconds
-	TVaClk  float64 // variation-aware clock period, seconds
-	DropPct float64 // performance degradation, percent
-}
-
-// FrequencyMarginCtx computes the Table 4 row for dp at vdd given the
-// nominal-voltage baseline 99 % FO4 chip delay. A cancelled ctx returns
-// ctx's error with only Vdd and TClk filled in.
-func FrequencyMarginCtx(ctx context.Context, dp *simd.Datapath, seed uint64, n int, vdd, baselineFO4 float64) (FrequencyResult, error) {
-	tclk := TargetDelay(dp, vdd, baselineFO4)
-	p99, err := dp.P99ChipDelayFO4Ctx(ctx, seed, n, vdd, 0)
-	if err != nil {
-		return FrequencyResult{Vdd: vdd, TClk: tclk}, err
-	}
-	tva := p99 * dp.FO4(vdd)
-	return FrequencyResult{
-		Vdd:     vdd,
-		TClk:    tclk,
-		TVaClk:  tva,
-		DropPct: 100 * (tva/tclk - 1),
-	}, nil
 }
 
 // Choice is one point of the combined duplication + margining design

@@ -35,16 +35,6 @@ func voltageMargin(t *testing.T, dp *simd.Datapath, seed uint64, n int, vdd, tar
 	return vr
 }
 
-// frequencyMargin runs FrequencyMarginCtx under context.Background().
-func frequencyMargin(t *testing.T, dp *simd.Datapath, seed uint64, n int, vdd, base float64) FrequencyResult {
-	t.Helper()
-	fr, err := FrequencyMarginCtx(context.Background(), dp, seed, n, vdd, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fr
-}
-
 func TestVoltageMarginMeetsTarget(t *testing.T) {
 	dp := simd.New(tech.N45)
 	const n = 1500
@@ -181,35 +171,6 @@ func TestVoltageMarginMatchesSlabSearch(t *testing.T) {
 	}
 }
 
-func TestFrequencyMargin(t *testing.T) {
-	dp := simd.New(tech.N22)
-	const n = 1500
-	base := baseline(t, dp, 4, n)
-	fr := frequencyMargin(t, dp, 4, n, 0.5, base)
-	if fr.TVaClk <= fr.TClk {
-		t.Error("variation-aware clock must be slower than designed clock at NTV")
-	}
-	if fr.DropPct < 5 || fr.DropPct > 40 {
-		t.Errorf("22nm @0.5V perf drop %v%%, paper ≈20%%", fr.DropPct)
-	}
-	// Consistency: drop = (TVa/TClk − 1)·100.
-	want := 100 * (fr.TVaClk/fr.TClk - 1)
-	if math.Abs(fr.DropPct-want) > 1e-9 {
-		t.Error("drop percentage inconsistent")
-	}
-}
-
-func TestFrequencyMarginShrinksAtHigherVdd(t *testing.T) {
-	dp := simd.New(tech.N90)
-	const n = 1500
-	base := baseline(t, dp, 5, n)
-	d5 := frequencyMargin(t, dp, 5, n, 0.5, base).DropPct
-	d7 := frequencyMargin(t, dp, 5, n, 0.7, base).DropPct
-	if d7 >= d5 {
-		t.Errorf("drop at 0.7V (%v) should be below 0.5V (%v)", d7, d5)
-	}
-}
-
 func TestCombinedAndBest(t *testing.T) {
 	dp := simd.New(tech.N45)
 	const n = 1200
@@ -309,10 +270,6 @@ func TestSearchesStopWhenCancelled(t *testing.T) {
 	}{
 		{"VoltageMarginCtx", func(ctx context.Context) error {
 			_, err := VoltageMarginCtx(ctx, dp, 7, n, vdd, target, 0.1e-3, 0)
-			return err
-		}},
-		{"FrequencyMarginCtx", func(ctx context.Context) error {
-			_, err := FrequencyMarginCtx(ctx, dp, 7, n, vdd, base)
 			return err
 		}},
 		{"CombinedCtx", func(ctx context.Context) error {

@@ -1,8 +1,10 @@
 package sram
 
 import (
+	"context"
 	"math"
 
+	"github.com/ntvsim/ntvsim/internal/montecarlo"
 	"github.com/ntvsim/ntvsim/internal/rng"
 	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/tech"
@@ -146,6 +148,17 @@ func (s *ChipSampler) Sample(r *rng.Stream) float64 {
 		}
 	}
 	return 1
+}
+
+// YieldPctCtx returns the Monte-Carlo memory yield: the percentage of
+// n chips, drawn from seed by Sample, whose memory map is repairable. A
+// cancelled ctx stops the sampling and returns ctx's error.
+func (s *ChipSampler) YieldPctCtx(ctx context.Context, seed uint64, n int) (float64, error) {
+	xs, err := montecarlo.SampleCtx(ctx, seed, n, s.Sample)
+	if err != nil {
+		return 0, err
+	}
+	return 100 * stats.Mean(xs), nil
 }
 
 // binomialExceeds reports whether the Bin(n, p) draw at the uniform u

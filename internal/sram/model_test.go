@@ -2,6 +2,7 @@ package sram
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -179,6 +180,27 @@ func TestSamplerTableInterp(t *testing.T) {
 	}
 	if smp.cellProb(-1) != smp.table[0] || smp.cellProb(1) != smp.table[len(smp.table)-1] {
 		t.Error("out-of-range die shifts do not clamp to table edges")
+	}
+}
+
+// TestYieldPctCtxIsTheSampleMean: the MC memory yield is 100 times the
+// mean of the chips' repair indicators, bit for bit, and a cancelled
+// ctx returns its error.
+func TestYieldPctCtxIsTheSampleMean(t *testing.T) {
+	for _, op := range []Op{OpRead, OpWrite} {
+		smp := New(tech.N32).NewSampler(op, 0.55)
+		got, err := smp.YieldPctCtx(context.Background(), 31, 700)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 100 * stats.Mean(mcSample(t, 31, 700, smp.Sample)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%v: YieldPctCtx = %v, sample mean %v", op, got, want)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := New(tech.N32).NewSampler(OpRead, 0.55).YieldPctCtx(ctx, 31, 700); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled YieldPctCtx: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"github.com/ntvsim/ntvsim/internal/device"
 	"github.com/ntvsim/ntvsim/internal/experiments"
 	"github.com/ntvsim/ntvsim/internal/importance"
-	"github.com/ntvsim/ntvsim/internal/montecarlo"
-	"github.com/ntvsim/ntvsim/internal/rng"
 	"github.com/ntvsim/ntvsim/internal/simd"
 	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/tech"
@@ -147,14 +145,8 @@ func init() {
 		Kind: experiments.Circuit, Unit: "%", DefaultSamples: 1000,
 		Description: "3-sigma/mu (%) of a 50-FO4 inverter-chain delay (Figure 2 generalized)",
 		Eval: func(ctx context.Context, node tech.Node, vdd float64, samples int, seed uint64, _ Options) (float64, *importance.Diagnostics, error) {
-			sampler := variation.NewSampler(node.Dev, node.Var)
-			xs, err := montecarlo.SampleCtx(ctx, seed, samples, func(r *rng.Stream) float64 {
-				return sampler.FreshChainDelay(r, vdd, tech.ChainLength)
-			})
-			if err != nil {
-				return 0, nil, err
-			}
-			return stats.ThreeSigmaOverMu(xs), nil, nil
+			v, err := variation.NewSampler(node.Dev, node.Var).ChainThreeSigmaCtx(ctx, seed, samples, vdd, tech.ChainLength)
+			return v, nil, err
 		},
 		SSTA: func(node tech.Node, vdd float64, _ Options) (float64, error) {
 			mean, variance := device.ChainMoments(node.Dev, node.Var, vdd, tech.ChainLength)
@@ -166,14 +158,9 @@ func init() {
 		Kind: experiments.Circuit, Unit: "%", DefaultSamples: 1000,
 		Description: "3-sigma/mu (%) of a single FO4 inverter delay",
 		Eval: func(ctx context.Context, node tech.Node, vdd float64, samples int, seed uint64, _ Options) (float64, *importance.Diagnostics, error) {
-			sampler := variation.NewSampler(node.Dev, node.Var)
-			xs, err := montecarlo.SampleCtx(ctx, seed, samples, func(r *rng.Stream) float64 {
-				return sampler.FreshGateDelay(r, vdd)
-			})
-			if err != nil {
-				return 0, nil, err
-			}
-			return stats.ThreeSigmaOverMu(xs), nil, nil
+			// A gate is a chain of one.
+			v, err := variation.NewSampler(node.Dev, node.Var).ChainThreeSigmaCtx(ctx, seed, samples, vdd, 1)
+			return v, nil, err
 		},
 		SSTA: func(node tech.Node, vdd float64, _ Options) (float64, error) {
 			mean, variance := device.GateMoments(node.Dev, node.Var, vdd)

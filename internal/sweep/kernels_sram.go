@@ -46,16 +46,6 @@ func chipSampler(node tech.Node, op sram.Op, vdd float64) *sram.ChipSampler {
 	return smp
 }
 
-// sramYieldEval is the shared MC estimator: the percentage of sampled
-// chips whose memory map is fully repairable for the given access.
-func sramYieldEval(ctx context.Context, node tech.Node, vdd float64, samples int, seed uint64, op sram.Op) (float64, error) {
-	xs, err := montecarlo.SampleCtx(ctx, seed, samples, chipSampler(node, op, vdd).Sample)
-	if err != nil {
-		return 0, err
-	}
-	return 100 * stats.Mean(xs), nil
-}
-
 // logicBudget returns the logic-path pass/fail delay threshold in
 // seconds: the shared budget rule of the memory-vs-logic comparison.
 func logicBudget(node tech.Node, vdd float64) float64 {
@@ -68,7 +58,7 @@ func init() {
 		Kind: experiments.Architecture, Unit: "%", DefaultSamples: 10000,
 		Description: "chips whose SODA memory map survives the read-timing budget after spare-row repair, in %",
 		Eval: func(ctx context.Context, node tech.Node, vdd float64, samples int, seed uint64, _ Options) (float64, *importance.Diagnostics, error) {
-			v, err := sramYieldEval(ctx, node, vdd, samples, seed, sram.OpRead)
+			v, err := chipSampler(node, sram.OpRead, vdd).YieldPctCtx(ctx, seed, samples)
 			return v, nil, err
 		},
 		SSTA: func(node tech.Node, vdd float64, _ Options) (float64, error) {
@@ -80,7 +70,7 @@ func init() {
 		Kind: experiments.Architecture, Unit: "%", DefaultSamples: 10000,
 		Description: "chips whose SODA memory map survives the write-contention budget after spare-row repair, in %",
 		Eval: func(ctx context.Context, node tech.Node, vdd float64, samples int, seed uint64, _ Options) (float64, *importance.Diagnostics, error) {
-			v, err := sramYieldEval(ctx, node, vdd, samples, seed, sram.OpWrite)
+			v, err := chipSampler(node, sram.OpWrite, vdd).YieldPctCtx(ctx, seed, samples)
 			return v, nil, err
 		},
 		SSTA: func(node tech.Node, vdd float64, _ Options) (float64, error) {

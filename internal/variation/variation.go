@@ -13,13 +13,19 @@
 //     the V_th sensitivity.
 //
 // A Sampler binds a device model to a variation model and draws delays.
+// Its ChainThreeSigmaCtx is the one Monte-Carlo estimator of the paper's
+// circuit-level metric: the sweep kernels chain3sigma and gate3sigma and
+// the experiments fig2, fig11 and ks all read it.
 package variation
 
 import (
+	"context"
 	"math"
 
 	"github.com/ntvsim/ntvsim/internal/device"
+	"github.com/ntvsim/ntvsim/internal/montecarlo"
 	"github.com/ntvsim/ntvsim/internal/rng"
+	"github.com/ntvsim/ntvsim/internal/stats"
 )
 
 // Sampler draws variation-afflicted gate delays for one technology.
@@ -82,4 +88,20 @@ func (s *Sampler) FreshChainDelay(r *rng.Stream, vdd float64, n int) float64 {
 // FreshGateDelay draws a single-gate delay on a freshly drawn die.
 func (s *Sampler) FreshGateDelay(r *rng.Stream, vdd float64) float64 {
 	return s.GateDelay(r, vdd, s.Die(r))
+}
+
+// ChainThreeSigmaCtx returns the paper's 3σ/μ (%) of samples chains of
+// the given number of gates at supply vdd, each on a fresh die, drawn
+// from seed. A gate is a chain of one: FreshChainDelay(r, vdd, 1) gives
+// FreshGateDelay's bits. Chains of different lengths from one seed nest:
+// each sample's shorter chain is a prefix of its longer one. A cancelled
+// ctx stops the sampling and returns ctx's error.
+func (s *Sampler) ChainThreeSigmaCtx(ctx context.Context, seed uint64, samples int, vdd float64, gates int) (float64, error) {
+	xs, err := montecarlo.SampleCtx(ctx, seed, samples, func(r *rng.Stream) float64 {
+		return s.FreshChainDelay(r, vdd, gates)
+	})
+	if err != nil {
+		return 0, err
+	}
+	return stats.ThreeSigmaOverMu(xs), nil
 }

@@ -1,10 +1,13 @@
 package variation
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"github.com/ntvsim/ntvsim/internal/device"
+	"github.com/ntvsim/ntvsim/internal/montecarlo"
 	"github.com/ntvsim/ntvsim/internal/rng"
 	"github.com/ntvsim/ntvsim/internal/stats"
 )
@@ -124,5 +127,42 @@ func TestDieFieldsDistribution(t *testing.T) {
 	}
 	if sd := stats.StdDev(logMul); math.Abs(sd-s.Var.SigmaMulD2D)/s.Var.SigmaMulD2D > 0.02 {
 		t.Errorf("D2D mul log-sd %v, want %v", sd, s.Var.SigmaMulD2D)
+	}
+}
+
+// TestChainThreeSigmaCtx: the estimator is stats.ThreeSigmaOverMu of
+// the fresh-die chains drawn from its seed, bit for bit; a chain of one
+// gate is the fresh-gate sample; and a cancelled ctx returns its error.
+func TestChainThreeSigmaCtx(t *testing.T) {
+	s := testSampler()
+	ctx := context.Background()
+	const seed, n, vdd = 41, 500, 0.55
+	want := func(fn func(r *rng.Stream) float64) float64 {
+		t.Helper()
+		xs, err := montecarlo.SampleCtx(ctx, seed, n, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats.ThreeSigmaOverMu(xs)
+	}
+	for _, tc := range []struct {
+		gates int
+		want  float64
+	}{
+		{50, want(func(r *rng.Stream) float64 { return s.FreshChainDelay(r, vdd, 50) })},
+		{1, want(func(r *rng.Stream) float64 { return s.FreshGateDelay(r, vdd) })},
+	} {
+		got, err := s.ChainThreeSigmaCtx(ctx, seed, n, vdd, tc.gates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(tc.want) {
+			t.Errorf("%d gates: %v, want %v", tc.gates, got, tc.want)
+		}
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := s.ChainThreeSigmaCtx(cancelled, seed, n, vdd, 50); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled: err = %v, want context.Canceled", err)
 	}
 }
