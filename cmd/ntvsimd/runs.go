@@ -66,6 +66,15 @@ func (s *server) recordJob(snap jobs.Snapshot, expID string, cfg experiments.Con
 	}
 }
 
+// sweepName is the id a sweep is recorded and logged under: its metric,
+// or the experiment it runs at every point.
+func sweepName(spec sweep.Spec) string {
+	if spec.Metric != "" {
+		return spec.Metric
+	}
+	return spec.Experiment
+}
+
 // recordSweep waits for sw to reach a terminal state, then appends one
 // record carrying the whole sweep's provenance — normalized spec and
 // its content hash, per-shard states with their derived seeds, merged
@@ -80,7 +89,7 @@ func (s *server) recordSweep(sw *sweep.Sweep) {
 	rec := ledger.Record{
 		RunID:    sw.ID,
 		Kind:     "sweep",
-		Name:     snap.Spec.Metric,
+		Name:     sweepName(snap.Spec),
 		SpecHash: resultcache.Key(snap.Spec),
 		Spec:     spec,
 		Seed:     snap.Spec.Seed,

@@ -277,6 +277,28 @@ func TestRunLedgerJobDoneBeforeSubmitReturns(t *testing.T) {
 	}
 }
 
+// TestRunLedgerExperimentSweepRecord: an experiment sweep's run record
+// is named by its experiment, so the experiment= filter lists it.
+func TestRunLedgerExperimentSweepRecord(t *testing.T) {
+	_, ts := newLedgerServer(t, t.TempDir())
+	code, out := doJSON(t, http.MethodPost, ts.URL+"/v1/sweeps", map[string]any{
+		"experiment": "fig2", "samples": []int{200}, "seed": 7,
+	})
+	if code != http.StatusAccepted {
+		t.Fatalf("POST: status %d (%v)", code, out)
+	}
+	id, _ := out["id"].(string)
+	if sw := pollSweepDone(t, ts.URL, id, 2*time.Minute); sw["state"] != "done" {
+		t.Fatalf("sweep finished as %v", sw["state"])
+	}
+	listing := pollRunTotal(t, ts.URL, "?experiment=fig2", 1)
+	runs, _ := listing["runs"].([]any)
+	entry, _ := runs[0].(map[string]any)
+	if entry["run_id"] != id || entry["kind"] != "sweep" || entry["name"] != "fig2" {
+		t.Errorf("experiment=fig2 listing entry: %v", entry)
+	}
+}
+
 // TestRunLedgerSweepRecord checks the one-record-per-sweep shape: shard
 // provenance with derived per-point seeds, samples summed over computed
 // shards, the kind/experiment filters, and the sweep-rooted span tree.

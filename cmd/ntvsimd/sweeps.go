@@ -166,7 +166,7 @@ func (s *server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		go s.recordSweep(sw)
 	}
 	snap := sw.Snapshot()
-	s.log.Info("sweep submitted", "sweep", sw.ID, "kernel", snap.Spec, "shards", snap.Total)
+	s.log.Info("sweep submitted", "sweep", sw.ID, "kernel", sweepName(snap.Spec), "shards", snap.Total)
 	writeJSON(w, http.StatusAccepted, sweepPayloadOf(snap))
 }
 

@@ -107,51 +107,13 @@ func runPipeline(stages []soda.Kernel, mk func() soda.ErrorModel, ntv bool, seed
 // "compute" step on the physical lanes, and checks the result matches a
 // fault-free array.
 func bypassRun(data []uint16, faulty []int, spares int) error {
-	physical := soda.Lanes + spares
-	mapping, err := xram.SpareMap(physical, faulty, soda.Lanes)
+	mapping, out, err := xram.Bypass(soda.Lanes+spares, faulty, data, func(v uint16) uint16 { return 2 * v })
 	if err != nil {
 		return err
 	}
-	scatter, gather, err := xram.BypassConfigs(physical, mapping)
-	if err != nil {
-		return err
-	}
-	xb, err := xram.New(physical, 2)
-	if err != nil {
-		return err
-	}
-	if err := xb.Store(0, scatter); err != nil {
-		return err
-	}
-	if err := xb.Store(1, gather); err != nil {
-		return err
-	}
-
-	in := make([]uint16, physical)
-	copy(in, data)
-	phys := make([]uint16, physical)
-	if err := xb.Select(0); err != nil {
-		return err
-	}
-	if err := xb.Route(in, phys); err != nil {
-		return err
-	}
-	for i := range phys {
-		phys[i] *= 2 // the per-lane computation
-	}
-	for _, f := range faulty {
-		phys[f] = 0xDEAD // faulty FUs produce garbage; no data may pass through
-	}
-	out := make([]uint16, physical)
-	if err := xb.Select(1); err != nil {
-		return err
-	}
-	if err := xb.Route(phys, out); err != nil {
-		return err
-	}
-	for i := 0; i < soda.Lanes; i++ {
-		if out[i] != data[i]*2 {
-			return fmt.Errorf("lane %d: bypassed result %d, want %d", i, out[i], data[i]*2)
+	for i, v := range out {
+		if v != data[i]*2 {
+			return fmt.Errorf("lane %d: bypassed result %d, want %d", i, v, data[i]*2)
 		}
 	}
 	fmt.Printf("  logical→physical map (first 12): %v…\n", mapping[:12])

@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"sort"
 
 	"github.com/ntvsim/ntvsim/internal/corners"
 	"github.com/ntvsim/ntvsim/internal/simd"
@@ -49,8 +48,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sort.Float64s(ds)
-		mc := stats.QuantileSorted(ds, 0.99)
+		mc := stats.QuantileInPlace(ds, 0.99)
 		analytic := model.ChipP99(vdd)
 		signoff := corners.ChipSignoff(node, vdd, totalPaths)
 		fmt.Printf("%5.2fV %11.3f ns %11.3f ns %13.3f ns %+9.1f%% %+9.1f%%\n",

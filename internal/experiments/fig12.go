@@ -94,8 +94,9 @@ func runFig12(ctx context.Context, cfg Config) (Result, error) {
 
 // bypassDemo reproduces the paper's Figure 12(c): ten physical FUs
 // (8 + 2 spares) with FU-2 and FU-3 faulty; the XRAM scatter/gather
-// configurations route eight logical lanes around the faults, and the
-// demo verifies data comes back intact after a doubling "computation".
+// configurations (xram.Bypass) route eight logical lanes around the
+// faults, and the demo verifies data comes back intact after a doubling
+// "computation".
 func bypassDemo() (string, bool) {
 	const physical = 10
 	const logical = 8
@@ -105,61 +106,22 @@ func bypassDemo() (string, bool) {
 	fmt.Fprintf(&b, "XRAM bypass demo: %d FUs (%d + %d spares), faulty %v\n",
 		physical, logical, physical-logical, faulty)
 
-	mapping, err := xram.SpareMap(physical, faulty, logical)
+	in := make([]uint16, logical)
+	for i := range in {
+		in[i] = uint16(100 + i)
+	}
+	// "Compute": healthy FUs double their operand; faulty FUs corrupt.
+	mapping, out, err := xram.Bypass(physical, faulty, in, func(v uint16) uint16 { return 2 * v })
 	if err != nil {
-		fmt.Fprintf(&b, "spare map failed: %v\n", err)
+		fmt.Fprintf(&b, "bypass failed: %v\n", err)
 		return b.String(), false
 	}
 	fmt.Fprintf(&b, "logical→physical map: %v\n", mapping)
 
-	scatter, gather, err := xram.BypassConfigs(physical, mapping)
-	if err != nil {
-		fmt.Fprintf(&b, "bypass configs failed: %v\n", err)
-		return b.String(), false
-	}
-	xb, err := xram.New(physical, 2)
-	if err != nil {
-		return b.String(), false
-	}
-	if err := xb.Store(0, scatter); err != nil {
-		return b.String(), false
-	}
-	if err := xb.Store(1, gather); err != nil {
-		return b.String(), false
-	}
-
-	// Scatter logical data onto healthy physical lanes.
-	in := make([]uint16, physical)
-	for i := 0; i < logical; i++ {
-		in[i] = uint16(100 + i)
-	}
-	phys := make([]uint16, physical)
-	if err := xb.Select(0); err != nil {
-		return b.String(), false
-	}
-	if err := xb.Route(in, phys); err != nil {
-		return b.String(), false
-	}
-	// "Compute": healthy FUs double their operand; faulty FUs corrupt.
-	for i := range phys {
-		phys[i] *= 2
-	}
-	for _, f := range faulty {
-		phys[f] = 0xDEAD
-	}
-	// Gather results back to logical order.
-	out := make([]uint16, physical)
-	if err := xb.Select(1); err != nil {
-		return b.String(), false
-	}
-	if err := xb.Route(phys, out); err != nil {
-		return b.String(), false
-	}
 	ok := true
-	for i := 0; i < logical; i++ {
-		want := uint16(100+i) * 2
-		if out[i] != want {
-			fmt.Fprintf(&b, "lane %d: got %d, want %d\n", i, out[i], want)
+	for i, v := range out {
+		if want := 2 * in[i]; v != want {
+			fmt.Fprintf(&b, "lane %d: got %d, want %d\n", i, v, want)
 			ok = false
 		}
 	}

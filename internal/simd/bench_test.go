@@ -41,14 +41,16 @@ func BenchmarkSampleChipDelayCorrelated(b *testing.B) {
 	}
 }
 
+// BenchmarkSampleChipDelayExact draws chips of the gate-level test
+// reference: the cost the law-based sampler saves.
 func BenchmarkSampleChipDelayExact(b *testing.B) {
 	dp := New(tech.N90)
-	dp.Exact = true
 	dp.Lanes = 8
 	dp.PathsPerLane = 10
+	g := gateLevel{dp, 0.55}
 	r := rng.New(1)
 	for i := 0; i < b.N; i++ {
-		dp.SampleChipDelay(r, 0.55, 0)
+		benchSink += g.chip(r)
 	}
 }
 

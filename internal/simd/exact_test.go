@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/ntvsim/ntvsim/internal/device"
 	"github.com/ntvsim/ntvsim/internal/montecarlo"
 	"github.com/ntvsim/ntvsim/internal/rng"
 	"github.com/ntvsim/ntvsim/internal/ssta"
@@ -13,10 +14,11 @@ import (
 	"github.com/ntvsim/ntvsim/internal/tech"
 )
 
-// The max-uniform chip draw and the spare selection are speedups that
-// must not move a single bit of any drawn delay: every comparison below
-// is on math.Float64bits. (The guide-table inversion they build on is
-// pinned against the plain binary search in internal/ssta.)
+// The max-uniform chip draw, the spare selection and the selected p99
+// are speedups that must not move a single bit of any drawn delay:
+// every comparison below is on math.Float64bits. (The guide-table
+// inversion they build on is pinned against the plain binary search in
+// internal/ssta.)
 
 // exactGrid is the (node, Vdd) grid the exactness tests cover: every
 // calibrated node from 0.45 V to 0.70 V in 12.5 mV steps.
@@ -132,36 +134,6 @@ func TestSpareChipDrawMatchesReference(t *testing.T) {
 	}
 }
 
-// TestKthSmallestMatchesSort checks the selection against a full sort
-// on random, duplicate-heavy, sorted and reversed inputs at every rank.
-func TestKthSmallestMatchesSort(t *testing.T) {
-	r := rng.New(5)
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + trial%40
-		a := make([]float64, n)
-		for i := range a {
-			switch trial % 4 {
-			case 0:
-				a[i] = r.Float64()
-			case 1:
-				a[i] = float64(r.Uint64() % 3) // heavy duplicates
-			case 2:
-				a[i] = float64(i)
-			default:
-				a[i] = float64(n - i)
-			}
-		}
-		sorted := append([]float64(nil), a...)
-		sort.Float64s(sorted)
-		for k := range a {
-			work := append([]float64(nil), a...)
-			if got := kthSmallest(work, k); !sameBits(got, sorted[k]) {
-				t.Fatalf("trial %d (%v) k=%d: %v, want %v", trial, a, k, got, sorted[k])
-			}
-		}
-	}
-}
-
 // TestSpareCurveMatchesSortLoop pins SpareSample's partial selection
 // against the full sort it replaced: every spare count of one sample,
 // bit for bit, for the iid-paths law and the shared-die ablation.
@@ -204,6 +176,101 @@ func TestChipDrawAllocationBound(t *testing.T) {
 		runtime.GOMAXPROCS(old)
 		if allocs > 8 {
 			t.Errorf("spares %d: ChipDelaysCtx(n=%d) allocates %v per call, want ≤ 8", spares, n, allocs)
+		}
+	}
+}
+
+// TestP99AllocationBound: reading the 99 % point adds no allocation to
+// the draw. P99ChipDelayFO4Ctx allocates what its ChipDelaysFO4Ctx
+// draw does, and SpareSample.P99FO4 allocates nothing, with and without
+// spares.
+func TestP99AllocationBound(t *testing.T) {
+	must := mustFloats(t)
+	dp := New(tech.N45)
+	const n, vdd = 2000, 0.55
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	for _, spares := range []int{0, 8} {
+		draw := testing.AllocsPerRun(5, func() { must(dp.ChipDelaysFO4Ctx(bg, 3, n, vdd, spares)) })
+		p99 := testing.AllocsPerRun(5, func() {
+			if _, err := dp.P99ChipDelayFO4Ctx(bg, 3, n, vdd, spares); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if p99 > draw {
+			t.Errorf("spares %d: P99ChipDelayFO4Ctx allocates %v per call, its draw %v", spares, p99, draw)
+		}
+		sample, err := dp.SpareSampleCtx(bg, 3, n, vdd, spares)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a := testing.AllocsPerRun(5, func() { sample.P99FO4(spares) }); a != 0 {
+			t.Errorf("spares %d: SpareSample.P99FO4 allocates %v per call, want 0", spares, a)
+		}
+	}
+}
+
+// TestSharedDieIsInfiniteSpatial: a SharedDie chip is the Spatial field
+// at CorrLanes = +Inf, bit for bit, with and without spares.
+func TestSharedDieIsInfiniteSpatial(t *testing.T) {
+	must := mustFloats(t)
+	for _, node := range tech.Nodes() {
+		shared, spatial := New(node), New(node)
+		shared.Corr = SharedDie
+		spatial.Corr, spatial.CorrLanes = Spatial, math.Inf(1)
+		for _, spares := range []int{0, 8} {
+			a := must(shared.ChipDelaysCtx(bg, 17, 300, 0.55, spares))
+			b := must(spatial.ChipDelaysCtx(bg, 17, 300, 0.55, spares))
+			for i := range a {
+				if !sameBits(a[i], b[i]) {
+					t.Fatalf("%s, %d spares, chip %d: SharedDie %v, Spatial(+Inf) %v", node.Name, spares, i, a[i], b[i])
+				}
+			}
+		}
+	}
+}
+
+// referenceSharedDieChip is the zero-spare SharedDie chip as drawn
+// before it read the lane field: one die (its V_th shift, then its
+// multiplicative term), the exact conditional chain moments at that
+// shift, and one uniform per lane.
+func referenceSharedDieChip(dp *Datapath, vdd float64, r *rng.Stream) float64 {
+	d2d := r.Gauss(0, dp.Node.Var.SigmaVthD2D)
+	mul := math.Exp(r.Gauss(0, dp.Node.Var.SigmaMulD2D))
+	m, v := device.ChainConditionalMoments(dp.Node.Dev, dp.Node.Var, vdd, dp.ChainLen, d2d)
+	law := stats.Normal{Mu: m, Sigma: math.Sqrt(v)}
+	pinv := 1 / float64(dp.PathsPerLane)
+	worst := 0.0
+	for l := 0; l < dp.Lanes; l++ {
+		if d := mul * law.Quantile(clampU(math.Pow(r.Float64(), pinv))); d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
+// TestSharedDieMatchesExactMoments: a SharedDie chip draws the same die
+// and lane uniforms from its stream as the exact-moment reference, and
+// the interpolated moment table moves its delay by at most 2e-4
+// relative, on every calibrated node from 0.45 to 0.70 V.
+func TestSharedDieMatchesExactMoments(t *testing.T) {
+	const chips, tol = 200, 2e-4
+	nodes, vdds := exactGrid()
+	for _, node := range nodes {
+		dp := New(node)
+		dp.Corr = SharedDie
+		for k := 0; k < len(vdds); k += 4 {
+			vdd := vdds[k]
+			got, err := dp.ChipDelaysCtx(bg, 19, chips, vdd, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, g := range got {
+				want := referenceSharedDieChip(dp, vdd, rng.NewSub(19, i))
+				if rel := math.Abs(g-want) / want; !(rel <= tol) {
+					t.Fatalf("%s vdd %g chip %d: %v, exact moments %v (%.3g relative)", node.Name, vdd, i, g, want, rel)
+				}
+			}
 		}
 	}
 }

@@ -2,13 +2,81 @@ package simd
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
 	"github.com/ntvsim/ntvsim/internal/device"
 	"github.com/ntvsim/ntvsim/internal/rng"
 	"github.com/ntvsim/ntvsim/internal/stats"
+	"github.com/ntvsim/ntvsim/internal/variation"
 )
+
+// gateLevel is the gate-level sampler, the reference the law- and
+// moment-based samplers are KS-tested against: every gate of every path
+// is drawn from internal/variation, under the datapath's correlation
+// model. Each method draws one sample from the stream it is handed, so
+// montecarlo.SampleCtx runs it like the package's own samplers.
+type gateLevel struct {
+	dp  *Datapath
+	vdd float64
+}
+
+// path draws one critical-path delay.
+func (g gateLevel) path(r *rng.Stream) float64 {
+	vs := variation.NewSampler(g.dp.Node.Dev, g.dp.Node.Var)
+	return vs.FreshChainDelay(r, g.vdd, g.dp.ChainLen)
+}
+
+// lane draws one lane delay.
+func (g gateLevel) lane(r *rng.Stream) float64 {
+	var lane [1]float64
+	g.lanes(r, lane[:])
+	return lane[0]
+}
+
+// chip draws one zero-spare chip delay, the slowest of dp.Lanes lanes.
+func (g gateLevel) chip(r *rng.Stream) float64 {
+	lanes := make([]float64, g.dp.Lanes)
+	g.lanes(r, lanes)
+	return slices.Max(lanes)
+}
+
+// lanes draws the delays of len(dst) lanes of one chip into dst.
+func (g gateLevel) lanes(r *rng.Stream, dst []float64) {
+	dp := g.dp
+	s := variation.NewSampler(dp.Node.Dev, dp.Node.Var)
+	var die variation.Die
+	var field laneField
+	switch dp.Corr {
+	case SharedDie:
+		die = s.Die(r)
+	case Spatial:
+		field = newLaneField(dp.Node.Var.SigmaVthD2D, dp.Node.Var.SigmaMulD2D, dp.CorrLanes)
+	}
+	for i := range dst {
+		switch dp.Corr {
+		case SharedDie:
+			// die fixed for the whole chip
+		case Spatial:
+			dvth, mul := field.next(r)
+			die = variation.Die{DVth: dvth, Mul: mul}
+		default:
+			die = s.Die(r)
+		}
+		worst := 0.0
+		for p := 0; p < dp.PathsPerLane; p++ {
+			if dp.Corr == IIDPaths && p > 0 {
+				die = s.Die(r) // fresh draw per path: fully independent paths
+			}
+			d := s.ChainDelay(r, g.vdd, dp.ChainLen, die)
+			if d > worst {
+				worst = d
+			}
+		}
+		dst[i] = worst
+	}
+}
 
 // referenceTable is the chip-delay law as this package tabulated it
 // before internal/ssta's Law became the one law: the path CDF summed in

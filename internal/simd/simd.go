@@ -11,26 +11,27 @@
 // an independent draw from the 50-FO4-chain delay distribution (the
 // distribution of Figure 1(b), which already contains the die-to-die
 // spread as part of its width). Two alternative correlation models are
-// kept as ablations: SharedDie shares one die-level draw across all
-// lanes of a chip — under strong die-level correlation structural
-// duplication loses most of its power, because dropping slow lanes
-// cannot fix a slow die — and Spatial interpolates between the extremes
-// with an AR(1) systematic field across the lane array.
+// kept as ablations, both read from one AR(1) systematic field across
+// the lane array: Spatial sets its correlation length, and SharedDie is
+// its infinite-length limit, one die-level draw shared by every lane of
+// a chip — under which structural duplication loses most of its power,
+// because dropping slow lanes cannot fix a slow die.
 //
 // The default sampler draws lane delays by inverse-CDF sampling from
 // the lane law (the path law raised to the 100th power) of
 // internal/ssta's iid-paths chip-delay law, read through the law's
-// tabulated inverse (ssta.Table), which makes chip-level Monte Carlo cheap enough for the
-// spare-count and voltage-margin searches. The laws are pure functions
-// of (node parameters, geometry, Vdd), so the one process-wide law memo
-// (ssta.LawFor) builds and tabulates each once, and every Datapath,
-// shard, sweep and the SSTA estimator share it. A gate-level exact
-// sampler (Exact) remains available and is statistically
-// indistinguishable (KS tests in the package tests). A zero-spare chip
+// tabulated inverse (ssta.Table), which makes chip-level Monte Carlo
+// cheap enough for the spare-count and voltage-margin searches. The
+// laws are pure functions of (node parameters, geometry, Vdd), so the
+// one process-wide law memo (ssta.LawFor) builds and tabulates each
+// once, and every Datapath, shard, sweep and the SSTA estimator share
+// it. The correlated lanes read a memoized table of die-conditional
+// chain moments. The package tests keep a gate-level sampler as the
+// reference both samplers are KS-tested against. A zero-spare chip
 // tracks its largest uniform while drawing and inverts only the lanes
-// whose uniforms can reach the maximum, and a spared chip partially
-// selects its slowest kept lane; both reproduce the full inversion and
-// sort bit for bit (the package's exactness tests pin this).
+// whose uniforms can reach the maximum, and a spared chip selects its
+// slowest kept lane (stats.Select); both reproduce the full inversion
+// and sort bit for bit (the package's exactness tests pin this).
 //
 // P99ChipDelayFO4Ctx reads the paper's 99 % chip delay at one spare
 // count. A question over several spare counts of the same chips — a
@@ -44,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/ntvsim/ntvsim/internal/device"
 	"github.com/ntvsim/ntvsim/internal/memo"
@@ -53,7 +53,6 @@ import (
 	"github.com/ntvsim/ntvsim/internal/ssta"
 	"github.com/ntvsim/ntvsim/internal/stats"
 	"github.com/ntvsim/ntvsim/internal/tech"
-	"github.com/ntvsim/ntvsim/internal/variation"
 )
 
 // DefaultLanes is the paper's SIMD width (Diet SODA).
@@ -72,13 +71,14 @@ const (
 	IIDPaths CorrelationModel = iota
 	// SharedDie draws the die-level variation once per chip and shares
 	// it across all lanes — the physically conservative extreme, under
-	// which structural duplication loses most of its value.
+	// which structural duplication loses most of its value. It is the
+	// Spatial field at CorrLanes = +Inf, bit for bit.
 	SharedDie
 	// Spatial draws a smoothly varying systematic field across the lane
 	// array: an AR(1) process in lane index with stationary variance
 	// equal to the calibrated die-level variance and e-folding length
 	// CorrLanes. CorrLanes → 0 approaches per-lane independence;
-	// CorrLanes → ∞ approaches SharedDie.
+	// CorrLanes = +Inf is SharedDie.
 	Spatial
 )
 
@@ -97,8 +97,8 @@ func (c CorrelationModel) String() string {
 }
 
 // Datapath is the delay model of a wide SIMD datapath on one technology
-// node. The zero Corr/Exact fields select the paper's methodology:
-// independent paths, sampled from the numerical chain-delay law.
+// node. The zero Corr field selects the paper's methodology: independent
+// paths, sampled from the numerical chain-delay law.
 type Datapath struct {
 	Node         tech.Node
 	Lanes        int
@@ -112,8 +112,6 @@ type Datapath struct {
 	// Spatial model (ignored otherwise). Zero gives per-lane-independent
 	// systematic draws (ρ = 0).
 	CorrLanes float64
-	// Exact uses the gate-level path sampler (slow; for validation).
-	Exact bool
 }
 
 // New returns the paper's canonical datapath (128 lanes × 100 paths of
@@ -142,7 +140,7 @@ func (dp *Datapath) FO4(vdd float64) float64 {
 	return dp.Node.Dev.NominalDelay(vdd)
 }
 
-// momentKey identifies one Spatial moment table: the whole node value
+// momentKey identifies one moment table: the whole node value
 // (so a custom node never aliases a calibrated one), the chain length
 // and the supply.
 type momentKey struct {
@@ -165,14 +163,14 @@ func (dp *Datapath) law(vdd float64) *ssta.Table {
 }
 
 // ErrNoAnalyticLaw is returned by the analytic chip-law accessors when
-// the datapath is configured for gate-level (Exact) or correlated
-// sampling, where the chip delay does not follow the iid-paths law.
+// the datapath is configured for correlated sampling, where the chip
+// delay does not follow the iid-paths law.
 var ErrNoAnalyticLaw = errors.New("simd: analytic chip law requires the default iid-paths law-based sampler")
 
 // analyticLaw returns the law's sampling table when the datapath
 // samples from it (the paper's default iid-paths mode, zero spares).
 func (dp *Datapath) analyticLaw(vdd float64) (*ssta.Table, error) {
-	if dp.Exact || dp.Corr != IIDPaths {
+	if dp.Corr != IIDPaths {
 		return nil, ErrNoAnalyticLaw
 	}
 	return dp.law(vdd), nil
@@ -182,8 +180,8 @@ func (dp *Datapath) analyticLaw(vdd float64) (*ssta.Table, error) {
 // delay read off the law's sampling table: ChipQuantileFn(vdd)(p), the
 // quantile map the Monte-Carlo chip draws and the importance sampler
 // push uniforms through (see internal/importance and docs/SAMPLING.md).
-// Only the default law-based sampler has one; Exact or correlated
-// datapaths return ErrNoAnalyticLaw.
+// Only the default iid-paths sampler has one; correlated datapaths
+// return ErrNoAnalyticLaw.
 func (dp *Datapath) ChipQuantile(vdd, p float64) (float64, error) {
 	tbl, err := dp.analyticLaw(vdd)
 	if err != nil {
@@ -212,20 +210,16 @@ func (dp *Datapath) ChipQuantileFn(vdd float64) (func(u float64) float64, error)
 type sampler struct {
 	dp      *Datapath
 	vdd     float64
-	law     *ssta.Table  // iid-paths, law-based
-	moments *momentTable // spatial, law-based
+	law     *ssta.Table  // iid-paths lanes
+	moments *momentTable // SharedDie and Spatial lanes
 }
 
-// sampler resolves the tables dp samples from at vdd.
+// sampler resolves the table dp samples its lanes from at vdd.
 func (dp *Datapath) sampler(vdd float64) sampler {
 	s := sampler{dp: dp, vdd: vdd}
-	if dp.Exact {
-		return s
-	}
-	switch dp.Corr {
-	case IIDPaths:
+	if dp.Corr == IIDPaths {
 		s.law = dp.law(vdd)
-	case Spatial:
+	} else {
 		s.moments = dp.momentsFor(vdd)
 	}
 	return s
@@ -233,14 +227,9 @@ func (dp *Datapath) sampler(vdd float64) sampler {
 
 // path draws one critical-path delay.
 func (s sampler) path(r *rng.Stream) float64 {
-	dp := s.dp
-	if dp.Exact {
-		vs := variation.NewSampler(dp.Node.Dev, dp.Node.Var)
-		return vs.FreshChainDelay(r, s.vdd, dp.ChainLen)
-	}
 	law := s.law
 	if law == nil {
-		law = dp.law(s.vdd) // correlated modes draw single paths from the iid path law too
+		law = s.dp.law(s.vdd) // correlated modes draw single paths from the iid path law too
 	}
 	return law.Path(r.Float64())
 }
@@ -248,79 +237,41 @@ func (s sampler) path(r *rng.Stream) float64 {
 // lanes draws the delays of len(dst) lanes of one chip into dst
 // (seconds). In the default (paper) mode every lane is an independent
 // draw from the lane law — the maximum of PathsPerLane iid path delays,
-// sampled by a single inverse-CDF lookup. SharedDie lanes share one
-// die-level variation draw, Spatial lanes read one AR(1) field, and in
-// Exact mode every gate of every path is sampled individually.
+// sampled by a single inverse-CDF lookup. SharedDie and Spatial lanes
+// read one systematic field: a lane's paths are iid given its field
+// value, so the lane inverts the PathsPerLane-th power of the
+// die-conditional chain law.
 func (s sampler) lanes(r *rng.Stream, dst []float64) {
-	dp, vdd := s.dp, s.vdd
-	if dp.Exact {
-		dp.sampleLanesExact(r, vdd, dst)
+	if s.law != nil {
+		for i := range dst {
+			dst[i] = s.law.Lane(r.Float64())
+		}
 		return
 	}
-	switch dp.Corr {
-	case SharedDie:
-		law := dp.drawDie(r, vdd)
-		pathLaw := stats.Normal{Mu: law.mu, Sigma: law.sigma}
-		pinv := 1.0 / float64(dp.PathsPerLane)
-		for i := range dst {
-			u := clampU(math.Pow(r.Float64(), pinv))
-			dst[i] = law.mul * pathLaw.Quantile(u)
-		}
-	case Spatial:
-		tbl := s.moments
-		pinv := 1.0 / float64(dp.PathsPerLane)
-		field := newLaneField(dp.Node.Var.SigmaVthD2D, dp.Node.Var.SigmaMulD2D, dp.CorrLanes, r)
-		for i := range dst {
-			dvth, mul := field.next(r)
-			mu, sigma := tbl.at(dvth)
-			u := clampU(math.Pow(r.Float64(), pinv))
-			dst[i] = mul * stats.Normal{Mu: mu, Sigma: sigma}.Quantile(u)
-		}
-	default: // IIDPaths
-		law := s.law
-		for i := range dst {
-			dst[i] = law.Lane(r.Float64())
-		}
+	dp := s.dp
+	pinv := 1.0 / float64(dp.PathsPerLane)
+	field := newLaneField(dp.Node.Var.SigmaVthD2D, dp.Node.Var.SigmaMulD2D, dp.corrLanes())
+	for i := range dst {
+		dvth, mul := field.next(r)
+		mu, sigma := s.moments.at(dvth)
+		u := clampU(math.Pow(r.Float64(), pinv))
+		dst[i] = mul * stats.Normal{Mu: mu, Sigma: sigma}.Quantile(u)
 	}
 }
 
-// sampleLanesExact is the gate-level sampler for every correlation model.
-func (dp *Datapath) sampleLanesExact(r *rng.Stream, vdd float64, dst []float64) {
-	s := variation.NewSampler(dp.Node.Dev, dp.Node.Var)
-	var die variation.Die
-	var field *laneField
-	switch dp.Corr {
-	case SharedDie:
-		die = s.Die(r)
-	case Spatial:
-		field = newLaneField(dp.Node.Var.SigmaVthD2D, dp.Node.Var.SigmaMulD2D, dp.CorrLanes, r)
+// corrLanes is the lane field's e-folding length: CorrLanes for
+// Spatial, +Inf for SharedDie.
+func (dp *Datapath) corrLanes() float64 {
+	if dp.Corr == SharedDie {
+		return math.Inf(1)
 	}
-	for i := range dst {
-		switch dp.Corr {
-		case SharedDie:
-			// die fixed for the whole chip
-		case Spatial:
-			dvth, mul := field.next(r)
-			die = variation.Die{DVth: dvth, Mul: mul}
-		default:
-			die = s.Die(r)
-		}
-		worst := 0.0
-		for p := 0; p < dp.PathsPerLane; p++ {
-			if dp.Corr == IIDPaths && p > 0 {
-				die = s.Die(r) // fresh draw per path: fully independent paths
-			}
-			d := s.ChainDelay(r, vdd, dp.ChainLen, die)
-			if d > worst {
-				worst = d
-			}
-		}
-		dst[i] = worst
-	}
+	return dp.CorrLanes
 }
 
 // laneField generates stationary AR(1) systematic variation across the
-// lane array: x_{l+1} = ρ·x_l + √(1−ρ²)·ε, ρ = exp(−1/CorrLanes).
+// lane array: x_{l+1} = ρ·x_l + √(1−ρ²)·ε, ρ = exp(−1/CorrLanes). At
+// CorrLanes = +Inf (ρ = 1) the field has no innovation and holds its
+// first lane's draw: one shared die.
 type laneField struct {
 	rho, comp      float64
 	sigmaV, sigmaM float64
@@ -328,24 +279,26 @@ type laneField struct {
 	started        bool
 }
 
-func newLaneField(sigmaVth, sigmaMul, corrLanes float64, r *rng.Stream) *laneField {
+func newLaneField(sigmaVth, sigmaMul, corrLanes float64) laneField {
 	rho := 0.0
 	if corrLanes > 0 {
 		rho = math.Exp(-1 / corrLanes)
 	}
-	return &laneField{
+	return laneField{
 		rho: rho, comp: math.Sqrt(1 - rho*rho),
 		sigmaV: sigmaVth, sigmaM: sigmaMul,
 	}
 }
 
-// next returns the (ΔVth, multiplicative) systematic pair for the next lane.
+// next returns the (ΔVth, multiplicative) systematic pair for the next
+// lane. A field without innovation draws nothing after its first lane.
 func (f *laneField) next(r *rng.Stream) (dvth, mul float64) {
-	if !f.started {
+	switch {
+	case !f.started:
 		f.v = r.Gauss(0, f.sigmaV)
 		f.m = r.Gauss(0, f.sigmaM)
 		f.started = true
-	} else {
+	case f.comp != 0:
 		f.v = f.rho*f.v + f.comp*r.Gauss(0, f.sigmaV)
 		f.m = f.rho*f.m + f.comp*r.Gauss(0, f.sigmaM)
 	}
@@ -353,7 +306,7 @@ func (f *laneField) next(r *rng.Stream) (dvth, mul float64) {
 }
 
 // momentTable interpolates the die-conditional chain moments over the
-// die V_th shift, so spatial sampling avoids a quadrature per lane.
+// die V_th shift, so correlated sampling avoids a quadrature per lane.
 type momentTable struct {
 	lo, step  float64
 	mu, sigma []float64
@@ -416,21 +369,6 @@ func clampU(u float64) float64 {
 	return u
 }
 
-// dieLaw holds the per-die conditional path-delay law for the correlated
-// sampler: path delay | die ~ Normal(mu, sigma) × mul.
-type dieLaw struct {
-	mu, sigma, mul float64
-}
-
-// drawDie samples the correlated die-level variation and computes the
-// conditional path-delay law at supply vdd.
-func (dp *Datapath) drawDie(r *rng.Stream, vdd float64) dieLaw {
-	d2d := r.Gauss(0, dp.Node.Var.SigmaVthD2D)
-	mul := math.Exp(r.Gauss(0, dp.Node.Var.SigmaMulD2D))
-	m, v := device.ChainConditionalMoments(dp.Node.Dev, dp.Node.Var, vdd, dp.ChainLen, d2d)
-	return dieLaw{mu: m, sigma: math.Sqrt(v), mul: mul}
-}
-
 // SampleChipDelay draws the chip delay (slowest lane, seconds) of one
 // chip with dp.Lanes lanes plus spares spare lanes, after the spares
 // slowest lanes have been replaced — i.e. the maximum of the dp.Lanes
@@ -450,7 +388,8 @@ const maxStackLanes = 256
 // by partial selection. Both return exactly the value the full
 // inversion and sort would. A zero-spare chip of at most DefaultLanes
 // lanes draws into an array of that size, so the paper's chip zeroes
-// no more stack than it fills.
+// no more stack than it fills. A correlated chip selects its slowest
+// kept lane the same way at any spare count.
 func (s sampler) chip(r *rng.Stream, spares int) float64 {
 	if spares == 0 && s.law != nil && s.dp.Lanes <= DefaultLanes {
 		var buf [DefaultLanes]float64
@@ -468,16 +407,7 @@ func (s sampler) chip(r *rng.Stream, spares int) float64 {
 		return s.maxLane(r, lanes)
 	}
 	s.lanes(r, lanes)
-	if spares == 0 {
-		worst := lanes[0]
-		for _, d := range lanes[1:] {
-			if d > worst {
-				worst = d
-			}
-		}
-		return worst
-	}
-	return kthSmallest(lanes, s.dp.Lanes-1)
+	return stats.Select(lanes, s.dp.Lanes-1)
 }
 
 // maxLane draws one uniform per lane of us, in lane order, and returns
@@ -493,51 +423,6 @@ func (s sampler) maxLane(r *rng.Stream, us []float64) float64 {
 		}
 	}
 	return s.law.MaxLane(us, maxU)
-}
-
-// kthSmallest returns the value sort.Float64s(a) would leave at a[k],
-// partially reordering a in place: Hoare selection with a
-// median-of-three pivot, O(len(a)) on average. a must hold no NaN.
-func kthSmallest(a []float64, k int) float64 {
-	lo, hi := 0, len(a)-1
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if a[mid] < a[lo] {
-			a[mid], a[lo] = a[lo], a[mid]
-		}
-		if a[hi] < a[lo] {
-			a[hi], a[lo] = a[lo], a[hi]
-		}
-		if a[hi] < a[mid] {
-			a[hi], a[mid] = a[mid], a[hi]
-		}
-		p := a[mid]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < p {
-				i++
-			}
-			for a[j] > p {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		// a[lo..j] ≤ p ≤ a[i..hi], and everything strictly between
-		// equals p.
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return a[k]
-		}
-	}
-	return a[k]
 }
 
 // ChipDelaysCtx runs an n-sample Monte-Carlo of the chip delay at
@@ -574,8 +459,7 @@ func (dp *Datapath) P99ChipDelayFO4Ctx(ctx context.Context, seed uint64, n int, 
 	if err != nil {
 		return 0, err
 	}
-	sort.Float64s(ds)
-	return stats.QuantileSorted(ds, 0.99), nil
+	return stats.QuantileInPlace(ds, 0.99), nil
 }
 
 // LaneDelaysCtx draws n independent one-lane samples (the paper's
@@ -649,8 +533,7 @@ func (s *SpareSample) P99FO4(spares int) float64 {
 		// lanes; use the first Lanes+spares samples of chip i's row
 		// (exchangeable) and keep the Lanes fastest.
 		copy(s.scratch[:k], s.slab[i*s.width:i*s.width+k])
-		s.delays[i] = kthSmallest(s.scratch[:k], s.lanes-1) / s.fo4
+		s.delays[i] = stats.Select(s.scratch[:k], s.lanes-1) / s.fo4
 	}
-	sort.Float64s(s.delays)
-	return stats.QuantileSorted(s.delays, 0.99)
+	return stats.QuantileInPlace(s.delays, 0.99)
 }

@@ -2,10 +2,12 @@ package simd
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sort"
 	"testing"
 
+	"github.com/ntvsim/ntvsim/internal/montecarlo"
 	"github.com/ntvsim/ntvsim/internal/rng"
 	"github.com/ntvsim/ntvsim/internal/ssta"
 	"github.com/ntvsim/ntvsim/internal/stats"
@@ -45,7 +47,7 @@ func spareP99s(t testing.TB, dp *Datapath, seed uint64, n int, vdd float64, alph
 }
 
 func testPath() *Datapath {
-	// Reduced dimensions keep the exact (gate-level) comparisons fast
+	// Reduced dimensions keep the gate-level comparisons fast
 	// while exercising the same code paths as the full 128×100 system.
 	dp := New(tech.N90)
 	dp.Lanes = 16
@@ -79,10 +81,8 @@ func TestFastPathMatchesExactGateLevel(t *testing.T) {
 	const n = 4000
 	const vdd = 0.55
 	fast := New(tech.N90)
-	exact := New(tech.N90)
-	exact.Exact = true
 	fd := must(fast.PathDelaysCtx(bg, 1, n, vdd))
-	ed := must(exact.PathDelaysCtx(bg, 2, n, vdd))
+	ed := must(montecarlo.SampleCtx(bg, 2, n, gateLevel{New(tech.N90), vdd}.path))
 	d := stats.KSStatistic(fd, ed)
 	if crit := stats.KSCritical(n, n, 0.01); d > crit {
 		t.Errorf("fast vs exact path KS = %v > critical %v", d, crit)
@@ -96,10 +96,8 @@ func TestFastLaneMatchesExact(t *testing.T) {
 	const n = 1500
 	const vdd = 0.6
 	fast := testPath()
-	exact := testPath()
-	exact.Exact = true
 	fd := must(fast.LaneDelaysCtx(bg, 3, n, vdd))
-	ed := must(exact.LaneDelaysCtx(bg, 4, n, vdd))
+	ed := must(montecarlo.SampleCtx(bg, 4, n, gateLevel{testPath(), vdd}.lane))
 	d := stats.KSStatistic(fd, ed)
 	if crit := stats.KSCritical(n, n, 0.01); d > crit {
 		t.Errorf("fast vs exact lane KS = %v > critical %v", d, crit)
@@ -128,6 +126,8 @@ func TestChipAboveLane(t *testing.T) {
 	}
 }
 
+// TestChipDelayDeterministic: a seed fixes every chip, and
+// SampleChipDelay on chip i's sub-stream draws chip i.
 func TestChipDelayDeterministic(t *testing.T) {
 	must := mustFloats(t)
 	dp := New(tech.N90)
@@ -136,6 +136,44 @@ func TestChipDelayDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("ChipDelaysCtx not deterministic")
+		}
+		if d := dp.SampleChipDelay(rng.NewSub(9, i), 0.6, 2); !sameBits(d, a[i]) {
+			t.Fatalf("chip %d: SampleChipDelay %v, ChipDelaysCtx %v", i, d, a[i])
+		}
+	}
+}
+
+// TestCorrelatedPathsReadTheIIDLaw: a single critical path has no lane
+// to correlate with, so every correlation model draws it from the
+// iid-paths path law, bit for bit.
+func TestCorrelatedPathsReadTheIIDLaw(t *testing.T) {
+	must := mustFloats(t)
+	want := must(New(tech.N45).PathDelaysCtx(bg, 5, 500, 0.55))
+	for _, corr := range []CorrelationModel{SharedDie, Spatial} {
+		dp := New(tech.N45)
+		dp.Corr = corr
+		for i, d := range must(dp.PathDelaysCtx(bg, 5, 500, 0.55)) {
+			if !sameBits(d, want[i]) {
+				t.Fatalf("%v path %d: %v, iid-paths %v", corr, i, d, want[i])
+			}
+		}
+	}
+}
+
+// TestSamplersStopWhenCancelled: every sampling entry point returns
+// the context's error, not a partial sample, once it is cancelled.
+func TestSamplersStopWhenCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	dp := New(tech.N90)
+	_, err1 := dp.ChipDelaysFO4Ctx(ctx, 1, 1000, 0.55, 2)
+	_, err2 := dp.P99ChipDelayFO4Ctx(ctx, 1, 1000, 0.55, 0)
+	_, err3 := dp.SpareSampleCtx(ctx, 1, 1000, 0.55, 4)
+	_, err4 := dp.LaneDelaysCtx(ctx, 1, 1000, 0.55)
+	_, err5 := dp.PathDelaysCtx(ctx, 1, 1000, 0.55)
+	for i, err := range []error{err1, err2, err3, err4, err5} {
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("entry point %d: err = %v, want context.Canceled", i+1, err)
 		}
 	}
 }
@@ -172,6 +210,9 @@ func TestSpareSampleMatchesChipDelays(t *testing.T) {
 			}
 			if got := sample.P99FO4(spares); !sameBits(got, direct) {
 				t.Errorf("%v, %d spares: SpareSample p99 %v, P99ChipDelayFO4Ctx %v", corr, spares, got, direct)
+			}
+			if sample.Chips() != n {
+				t.Errorf("%v: Chips() = %d, want %d", corr, sample.Chips(), n)
 			}
 		}
 	}
@@ -262,11 +303,8 @@ func TestCorrelatedFastMatchesCorrelatedExact(t *testing.T) {
 	const vdd = 0.6
 	fast := testPath()
 	fast.Corr = SharedDie
-	exact := testPath()
-	exact.Corr = SharedDie
-	exact.Exact = true
 	fd := must(fast.ChipDelaysCtx(bg, 14, n, vdd, 0))
-	ed := must(exact.ChipDelaysCtx(bg, 15, n, vdd, 0))
+	ed := must(montecarlo.SampleCtx(bg, 15, n, gateLevel{fast, vdd}.chip))
 	d := stats.KSStatistic(fd, ed)
 	if crit := stats.KSCritical(n, n, 0.01); d > crit {
 		t.Errorf("correlated fast vs exact KS = %v > %v", d, crit)
@@ -332,12 +370,8 @@ func TestSpatialFastMatchesExact(t *testing.T) {
 	fast := testPath()
 	fast.Corr = Spatial
 	fast.CorrLanes = 4
-	exact := testPath()
-	exact.Corr = Spatial
-	exact.CorrLanes = 4
-	exact.Exact = true
 	fd := must(fast.ChipDelaysCtx(bg, 22, n, vdd, 0))
-	ed := must(exact.ChipDelaysCtx(bg, 23, n, vdd, 0))
+	ed := must(montecarlo.SampleCtx(bg, 23, n, gateLevel{fast, vdd}.chip))
 	d := stats.KSStatistic(fd, ed)
 	if crit := stats.KSCritical(n, n, 0.01); d > crit {
 		t.Errorf("spatial fast vs exact KS = %v > %v", d, crit)
@@ -448,13 +482,11 @@ func TestChipQuantileFnMonotone(t *testing.T) {
 // TestAnalyticLawUnavailable pins the error contract for datapath
 // configurations without a tabulated chip law.
 func TestAnalyticLawUnavailable(t *testing.T) {
-	exact := testPath()
-	exact.Exact = true
-	corr := testPath()
-	corr.Corr = SharedDie
-	for _, dp := range []*Datapath{exact, corr} {
+	for _, corr := range []CorrelationModel{SharedDie, Spatial} {
+		dp := testPath()
+		dp.Corr = corr
 		if _, err := dp.ChipQuantile(0.5, 0.99); err != ErrNoAnalyticLaw {
-			t.Errorf("%v/%v: err = %v, want ErrNoAnalyticLaw", dp.Exact, dp.Corr, err)
+			t.Errorf("%v: err = %v, want ErrNoAnalyticLaw", dp.Corr, err)
 		}
 		if _, err := dp.ChipQuantileFn(0.5); err != ErrNoAnalyticLaw {
 			t.Errorf("ChipQuantileFn err = %v, want ErrNoAnalyticLaw", err)

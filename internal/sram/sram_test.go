@@ -151,22 +151,6 @@ func TestFailProbDegenerateSigma(t *testing.T) {
 	}
 }
 
-func TestMarginalFailProbBounds(t *testing.T) {
-	c := NewCell(tech.N45)
-	const vdd = 0.55
-	budget := c.Budget(OpRead, vdd, DefaultReadMargin)
-	marginal := c.MarginalFailProb(OpRead, vdd, budget)
-	center := c.FailProb(OpRead, vdd, budget, 0)
-	if marginal < 0 || marginal > 1 {
-		t.Fatalf("marginal = %v", marginal)
-	}
-	// Averaging over die shifts must stay within the conditional range.
-	worst := c.FailProb(OpRead, vdd, budget, 8*c.SigmaD2D)
-	if marginal < center-1e-12 || marginal > worst+1e-12 {
-		t.Errorf("marginal %v outside [center %v, worst %v]", marginal, center, worst)
-	}
-}
-
 func TestRowFailProbEdges(t *testing.T) {
 	if p := RowFailProb(0, 512); p != 0 {
 		t.Errorf("p=0: %v", p)

@@ -14,10 +14,10 @@ import (
 // device's WID law (normal-weighted Simpson over ±8σ) gives the exact-to-
 // quadrature cell failure probability — no sampling.
 
-// cellRule is the quadrature of the cell-level integrals, FailProb's
-// WID integral and MarginalFailProb's die integral: 64-interval Simpson
-// over ±8σ. The failure mass sits several σ out, where Gauss–Hermite
-// places too few nodes, so the rule keeps its nodes evenly spaced.
+// cellRule is the quadrature of FailProb's WID integral: 64-interval
+// Simpson over ±8σ. The failure mass sits several σ out, where
+// Gauss–Hermite places too few nodes, so the rule keeps its nodes evenly
+// spaced.
 var cellRule = stats.NormalSimpson(8, 64)
 
 const bisectIters = 52
@@ -85,16 +85,6 @@ func (c Cell) FailProb(op Op, vdd, budget, die float64) float64 {
 	}
 
 	p := cellRule.Expect(sigma, tail)
-	return clamp01(p)
-}
-
-// MarginalFailProb integrates FailProb over the die-to-die law: the
-// unconditional probability that a random cell on a random die misses
-// the budget.
-func (c Cell) MarginalFailProb(op Op, vdd, budget float64) float64 {
-	p := cellRule.Expect(c.SigmaD2D, func(die float64) float64 {
-		return c.FailProb(op, vdd, budget, die)
-	})
 	return clamp01(p)
 }
 

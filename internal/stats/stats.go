@@ -1,8 +1,10 @@
 // Package stats provides the descriptive statistics, distributions and
 // hypothesis tests used throughout the Monte-Carlo variation study:
 // moments, quantiles and their order-statistic confidence intervals,
-// histograms, the Gaussian and binomial distributions, and the
-// two-sample Kolmogorov–Smirnov test. It is also the one home of the
+// the one order-statistic routine (Select, which every quantile of an
+// unsorted sample reads instead of sorting it), histograms, the
+// Gaussian and binomial distributions, and the two-sample
+// Kolmogorov–Smirnov test. It is also the one home of the
 // quadrature rules every Gaussian expectation in the repository is
 // integrated with: Gauss–Hermite for smooth integrands and
 // normal-weighted Simpson for tail-dominated ones.
@@ -11,14 +13,14 @@
 // Monte-Carlo engine returns every sample in index order, so moments
 // are reduced from the slice and no streaming accumulator is needed.
 // Unless stated otherwise they do not modify their inputs; functions
-// that need sorted data either sort a copy or state the precondition
-// explicitly.
+// that need ordered data either order a copy or state the precondition
+// explicitly, and Select and QuantileInPlace reorder the slice they are
+// handed.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs. It returns NaN for an empty
@@ -90,7 +92,8 @@ type Summary struct {
 	P99    float64 // the paper's chip-delay operating point
 }
 
-// Summarize computes a Summary of xs. The slice is not modified.
+// Summarize computes a Summary of xs. The slice is not modified; its
+// quantiles are selected on one copy. xs must hold no NaN.
 func Summarize(xs []float64) Summary {
 	s := Summary{N: len(xs)}
 	if len(xs) == 0 {
@@ -101,10 +104,9 @@ func Summarize(xs []float64) Summary {
 	s.Mean = Mean(xs)
 	s.StdDev = StdDev(xs)
 	s.Min, s.Max = MinMax(xs)
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.P50 = QuantileSorted(sorted, 0.50)
-	s.P99 = QuantileSorted(sorted, 0.99)
+	c := append([]float64(nil), xs...)
+	s.P50 = QuantileInPlace(c, 0.50)
+	s.P99 = QuantileInPlace(c, 0.99)
 	return s
 }
 
@@ -121,14 +123,46 @@ func (s Summary) String() string {
 
 // Quantile returns the p-quantile (0 ≤ p ≤ 1) of xs using linear
 // interpolation between order statistics (type-7, the R/NumPy default).
-// The input need not be sorted; a copy is sorted internally.
+// The input need not be sorted and is not modified: QuantileInPlace
+// reads a copy. xs must hold no NaN.
 func Quantile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return QuantileSorted(sorted, p)
+	return QuantileInPlace(append([]float64(nil), xs...), p)
+}
+
+// QuantileInPlace is Quantile for a slice the caller lets it reorder:
+// instead of sorting, it selects the one or two order statistics the
+// interpolation reads, in O(len(xs)) on average. It returns the value
+// sort.Float64s and QuantileSorted would (a zero's sign may differ where
+// the answer is a tie of ±0, whose order sort leaves unspecified too).
+// xs must hold no NaN.
+func QuantileInPlace(xs []float64, p float64) float64 {
+	n := len(xs)
+	switch {
+	case n == 0:
+		return math.NaN()
+	case p <= 0:
+		return Select(xs, 0)
+	case p >= 1:
+		return Select(xs, n-1)
+	}
+	h := p * float64(n-1)
+	i := int(math.Floor(h))
+	if i+1 >= n {
+		return Select(xs, n-1)
+	}
+	lo := Select(xs, i)
+	// Select leaves every value above rank i in xs[i+1:], so the next
+	// order statistic is their minimum.
+	hi := xs[i+1]
+	for _, x := range xs[i+2:] {
+		if x < hi {
+			hi = x
+		}
+	}
+	return lo + (h-float64(i))*(hi-lo)
 }
 
 // QuantileSorted is Quantile for data already sorted ascending.
@@ -150,6 +184,52 @@ func QuantileSorted(sorted []float64, p float64) float64 {
 		return sorted[n-1]
 	}
 	return sorted[i] + frac*(sorted[i+1]-sorted[i])
+}
+
+// Select returns the value sort.Float64s(a) would leave at a[k],
+// partially reordering a in place so that a[:k] ≤ a[k] ≤ a[k+1:]: Hoare
+// selection with a median-of-three pivot, O(len(a)) on average. a must
+// hold no NaN.
+func Select(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi] < a[lo] {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if a[hi] < a[mid] {
+			a[hi], a[mid] = a[mid], a[hi]
+		}
+		p := a[mid]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < p {
+				i++
+			}
+			for a[j] > p {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// a[lo..j] ≤ p ≤ a[i..hi], and everything strictly between
+		// equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
 }
 
 // QuantileCI returns a distribution-free confidence interval for the

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 
@@ -741,14 +740,10 @@ func (sw *Sweep) Snapshot() Snapshot {
 		}
 	}
 	for i, sr := range sw.results {
-		if sr == nil {
-			continue
+		if sr != nil {
+			snap.Results = append(snap.Results, pointResult(sw.spec, sw.points[i], sr))
 		}
-		pr := PointResult{Point: sw.points[i], Value: sr.Value, Render: sr.Text, IS: sr.IS,
-			Mode: sw.spec.resolvedMode(sw.points[i])}
-		snap.Results = append(snap.Results, pr)
 	}
-	sort.Slice(snap.Results, func(i, j int) bool { return snap.Results[i].Index < snap.Results[j].Index })
 	return snap
 }
 

@@ -58,14 +58,20 @@ func (r *Result) Render() string {
 		if r.Unit != "" {
 			value = fmt.Sprintf("value (%s)", r.Unit)
 		}
-		hasMode := r.hasMode()
-		if r.hasIS() {
-			header := []string{"#", "node", "Vdd", "samples", value, "ESS", "ESS/N", "max w"}
-			if hasMode {
-				header = append(header, "mode")
-			}
-			t := report.NewTable("", header...)
-			for _, p := range r.Points {
+		hasIS, hasMode := r.hasIS(), r.hasMode()
+		header := []string{"#", "node", "Vdd", "samples", value}
+		if hasIS {
+			header = append(header, "ESS", "ESS/N", "max w")
+		}
+		if hasMode {
+			header = append(header, "mode")
+		}
+		t := report.NewTable("", header...)
+		for _, p := range r.Points {
+			row := []string{strconv.Itoa(p.Index), p.Node,
+				fmt.Sprintf("%.3f V", p.Vdd), strconv.Itoa(p.Samples),
+				fmt.Sprintf("%.6g", p.Value)}
+			if hasIS {
 				ess, frac, maxw := "", "", ""
 				if p.IS != nil {
 					ess = fmt.Sprintf("%.0f", p.IS.ESS)
@@ -75,26 +81,8 @@ func (r *Result) Render() string {
 					}
 					maxw = fmt.Sprintf("%.3g", p.IS.MaxW)
 				}
-				row := []string{strconv.Itoa(p.Index), p.Node,
-					fmt.Sprintf("%.3f V", p.Vdd), strconv.Itoa(p.Samples),
-					fmt.Sprintf("%.6g", p.Value), ess, frac, maxw}
-				if hasMode {
-					row = append(row, p.Mode)
-				}
-				t.AddRowf(row...)
+				row = append(row, ess, frac, maxw)
 			}
-			b.WriteString(t.String())
-			return b.String()
-		}
-		header := []string{"#", "node", "Vdd", "samples", value}
-		if hasMode {
-			header = append(header, "mode")
-		}
-		t := report.NewTable("", header...)
-		for _, p := range r.Points {
-			row := []string{strconv.Itoa(p.Index), p.Node,
-				fmt.Sprintf("%.3f V", p.Vdd), strconv.Itoa(p.Samples),
-				fmt.Sprintf("%.6g", p.Value)}
 			if hasMode {
 				row = append(row, p.Mode)
 			}
@@ -110,8 +98,8 @@ func (r *Result) Render() string {
 }
 
 // hasIS reports whether any point carries importance-weight
-// diagnostics, which switches the rendered table and CSV to the
-// extended layouts.
+// diagnostics, which appends their columns to the rendered table and
+// CSV.
 func (r *Result) hasIS() bool {
 	for _, p := range r.Points {
 		if p.IS != nil {
@@ -295,19 +283,25 @@ func merge(spec Spec, points []Point, shards []*ShardResult) *Result {
 	}
 	res.Points = make([]PointResult, 0, len(points))
 	for i, pt := range points {
-		// The mode stamp is recomputed from the spec here rather than
-		// read from the shard output: cached ShardResults are shared
-		// across sweeps with different mode knobs, so a stored stamp
-		// would leak one sweep's estimator label into another's result.
-		pr := PointResult{Point: pt, Mode: spec.resolvedMode(pt)}
-		if sr := shards[i]; sr != nil {
-			pr.Value = sr.Value
-			pr.Render = sr.Text
-			pr.IS = sr.IS
-		}
-		res.Points = append(res.Points, pr)
+		res.Points = append(res.Points, pointResult(spec, pt, shards[i]))
 	}
 	return res
+}
+
+// pointResult is grid point pt's merged output from its shard's output
+// sr (nil: the shard has not finished, and the point carries no value).
+func pointResult(spec Spec, pt Point, sr *ShardResult) PointResult {
+	// The mode stamp is recomputed from the spec here rather than read
+	// from the shard output: cached ShardResults are shared across sweeps
+	// with different mode knobs, so a stored stamp would leak one sweep's
+	// estimator label into another's result.
+	pr := PointResult{Point: pt, Mode: spec.resolvedMode(pt)}
+	if sr != nil {
+		pr.Value = sr.Value
+		pr.Render = sr.Text
+		pr.IS = sr.IS
+	}
+	return pr
 }
 
 // RunSerial evaluates the whole sweep in the calling goroutine, one

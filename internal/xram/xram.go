@@ -241,6 +241,48 @@ func BypassConfigs(physical int, mapping []int) (scatter, gather []int, err erro
 	return scatter, gather, nil
 }
 
+// Bypass runs one operation on len(data) logical lanes placed on a
+// physical-lane array with faulty FUs, the way global sparing does in
+// silicon: it maps the logical lanes onto the healthy physical ones
+// (SpareMap), stores the scatter and gather configurations
+// (BypassConfigs) in a two-slot crossbar, scatters data, applies op on
+// every physical lane — each faulty FU outputs garbage (0xDEAD) instead,
+// which no logical lane may receive — and gathers the results back to
+// logical order. It returns the logical→physical map and the len(data)
+// gathered results, which equal op applied to data whenever the bypass
+// routes correctly.
+func Bypass(physical int, faulty []int, data []uint16, op func(uint16) uint16) (mapping []int, out []uint16, err error) {
+	mapping, err = SpareMap(physical, faulty, len(data))
+	if err != nil {
+		return nil, nil, err
+	}
+	x, err := New(physical, 2)
+	if err != nil {
+		return nil, nil, err
+	}
+	// SpareMap's assignment is injective and in range, so BypassConfigs
+	// accepts it; its configurations and the vectors below have the
+	// crossbar's size, so no store, select or route can fail.
+	scatter, gather, _ := BypassConfigs(physical, mapping)
+	_ = x.Store(0, scatter)
+	_ = x.Store(1, gather)
+	in := make([]uint16, physical)
+	copy(in, data)
+	phys := make([]uint16, physical)
+	_ = x.Select(0)
+	_ = x.Route(in, phys)
+	for i := range phys {
+		phys[i] = op(phys[i])
+	}
+	for _, f := range faulty {
+		phys[f] = 0xDEAD
+	}
+	out = make([]uint16, physical)
+	_ = x.Select(1)
+	_ = x.Route(phys, out)
+	return mapping, out[:len(data)], nil
+}
+
 // IsPermutation reports whether cfg is a full permutation (no multicast,
 // no disabled outputs) — useful for validating shuffle patterns that
 // must be reversible.

@@ -248,8 +248,29 @@ func TestBypassConfigsValidation(t *testing.T) {
 	}
 }
 
+// TestBypassErrors: Bypass reports a fault outside the array, too few
+// healthy lanes and an empty array instead of routing.
+func TestBypassErrors(t *testing.T) {
+	double := func(v uint16) uint16 { return 2 * v }
+	for _, c := range []struct {
+		name     string
+		physical int
+		faulty   []int
+		data     []uint16
+	}{
+		{"fault outside the array", 4, []int{4}, []uint16{1}},
+		{"too few healthy lanes", 4, []int{0, 1}, []uint16{1, 2, 3}},
+		{"empty array", 0, nil, nil},
+	} {
+		if _, _, err := Bypass(c.physical, c.faulty, c.data, double); err == nil {
+			t.Errorf("%s: no error", c.name)
+		}
+	}
+}
+
 // TestBypassAnyFaultPattern property: for any fault set leaving ≥ L
-// healthy lanes, scatter+gather round-trips all L logical values.
+// healthy lanes, Bypass returns op of all L logical values although
+// every faulty lane's output is corrupted.
 func TestBypassAnyFaultPattern(t *testing.T) {
 	r := rng.New(99)
 	f := func(seed uint64) bool {
@@ -258,39 +279,19 @@ func TestBypassAnyFaultPattern(t *testing.T) {
 		// Up to 6 random faults.
 		nf := int(seed % 7)
 		faulty := r.Perm(physical)[:nf]
-		mapping, err := SpareMap(physical, faulty, logical)
+		in := make([]uint16, logical)
+		for i := range in {
+			in[i] = uint16(1000 + i)
+		}
+		mapping, out, err := Bypass(physical, faulty, in, func(v uint16) uint16 { return v + 1 })
 		if err != nil {
 			return nf > physical-logical // only acceptable failure
 		}
-		scatter, gather, err := BypassConfigs(physical, mapping)
-		if err != nil {
+		if len(mapping) != logical || len(out) != logical {
 			return false
 		}
-		x, err := New(physical, 2)
-		if err != nil {
-			return false
-		}
-		if x.Store(0, scatter) != nil || x.Store(1, gather) != nil {
-			return false
-		}
-		in := make([]uint16, physical)
-		for i := 0; i < logical; i++ {
-			in[i] = uint16(1000 + i)
-		}
-		mid := make([]uint16, physical)
-		out := make([]uint16, physical)
-		if x.Select(0) != nil || x.Route(in, mid) != nil {
-			return false
-		}
-		// Corrupt every faulty lane to prove no data flows through it.
-		for _, fl := range faulty {
-			mid[fl] = 0xFFFF
-		}
-		if x.Select(1) != nil || x.Route(mid, out) != nil {
-			return false
-		}
-		for i := 0; i < logical; i++ {
-			if out[i] != in[i] {
+		for i := range in {
+			if out[i] != in[i]+1 {
 				return false
 			}
 		}
