@@ -123,14 +123,25 @@ func log1pExp(x float64) float64 {
 // OnCurrent returns the normalized on-current ln²(1+e^((Vdd−Vth)/(2nφt))).
 // It is dimensionless; Kd carries the units.
 func (p Params) OnCurrent(vdd, vth float64) float64 {
-	l := log1pExp((vdd - vth) / (2 * p.N * PhiT))
+	return onCurrent(p.N, vdd, vth)
+}
+
+// onCurrent is OnCurrent as a function of the one field it reads, the
+// slope factor n. Delay calls it rather than the method because
+// inlining the value-receiver method copies all five fields of Params
+// with 8-byte stores and reloads the copy with 16-byte loads that each
+// span two of those stores, which store-to-load forwarding cannot
+// serve: the stall triples the cost of a gate delay (Go 1.24, amd64).
+// Do not fold it back into the method.
+func onCurrent(n, vdd, vth float64) float64 {
+	l := log1pExp((vdd - vth) / (2 * n * PhiT))
 	return l * l
 }
 
 // Delay returns the gate delay τ = Kd·Vdd/I_on in seconds for a device
 // with threshold voltage vth operating at supply vdd.
 func (p Params) Delay(vdd, vth float64) float64 {
-	return p.Kd * vdd / p.OnCurrent(vdd, vth)
+	return p.Kd * vdd / onCurrent(p.N, vdd, vth)
 }
 
 // NominalDelay returns the gate delay of a nominal (variation-free)

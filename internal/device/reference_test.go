@@ -152,3 +152,63 @@ func TestMomentsAllocationFree(t *testing.T) {
 		}
 	}
 }
+
+// referenceLog1pExp, referenceOnCurrent and referenceDelay are
+// log1pExp, OnCurrent and Delay written with Delay dividing by its
+// receiver's OnCurrent method: the oracle Delay, OnCurrent and
+// NominalDelay must match bit for bit.
+func referenceLog1pExp(x float64) float64 {
+	if x > 35 {
+		return x // e^-35 ≈ 6e-16: below double precision relative to x
+	}
+	if x < -35 {
+		return math.Exp(x)
+	}
+	return math.Log1p(math.Exp(x))
+}
+
+func referenceOnCurrent(p device.Params, vdd, vth float64) float64 {
+	l := referenceLog1pExp((vdd - vth) / (2 * p.N * device.PhiT))
+	return l * l
+}
+
+func referenceDelay(p device.Params, vdd, vth float64) float64 {
+	return p.Kd * vdd / referenceOnCurrent(p, vdd, vth)
+}
+
+// TestDelayMatchesReference holds Delay, OnCurrent and NominalDelay to
+// the reference bit for bit on every calibrated node, at supplies from
+// 0.25 V to 1.20 V in 10 mV steps and threshold shifts from −4 V to
+// +4 V in 10 mV steps, wide enough that (Vdd−Vth)/(2nφt) reaches both
+// |x| > 35 branches of log1pExp.
+func TestDelayMatchesReference(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	var above, below int
+	for _, node := range tech.Nodes() {
+		p := node.Dev
+		for i := 0; i <= 95; i++ {
+			vdd := 0.25 + 0.01*float64(i)
+			if got, want := p.NominalDelay(vdd), referenceDelay(p, vdd, p.Vth0); !same(got, want) {
+				t.Errorf("%s @%.2fV: NominalDelay %v, reference %v", node.Name, vdd, got, want)
+			}
+			for k := -400; k <= 400; k++ {
+				vth := p.Vth0 + 0.01*float64(k)
+				switch x := (vdd - vth) / (2 * p.N * device.PhiT); {
+				case x > 35:
+					above++
+				case x < -35:
+					below++
+				}
+				if got, want := p.OnCurrent(vdd, vth), referenceOnCurrent(p, vdd, vth); !same(got, want) {
+					t.Errorf("%s @%.2fV, Vth %.2fV: OnCurrent %v, reference %v", node.Name, vdd, vth, got, want)
+				}
+				if got, want := p.Delay(vdd, vth), referenceDelay(p, vdd, vth); !same(got, want) {
+					t.Errorf("%s @%.2fV, Vth %.2fV: Delay %v, reference %v", node.Name, vdd, vth, got, want)
+				}
+			}
+		}
+	}
+	if above == 0 || below == 0 {
+		t.Errorf("grid reached x > 35 %d times and x < −35 %d times, want both", above, below)
+	}
+}

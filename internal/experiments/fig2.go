@@ -98,7 +98,7 @@ func runFig2(ctx context.Context, cfg Config) (Result, error) {
 				return nil, err
 			}
 			s.Vdd = append(s.Vdd, vdd)
-			s.ThreeSig = append(s.ThreeSig, v)
+			s.ThreeSig = append(s.ThreeSig, v[0])
 		}
 		done()
 		res.Series = append(res.Series, s)

@@ -100,7 +100,7 @@ func runKoggeStone(ctx context.Context, cfg Config) (Result, error) {
 			KS64:   stats.ThreeSigmaOverMu(ksDelays),
 			Ripple: stats.ThreeSigmaOverMu(rcDelays),
 			Mult16: stats.ThreeSigmaOverMu(multDelays),
-			Chain:  chain,
+			Chain:  chain[0],
 		})
 	}
 	return res, nil

@@ -519,21 +519,35 @@ func (s *SpareSample) MaxSpares() int { return s.width - s.lanes }
 // Chips returns the number of chips drawn.
 func (s *SpareSample) Chips() int { return len(s.delays) }
 
-// P99FO4 returns the 99 % FO4 chip delay with the given spare count, at
-// most MaxSpares: each chip keeps the dp.Lanes fastest of its first
-// dp.Lanes+spares lanes. It equals, bit for bit, dp.P99ChipDelayFO4Ctx
-// with the same seed, chip count, supply and spare count.
+// ChipDelaysFO4 returns the FO4 chip delays with the given spare count,
+// at most MaxSpares, in chip order: each chip keeps the dp.Lanes
+// fastest of its first dp.Lanes+spares lanes. It equals, bit for bit,
+// dp.ChipDelaysFO4Ctx with the same seed, chip count, supply and spare
+// count.
+func (s *SpareSample) ChipDelaysFO4(spares int) []float64 {
+	return s.fill(make([]float64, len(s.delays)), spares)
+}
+
+// P99FO4 returns the 99 % point of ChipDelaysFO4(spares) without
+// allocating. It equals, bit for bit, dp.P99ChipDelayFO4Ctx with the
+// same seed, chip count, supply and spare count.
 func (s *SpareSample) P99FO4(spares int) float64 {
+	return stats.QuantileInPlace(s.fill(s.delays, spares), 0.99)
+}
+
+// fill writes every chip's FO4 delay with the given spare count into
+// dst, one per chip in chip order, and returns dst.
+func (s *SpareSample) fill(dst []float64, spares int) []float64 {
 	k := s.lanes + spares
 	if spares < 0 || k > s.width {
-		panic(fmt.Sprintf("simd: P99FO4(%d) outside the sample's 0..%d spares", spares, s.MaxSpares()))
+		panic(fmt.Sprintf("simd: %d spares outside the sample's 0..%d", spares, s.MaxSpares()))
 	}
-	for i := range s.delays {
+	for i := range dst {
 		// The physical system with the spares has exactly Lanes+spares
 		// lanes; use the first Lanes+spares samples of chip i's row
 		// (exchangeable) and keep the Lanes fastest.
 		copy(s.scratch[:k], s.slab[i*s.width:i*s.width+k])
-		s.delays[i] = stats.Select(s.scratch[:k], s.lanes-1) / s.fo4
+		dst[i] = stats.Select(s.scratch[:k], s.lanes-1) / s.fo4
 	}
-	return stats.QuantileInPlace(s.delays, 0.99)
+	return dst
 }

@@ -188,28 +188,49 @@ func TestSparesReduceP99(t *testing.T) {
 	}
 }
 
-// TestSpareSampleMatchesChipDelays: a SpareSample drawn at exactly the
-// spare count it is read at gives P99ChipDelayFO4Ctx's bits — the
-// zero-spare max-uniform draw and the spared partial selection against
-// the sample's selection over whole rows — for the iid-paths law, the
-// shared die and the spatial field.
+// TestSpareSampleMatchesChipDelays: a SpareSample gives, at every
+// spare count Figure 5 reads, ChipDelaysFO4Ctx's chip delays and
+// P99ChipDelayFO4Ctx's bits — the zero-spare max-uniform draw and the
+// spared partial selection against the sample's selection over rows —
+// whether it was drawn at exactly that count or at the largest, for the
+// iid-paths law, the shared die and the spatial field.
 func TestSpareSampleMatchesChipDelays(t *testing.T) {
+	must := mustFloats(t)
 	const n, vdd, seed = 3000, 0.6, 11
+	alphas := []int{0, 2, 4, 6, 8, 16, 28} // Figure 5's
 	for _, corr := range []CorrelationModel{IIDPaths, SharedDie, Spatial} {
 		dp := New(tech.N90)
 		dp.Corr = corr
 		dp.CorrLanes = 8
-		for _, spares := range []int{0, 8} {
+		widest, err := dp.SpareSampleCtx(bg, seed, n, vdd, alphas[len(alphas)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spares := range alphas {
 			sample, err := dp.SpareSampleCtx(bg, seed, n, vdd, spares)
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct, err := dp.P99ChipDelayFO4Ctx(bg, seed, n, vdd, spares)
+			direct := must(dp.ChipDelaysFO4Ctx(bg, seed, n, vdd, spares))
+			for name, s := range map[string]*SpareSample{"exact": sample, "widest": widest} {
+				got := s.ChipDelaysFO4(spares)
+				if len(got) != n {
+					t.Fatalf("%v, %d spares, %s sample: %d chips, want %d", corr, spares, name, len(got), n)
+				}
+				for i := range got {
+					if !sameBits(got[i], direct[i]) {
+						t.Fatalf("%v, %d spares, %s sample, chip %d: %v, ChipDelaysFO4Ctx %v", corr, spares, name, i, got[i], direct[i])
+					}
+				}
+			}
+			p99, err := dp.P99ChipDelayFO4Ctx(bg, seed, n, vdd, spares)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := sample.P99FO4(spares); !sameBits(got, direct) {
-				t.Errorf("%v, %d spares: SpareSample p99 %v, P99ChipDelayFO4Ctx %v", corr, spares, got, direct)
+			for name, s := range map[string]*SpareSample{"exact": sample, "widest": widest} {
+				if got := s.P99FO4(spares); !sameBits(got, p99) {
+					t.Errorf("%v, %d spares, %s sample: p99 %v, P99ChipDelayFO4Ctx %v", corr, spares, name, got, p99)
+				}
 			}
 			if sample.Chips() != n {
 				t.Errorf("%v: Chips() = %d, want %d", corr, sample.Chips(), n)
@@ -260,6 +281,14 @@ func TestSpareSamplePanicsOutsideItsSpares(t *testing.T) {
 				}
 			}()
 			sample.P99FO4(spares)
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ChipDelaysFO4(%d) on a 4-spare sample did not panic", spares)
+				}
+			}()
+			sample.ChipDelaysFO4(spares)
 		}()
 	}
 }

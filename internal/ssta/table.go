@@ -86,7 +86,9 @@ const guideCells = 1024
 // or two knots across the body of the law, wider only in a far tail
 // where one guide cell spans many knots — and finds exactly the index
 // a binary search over the whole column returns. A column that is not
-// non-decreasing gets no guide and keeps the whole-column search.
+// non-decreasing gets no guide and keeps the whole-column search. Its
+// methods take a pointer: a value receiver copies the six-word struct
+// on every inversion.
 type column struct {
 	f     []float64
 	guide []uint16 // nil: f is not non-decreasing
@@ -110,7 +112,7 @@ func newColumn(f []float64) column {
 // scaling is by a power of two) and u < (g+1)/guideCells, so the answer
 // is at least guide[g] and at most guide[g+1] (len(f) past the last
 // cell); the loop is the binary search restricted to that bracket.
-func (c column) search(u float64) int {
+func (c *column) search(u float64) int {
 	g := int(u * guideCells)
 	lo, hi := int(c.guide[g]), len(c.f)
 	if g+1 < guideCells {
@@ -130,7 +132,7 @@ func (c column) search(u float64) int {
 // invert is invert(x, c.f, u), searched inside the guide's bracket
 // when the column has a guide and u lies in [0, 1); NaN and
 // out-of-range u take the whole-column search.
-func (c column) invert(x []float64, u float64) float64 {
+func (c *column) invert(x []float64, u float64) float64 {
 	if c.guide == nil || !(u >= 0 && u < 1) {
 		return invert(x, c.f, u)
 	}
@@ -171,7 +173,7 @@ func interp(x, f []float64, i int, u float64) float64 {
 // change the max and are skipped: typically one to three inversions
 // instead of one per lane, in a single pass over us.
 func (t *Table) MaxLane(us []float64, maxU float64) float64 {
-	lane := t.lane
+	lane := &t.lane
 	if !t.ordered || lane.guide == nil {
 		worst := math.Inf(-1)
 		for _, u := range us {
@@ -206,7 +208,7 @@ func (t *Table) MaxLane(us []float64, maxU float64) float64 {
 // nothing, when the chip column is not non-decreasing (it has no
 // guide), the knots are not ordered, or i < 2.
 func (t *Table) ChipFloor(u float64) float64 {
-	chip := t.chip
+	chip := &t.chip
 	if !t.ordered || chip.guide == nil {
 		return math.Inf(-1)
 	}

@@ -146,7 +146,10 @@ func init() {
 		Description: "3-sigma/mu (%) of a 50-FO4 inverter-chain delay (Figure 2 generalized)",
 		Eval: func(ctx context.Context, node tech.Node, vdd float64, samples int, seed uint64, _ Options) (float64, *importance.Diagnostics, error) {
 			v, err := variation.NewSampler(node.Dev, node.Var).ChainThreeSigmaCtx(ctx, seed, samples, vdd, tech.ChainLength)
-			return v, nil, err
+			if err != nil {
+				return 0, nil, err
+			}
+			return v[0], nil, nil
 		},
 		SSTA: func(node tech.Node, vdd float64, _ Options) (float64, error) {
 			mean, variance := device.ChainMoments(node.Dev, node.Var, vdd, tech.ChainLength)
@@ -160,7 +163,10 @@ func init() {
 		Eval: func(ctx context.Context, node tech.Node, vdd float64, samples int, seed uint64, _ Options) (float64, *importance.Diagnostics, error) {
 			// A gate is a chain of one.
 			v, err := variation.NewSampler(node.Dev, node.Var).ChainThreeSigmaCtx(ctx, seed, samples, vdd, 1)
-			return v, nil, err
+			if err != nil {
+				return 0, nil, err
+			}
+			return v[0], nil, nil
 		},
 		SSTA: func(node tech.Node, vdd float64, _ Options) (float64, error) {
 			mean, variance := device.GateMoments(node.Dev, node.Var, vdd)

@@ -20,6 +20,7 @@ package variation
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"github.com/ntvsim/ntvsim/internal/device"
@@ -90,18 +91,46 @@ func (s *Sampler) FreshGateDelay(r *rng.Stream, vdd float64) float64 {
 	return s.GateDelay(r, vdd, s.Die(r))
 }
 
-// ChainThreeSigmaCtx returns the paper's 3σ/μ (%) of samples chains of
-// the given number of gates at supply vdd, each on a fresh die, drawn
-// from seed. A gate is a chain of one: FreshChainDelay(r, vdd, 1) gives
-// FreshGateDelay's bits. Chains of different lengths from one seed nest:
-// each sample's shorter chain is a prefix of its longer one. A cancelled
+// ChainThreeSigmaCtx returns the paper's 3σ/μ (%) of samples chains at
+// supply vdd, each on a fresh die, drawn from seed: one value per chain
+// length, in the order of lengths, which must not descend. Each sample
+// draws one chain at the longest length and reads every shorter length
+// as a prefix of it, summed in gate order, so the value at each length
+// has the bits of stats.ThreeSigmaOverMu over FreshChainDelay(r, vdd, n)
+// and of a call with that length alone. A gate is a chain of one:
+// FreshChainDelay(r, vdd, 1) gives FreshGateDelay's bits. A cancelled
 // ctx stops the sampling and returns ctx's error.
-func (s *Sampler) ChainThreeSigmaCtx(ctx context.Context, seed uint64, samples int, vdd float64, gates int) (float64, error) {
-	xs, err := montecarlo.SampleCtx(ctx, seed, samples, func(r *rng.Stream) float64 {
-		return s.FreshChainDelay(r, vdd, gates)
+func (s *Sampler) ChainThreeSigmaCtx(ctx context.Context, seed uint64, samples int, vdd float64, lengths ...int) ([]float64, error) {
+	for j := 1; j < len(lengths); j++ {
+		if lengths[j] < lengths[j-1] {
+			panic(fmt.Sprintf("variation: chain lengths %v descend", lengths))
+		}
+	}
+	width := len(lengths)
+	slab, err := montecarlo.SampleFlatCtx(ctx, seed, samples, width, func(r *rng.Stream, dst []float64) {
+		die := s.Die(r)
+		var sum float64
+		gates := 0
+		for j, n := range lengths {
+			for ; gates < n; gates++ {
+				sum += s.GateDelay(r, vdd, die)
+			}
+			dst[j] = sum
+		}
 	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return stats.ThreeSigmaOverMu(xs), nil
+	out := make([]float64, width)
+	xs := slab // one length: the slab is its column, gathered in place
+	if width != 1 {
+		xs = make([]float64, samples)
+	}
+	for j := range out {
+		for i := range xs {
+			xs[i] = slab[i*width+j]
+		}
+		out[j] = stats.ThreeSigmaOverMu(xs)
+	}
+	return out, nil
 }

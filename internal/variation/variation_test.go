@@ -10,6 +10,7 @@ import (
 	"github.com/ntvsim/ntvsim/internal/montecarlo"
 	"github.com/ntvsim/ntvsim/internal/rng"
 	"github.com/ntvsim/ntvsim/internal/stats"
+	"github.com/ntvsim/ntvsim/internal/tech"
 )
 
 func testSampler() *Sampler {
@@ -132,12 +133,14 @@ func TestDieFieldsDistribution(t *testing.T) {
 
 // TestChainThreeSigmaCtx: the estimator is stats.ThreeSigmaOverMu of
 // the fresh-die chains drawn from its seed, bit for bit; a chain of one
-// gate is the fresh-gate sample; and a cancelled ctx returns its error.
+// gate is the fresh-gate sample; the nested read of Figure 11's lengths
+// gives, on every calibrated node and two seeds, each length's bits
+// from one call per length and from that oracle; lengths that do not
+// ascend panic; and a cancelled ctx returns its error.
 func TestChainThreeSigmaCtx(t *testing.T) {
-	s := testSampler()
 	ctx := context.Background()
-	const seed, n, vdd = 41, 500, 0.55
-	want := func(fn func(r *rng.Stream) float64) float64 {
+	const n, vdd = 300, 0.55
+	want := func(seed uint64, fn func(r *rng.Stream) float64) float64 {
 		t.Helper()
 		xs, err := montecarlo.SampleCtx(ctx, seed, n, fn)
 		if err != nil {
@@ -145,24 +148,49 @@ func TestChainThreeSigmaCtx(t *testing.T) {
 		}
 		return stats.ThreeSigmaOverMu(xs)
 	}
-	for _, tc := range []struct {
-		gates int
-		want  float64
-	}{
-		{50, want(func(r *rng.Stream) float64 { return s.FreshChainDelay(r, vdd, 50) })},
-		{1, want(func(r *rng.Stream) float64 { return s.FreshGateDelay(r, vdd) })},
-	} {
-		got, err := s.ChainThreeSigmaCtx(ctx, seed, n, vdd, tc.gates)
+	got := func(s *Sampler, seed uint64, lengths ...int) []float64 {
+		t.Helper()
+		v, err := s.ChainThreeSigmaCtx(ctx, seed, n, vdd, lengths...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(got) != math.Float64bits(tc.want) {
-			t.Errorf("%d gates: %v, want %v", tc.gates, got, tc.want)
+		if len(v) != len(lengths) {
+			t.Fatalf("%d values for %d lengths", len(v), len(lengths))
+		}
+		return v
+	}
+	s := testSampler()
+	if g, w := got(s, 41, 1)[0], want(41, func(r *rng.Stream) float64 { return s.FreshGateDelay(r, vdd) }); math.Float64bits(g) != math.Float64bits(w) {
+		t.Errorf("1 gate: %v, want the fresh-gate sample's %v", g, w)
+	}
+
+	lengths := []int{1, 2, 5, 10, 20, 50, 100, 200} // Figure 11's
+	for _, node := range tech.Nodes() {
+		s := NewSampler(node.Dev, node.Var)
+		for _, seed := range []uint64{41, 1_000_055} {
+			nested := got(s, seed, lengths...)
+			for j, gates := range lengths {
+				one := got(s, seed, gates)[0]
+				oracle := want(seed, func(r *rng.Stream) float64 { return s.FreshChainDelay(r, vdd, gates) })
+				if math.Float64bits(nested[j]) != math.Float64bits(oracle) || math.Float64bits(one) != math.Float64bits(oracle) {
+					t.Errorf("%s seed %d, %d gates: nested %v, one length %v, want %v", node.Name, seed, gates, nested[j], one, oracle)
+				}
+			}
 		}
 	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("lengths 5, 2: no panic")
+			}
+		}()
+		s.ChainThreeSigmaCtx(ctx, 41, n, vdd, 5, 2)
+	}()
+
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := s.ChainThreeSigmaCtx(cancelled, seed, n, vdd, 50); !errors.Is(err, context.Canceled) {
+	if _, err := s.ChainThreeSigmaCtx(cancelled, 41, n, vdd, lengths...); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled: err = %v, want context.Canceled", err)
 	}
 }
