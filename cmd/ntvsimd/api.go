@@ -28,6 +28,7 @@ const (
 	codeProfilingDisabled    = "profiling_disabled"    // profile knob without -data-dir
 	codeInvalidSweep         = "invalid_sweep"         // sweep spec rejected by Normalized
 	codeModeUnsupported      = "mode_unsupported"      // ssta/auto mode on a metric with no analytic law
+	codeKernelRetired        = "kernel_retired"        // retired sweep metric; the message names its replacement
 	codeSweepNotFound        = "sweep_not_found"       // no sweep with that id
 	codeSweepNotCancellable  = "sweep_not_cancellable" // sweep already terminal
 	codeShardFailed          = "shard_failed"          // sweep failed: shard failures exceeded the budget

@@ -20,7 +20,7 @@ import (
 // ntvsim_jobs_draining gauge reports the in-flight work — and the job
 // still runs to completion before drain returns.
 func TestDrainLifecycle(t *testing.T) {
-	s := newServer(2, 16, 32, nil)
+	s := plainServer(t, 2, 16, 32)
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
@@ -114,7 +114,7 @@ func TestDrainLifecycle(t *testing.T) {
 // that event carries the golden shard_failed envelope. The single
 // worker makes shard 0 the deterministic first failure.
 func TestSweepFailureBudgetSSE(t *testing.T) {
-	s := newServer(1, 16, 32, nil)
+	s := plainServer(t, 1, 16, 32)
 	in := faults.New(1, faults.Rule{
 		Site: faults.SiteSweepShard, Kind: faults.KindError,
 		Permanent: true, Times: 1 << 30,
@@ -188,7 +188,7 @@ func TestSweepFailureBudgetSSE(t *testing.T) {
 // injection: it must finalize failed with the stack visible on the
 // single-job GET and elided from the listing.
 func TestJobPanicSurfacesStack(t *testing.T) {
-	s := newServer(1, 16, 32, nil)
+	s := plainServer(t, 1, 16, 32)
 	in := faults.New(1, faults.Rule{Site: faults.SiteMonteCarloChunk, Kind: faults.KindPanic})
 	s.base = faults.With(context.Background(), in)
 	ts := httptest.NewServer(s.handler())
@@ -234,7 +234,7 @@ func TestJobPanicSurfacesStack(t *testing.T) {
 // end: the first attempt dies in the injected fault, the retry
 // succeeds, and the payload reports both attempts.
 func TestJobRetryOverHTTP(t *testing.T) {
-	s := newServer(1, 16, 32, nil)
+	s := plainServer(t, 1, 16, 32)
 	s.jobs.SetBackoff(jobs.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond, Seed: 1})
 	in := faults.New(1, faults.Rule{Site: faults.SiteJobAttempt, Kind: faults.KindError})
 	s.base = faults.With(context.Background(), in)

@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -77,7 +78,6 @@ func TestSweepModeUnsupportedEnvelope(t *testing.T) {
 	_, ts := newTestServer(t)
 	for _, body := range []map[string]any{
 		{"metric": "yield_is", "mode": "ssta"},
-		{"metric": "p99chipclock_is", "mode": "ssta"},
 		{"metric": "tailyield", "sampler": "is", "mode": "auto", "auto_threshold": 100},
 	} {
 		code, out := doJSON(t, http.MethodPost, ts.URL+"/v1/sweeps", body)
@@ -91,6 +91,39 @@ func TestSweepModeUnsupportedEnvelope(t *testing.T) {
 	})
 	if code != http.StatusBadRequest || errCode(out) != "invalid_sweep" {
 		t.Errorf("bogus mode: %d %v, want 400 invalid_sweep", code, out)
+	}
+}
+
+// TestSweepKernelRetiredEnvelope pins the typed answer to a retired
+// metric on both submission paths: 410 kernel_retired, its message
+// naming the replacement. The coordinator validates before it journals,
+// so the rejected sweep leaves no journal entry. The retired kernel's
+// old sampler mapping is gone too: p99chipclock has no
+// importance-sampling variant.
+func TestSweepKernelRetiredEnvelope(t *testing.T) {
+	_, standalone := newTestServer(t)
+	co, coordinator := newCoordinatorServer(t, t.TempDir())
+	entries := co.cluster.Status().JournalEntries
+	for _, ts := range []*httptest.Server{standalone, coordinator} {
+		for _, body := range []map[string]any{
+			{"metric": "p99chipclock_is"},
+			{"metric": "p99chipclock_is", "mode": "ssta"},
+		} {
+			code, out := doJSON(t, http.MethodPost, ts.URL+"/v1/sweeps", body)
+			env, _ := out["error"].(map[string]any)
+			msg, _ := env["message"].(string)
+			if code != http.StatusGone || errCode(out) != "kernel_retired" ||
+				!strings.Contains(msg, `metric "p99chipclock" with mode "ssta"`) {
+				t.Errorf("POST %v: %d %v, want 410 kernel_retired naming the replacement", body, code, out)
+			}
+		}
+		code, out := doJSON(t, http.MethodPost, ts.URL+"/v1/sweeps", map[string]any{"metric": "p99chipclock", "sampler": "is"})
+		if code != http.StatusBadRequest || errCode(out) != "invalid_sweep" {
+			t.Errorf("p99chipclock + sampler is: %d %v, want 400 invalid_sweep", code, out)
+		}
+	}
+	if got := co.cluster.Status().JournalEntries; got != entries {
+		t.Errorf("rejected sweeps reached the journal: %d entries, was %d", got, entries)
 	}
 }
 
@@ -126,10 +159,8 @@ func TestKernelModesPayload(t *testing.T) {
 			t.Errorf("%s modes = %q, want mc,ssta,auto", id, got)
 		}
 	}
-	for _, id := range []string{"p99chipclock_is", "yield_is"} {
-		if got := strings.Join(modesOf(id), ","); got != "mc" {
-			t.Errorf("%s modes = %q, want mc", id, got)
-		}
+	if got := strings.Join(modesOf("yield_is"), ","); got != "mc" {
+		t.Errorf("yield_is modes = %q, want mc", got)
 	}
 }
 

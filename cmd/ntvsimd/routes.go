@@ -15,7 +15,7 @@ import (
 
 // apiVersion is the current revision of the v1 surface: the PR
 // numbering of CHANGES.md, which docs/API.md's since-markers reference.
-const apiVersion = 17
+const apiVersion = 26
 
 // route is one mux registration plus the surface metadata GET /v1
 // serves for it.

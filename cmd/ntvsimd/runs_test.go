@@ -432,7 +432,7 @@ func TestRunLedgerProfileCapture(t *testing.T) {
 // has not left the queue has no trace yet, and the API says so rather
 // than claiming the id is unknown.
 func TestTraceQueuedJobTyped(t *testing.T) {
-	s := newServer(1, 4, 8, nil)
+	s := plainServer(t, 1, 4, 8)
 	ts := httptest.NewServer(s.handler())
 	defer func() {
 		ts.Close()

@@ -183,19 +183,6 @@ type serverConfig struct {
 // defaultTraceBuffer is the trace-ring capacity without -trace-buffer.
 const defaultTraceBuffer = 256
 
-// newServer builds a server with no ledger and default trace buffer —
-// the pre-data-dir construction signature, kept for the many test call
-// sites. It cannot fail: only opening a data dir can.
-func newServer(workers, queueDepth, cacheSize int, logger *slog.Logger) *server {
-	s, err := newServerWith(serverConfig{
-		workers: workers, queueDepth: queueDepth, cacheSize: cacheSize, logger: logger,
-	})
-	if err != nil { // unreachable without a dataDir
-		panic(err)
-	}
-	return s
-}
-
 func newServerWith(cfg serverConfig) (*server, error) {
 	logger := cfg.logger
 	if logger == nil {

@@ -10,9 +10,20 @@ import (
 	"time"
 )
 
+// plainServer builds a server with no ledger and the default trace
+// buffer.
+func plainServer(t *testing.T, workers, queueDepth, cacheSize int) *server {
+	t.Helper()
+	s, err := newServerWith(serverConfig{workers: workers, queueDepth: queueDepth, cacheSize: cacheSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func newTestServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
-	s := newServer(2, 16, 32, nil)
+	s := plainServer(t, 2, 16, 32)
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -298,7 +309,7 @@ func TestDebugMux(t *testing.T) {
 // TestQueueFullMapsTo503 fills a tiny pool with long jobs and expects
 // the next submission to be rejected with 503.
 func TestQueueFullMapsTo503(t *testing.T) {
-	s := newServer(1, 1, 8, nil)
+	s := plainServer(t, 1, 1, 8)
 	ts := httptest.NewServer(s.handler())
 	defer func() {
 		ts.Close()
@@ -342,16 +353,25 @@ func TestListKernels(t *testing.T) {
 		t.Fatalf("status %d", code)
 	}
 	objs, _ := out["kernels"].([]any)
+	if total, _ := out["total"].(float64); total != 8 || len(objs) != 8 {
+		t.Errorf("listing holds %d kernels, total %v; want the 8 registered", len(objs), out["total"])
+	}
 	byID := map[string]map[string]any{}
 	for _, item := range objs {
 		obj, _ := item.(map[string]any)
 		id, _ := obj["id"].(string)
 		byID[id] = obj
+		if _, ok := obj["default_shift"]; ok {
+			t.Errorf("kernel %s carries the retired default_shift field", id)
+		}
 	}
-	for _, id := range []string{"chain3sigma", "p99chipclock", "p99chipclock_is", "tailyield", "yield_is"} {
+	for _, id := range []string{"chain3sigma", "p99chipclock", "tailyield", "yield_is"} {
 		if byID[id] == nil {
 			t.Fatalf("kernel %q missing from %v", id, objs)
 		}
+	}
+	if byID["p99chipclock_is"] != nil {
+		t.Error("retired kernel p99chipclock_is is still listed")
 	}
 	if s, _ := byID["yield_is"]["sampler"].(string); s != "is" {
 		t.Errorf("yield_is sampler = %v", byID["yield_is"]["sampler"])
@@ -365,7 +385,7 @@ func TestListKernels(t *testing.T) {
 	if s, _ := byID["chain3sigma"]["sampler"].(string); s != "mc" {
 		t.Errorf("chain3sigma sampler = %v", byID["chain3sigma"]["sampler"])
 	}
-	if desc, _ := byID["p99chipclock_is"]["description"].(string); desc == "" {
-		t.Error("p99chipclock_is has no description")
+	if tw, ok := byID["p99chipclock"]["twin"]; ok {
+		t.Errorf("p99chipclock twin = %v, want none", tw)
 	}
 }

@@ -139,11 +139,7 @@ func (s *server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		// past validation is a journal write failure — the intent is not
 		// durable, so the sweep must not run.
 		if _, verr := spec.Normalized(); verr != nil {
-			code := codeInvalidSweep
-			if errors.Is(verr, sweep.ErrModeUnsupported) {
-				code = codeModeUnsupported
-			}
-			writeAPIError(w, http.StatusBadRequest, code, verr.Error())
+			writeSpecError(w, verr)
 			return
 		}
 		if sw, err = s.cluster.Submit(s.base, s.sweeps, spec); err != nil {
@@ -152,14 +148,7 @@ func (s *server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	} else if sw, err = s.sweeps.SubmitCtx(s.base, spec); err != nil {
-		code := codeInvalidSweep
-		if errors.Is(err, sweep.ErrModeUnsupported) {
-			// The importance-sampling kernels have no analytic law; give
-			// clients a distinct code so they can fall back to mode "mc"
-			// programmatically instead of string-matching the message.
-			code = codeModeUnsupported
-		}
-		writeAPIError(w, http.StatusBadRequest, code, err.Error())
+		writeSpecError(w, err)
 		return
 	}
 	if s.ledger != nil {
@@ -168,6 +157,23 @@ func (s *server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	snap := sw.Snapshot()
 	s.log.Info("sweep submitted", "sweep", sw.ID, "kernel", sweepName(snap.Spec), "shards", snap.Total)
 	writeJSON(w, http.StatusAccepted, sweepPayloadOf(snap))
+}
+
+// writeSpecError answers a sweep spec that validation rejected. A
+// retired metric gets 410 kernel_retired, its message naming the
+// replacement; a mode the kernel has no analytic law for gets 400
+// mode_unsupported. The distinct codes let clients fall back
+// programmatically instead of string-matching the message. Anything
+// else is 400 invalid_sweep.
+func writeSpecError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, sweep.ErrKernelRetired):
+		writeAPIError(w, http.StatusGone, codeKernelRetired, err.Error())
+	case errors.Is(err, sweep.ErrModeUnsupported):
+		writeAPIError(w, http.StatusBadRequest, codeModeUnsupported, err.Error())
+	default:
+		writeAPIError(w, http.StatusBadRequest, codeInvalidSweep, err.Error())
+	}
 }
 
 // handleListSweeps serves one page of the sweeps the server holds,
@@ -288,7 +294,6 @@ type kernelPayload struct {
 	Sampler        string   `json:"sampler"`
 	Twin           string   `json:"twin,omitempty"`
 	Tail           bool     `json:"tail,omitempty"`
-	DefaultShift   float64  `json:"default_shift,omitempty"`
 	Modes          []string `json:"modes"`
 }
 
@@ -320,8 +325,7 @@ func (s *server) handleKernels(w http.ResponseWriter, r *http.Request) {
 		p := kernelPayload{
 			ID: k.ID, Kind: string(k.Kind), Description: k.Description,
 			Unit: k.Unit, DefaultSamples: k.DefaultSamples,
-			Sampler: "mc", Tail: k.Tail, DefaultShift: k.DefaultShift,
-			Modes: k.Modes(),
+			Sampler: "mc", Tail: k.Tail, Modes: k.Modes(),
 		}
 		if k.IS {
 			p.Sampler = "is"

@@ -57,19 +57,6 @@ func (g *Graph) AddGate(gateCount int, fanin ...int) int {
 	return len(g.gates) - 1
 }
 
-// NumNodes returns the number of nodes added so far.
-func (g *Graph) NumNodes() int { return len(g.gates) }
-
-// NumGates returns the total series gate count across all nodes,
-// an upper bound on the critical-path length in gate delays.
-func (g *Graph) NumGates() int {
-	total := 0
-	for _, c := range g.gates {
-		total += c
-	}
-	return total
-}
-
 // Depth returns the maximum number of series gate delays along any path,
 // i.e. the critical-path length in units of nominal gates.
 func (g *Graph) Depth() int {

@@ -30,8 +30,12 @@ func TestGraphDepthChain(t *testing.T) {
 	if got := g.Depth(); got != 10 {
 		t.Errorf("chain depth = %d, want 10", got)
 	}
-	if g.NumNodes() != 10 || g.NumGates() != 10 {
-		t.Errorf("nodes/gates = %d/%d", g.NumNodes(), g.NumGates())
+	gates := 0
+	for _, c := range g.gates {
+		gates += c
+	}
+	if len(g.gates) != 10 || gates != 10 {
+		t.Errorf("nodes/gates = %d/%d", len(g.gates), gates)
 	}
 }
 
@@ -205,8 +209,8 @@ func TestArrayMultiplierStructure(t *testing.T) {
 	if got := m.Depth(); got != 63 {
 		t.Errorf("16×16 multiplier depth = %d, want 63", got)
 	}
-	if m.NumNodes() < 16*16 {
-		t.Errorf("multiplier too small: %d nodes", m.NumNodes())
+	if len(m.gates) < 16*16 {
+		t.Errorf("multiplier too small: %d nodes", len(m.gates))
 	}
 }
 

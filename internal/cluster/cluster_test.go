@@ -258,6 +258,61 @@ func TestCoordinatorRestartReplay(t *testing.T) {
 	}
 }
 
+// TestReplaySkipsRetiredKernel: a journal written before a kernel was
+// retired still boots. Replay skips the finished sweep of the retired
+// p99chipclock_is kernel, which can neither resume nor render, and
+// resumes the live sweep journaled after it.
+func TestReplaySkipsRetiredKernel(t *testing.T) {
+	dir := t.TempDir()
+	j := openJournal(t, dir)
+	// The retired sweep's spec as the coordinator journaled it:
+	// normalized, with the kernel's default proposal filled in.
+	retired := sweep.Spec{
+		Metric: "p99chipclock_is", Nodes: []string{"22nm PTM HP"},
+		Vdd: &sweep.VddAxis{From: 0.50, To: 0.50, Step: 0.05}, Samples: []int{10000}, Seed: 777,
+		Sampler: "is", ISShift: 2.3263478740408408, ISMix: 0.25,
+	}
+	live, err := tinySpec().Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []Entry{
+		{Type: EntrySweep, SweepID: "retired", Spec: &retired},
+		{Type: EntryShard, SweepID: "retired", Worker: "w0",
+			Result: &sweep.ShardResult{Kernel: "p99chipclock_is", Value: 79.1}},
+		{Type: EntrySweepDone, SweepID: "retired", State: string(sweep.Done)},
+		{Type: EntrySweep, SweepID: "live", Spec: &live},
+	} {
+		if err := j.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	co := newCoordinator(t, dir, time.Hour)
+	eng := newEngine(t)
+	eng.SetRemote(co)
+	restored, resumed, err := co.Replay(context.Background(), eng)
+	if err != nil {
+		t.Fatalf("replay refused a journal holding a retired kernel's sweep: %v", err)
+	}
+	if resumed != 1 || len(restored) != 1 || restored[0].ID != "live" {
+		t.Fatalf("replay restored %d sweeps and resumed %d, want only the live sweep, resumed", len(restored), resumed)
+	}
+	if _, ok := eng.Get("retired"); ok {
+		t.Error("the retired kernel's sweep was restored")
+	}
+	if snap := restored[0].Snapshot(); snap.Total != 6 || snap.State.Terminal() {
+		t.Errorf("live sweep replayed %s with %d shards, want running with 6", snap.State, snap.Total)
+	}
+	// End the resumed sweep so its watcher journals the terminal state
+	// and exits before the coordinator closes.
+	restored[0].Cancel()
+	waitDone(t, restored[0], 30*time.Second)
+}
+
 // TestWorkerRidesOutCoordinatorAbsence: a worker pointed at a dead
 // address keeps polling with backoff instead of crashing, and exits
 // cleanly when told to.

@@ -350,10 +350,14 @@ func (c *Coordinator) watchDone(sw *sweep.Sweep) {
 // completion races are deduplicated first-write-wins), and a sweep
 // that finished Done is restored too so clients keep their ids and
 // merged results across a restart. Failed and cancelled sweeps are not
-// revived; the run ledger keeps their provenance. Returns every sweep
-// it restored — the engine may already have evicted the finished ones,
-// so this is the caller's one complete view of them — and how many of
-// those were interrupted sweeps that resumed.
+// revived; the run ledger keeps their provenance. Nor is a sweep whose
+// kernel was retired after it was journaled (sweep.ErrKernelRetired):
+// it can neither resume nor render, so Replay logs a warning and skips
+// it rather than refuse to boot. Any other restore error aborts the
+// replay. Returns every sweep it restored — the engine may already
+// have evicted the finished ones, so this is the caller's one complete
+// view of them — and how many of those were interrupted sweeps that
+// resumed.
 func (c *Coordinator) Replay(ctx context.Context, eng *sweep.Engine) (restored []*sweep.Sweep, resumed int, err error) {
 	type journaled struct {
 		spec  sweep.Spec
@@ -391,6 +395,10 @@ func (c *Coordinator) Replay(ctx context.Context, eng *sweep.Engine) (restored [
 			continue
 		}
 		sw, err := eng.Restore(ctx, r.spec, id, r.done)
+		if errors.Is(err, sweep.ErrKernelRetired) {
+			c.log.Warn("journaled sweep names a retired kernel; not replayed", "sweep", id, "error", err.Error())
+			continue
+		}
 		if err != nil {
 			return restored, resumed, fmt.Errorf("cluster: replay sweep %s: %w", id, err)
 		}

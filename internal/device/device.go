@@ -75,15 +75,6 @@ type Params struct {
 	IleakK float64 // leakage scale relative to drive strength
 }
 
-// NewParams validates and returns a parameter set.
-func NewParams(vth0, n, kd float64) (Params, error) {
-	p := Params{Vth0: vth0, N: n, Kd: kd}
-	if err := p.Validate(); err != nil {
-		return Params{}, err
-	}
-	return p, nil
-}
-
 // Validate reports whether the parameters are physically sensible.
 func (p Params) Validate() error {
 	switch {
@@ -159,16 +150,6 @@ func (p Params) DelaySensitivityVth(vdd, vth float64) float64 {
 	l := log1pExp(x)
 	sig := sigmoid(x)
 	return sig / l / (p.N * PhiT)
-}
-
-// DelaySensitivityVdd returns ∂lnτ/∂Vdd at (vdd, vth). It is negative:
-// raising the supply speeds the gate up, exponentially so near threshold.
-// Voltage margining exploits exactly this derivative.
-func (p Params) DelaySensitivityVdd(vdd, vth float64) float64 {
-	x := (vdd - vth) / (2 * p.N * PhiT)
-	l := log1pExp(x)
-	sig := sigmoid(x)
-	return 1/vdd - sig/l/(p.N*PhiT)
 }
 
 func sigmoid(x float64) float64 {

@@ -25,12 +25,6 @@ func TestValidate(t *testing.T) {
 			t.Errorf("case %d: invalid params accepted: %+v", i, p)
 		}
 	}
-	if _, err := NewParams(0.3, 1.3, 1e-11); err != nil {
-		t.Errorf("NewParams: %v", err)
-	}
-	if _, err := NewParams(0.3, 0.1, 1e-11); err == nil {
-		t.Error("NewParams should reject bad slope factor")
-	}
 }
 
 func TestRegionClassification(t *testing.T) {
@@ -101,11 +95,6 @@ func TestSensitivityMatchesFiniteDifference(t *testing.T) {
 			fd := (math.Log(p.Delay(vdd, vth+h)) - math.Log(p.Delay(vdd, vth-h))) / (2 * h)
 			if math.Abs(got-fd) > 1e-4*math.Abs(fd)+1e-9 {
 				t.Errorf("∂lnτ/∂Vth(%v,%v) = %v, finite diff %v", vdd, vth, got, fd)
-			}
-			gotV := p.DelaySensitivityVdd(vdd, vth)
-			fdV := (math.Log(p.Delay(vdd+h, vth)) - math.Log(p.Delay(vdd-h, vth))) / (2 * h)
-			if math.Abs(gotV-fdV) > 1e-4*math.Abs(fdV)+1e-9 {
-				t.Errorf("∂lnτ/∂Vdd(%v,%v) = %v, finite diff %v", vdd, vth, gotV, fdV)
 			}
 		}
 	}

@@ -21,14 +21,15 @@
 // variance, so a badly chosen shift degrades gracefully toward plain MC
 // instead of producing unbounded weights.
 //
-// Estimators over the weighted draws (TailProb, WeightedQuantile) and
-// the effective-sample-size diagnostics (Diagnose, Diagnostics.Merge)
-// live in weighted.go; each reduces the slices SampleCtx returns, and
-// docs/SAMPLING.md is the statistical contract for all of them.
+// The effective-sample-size diagnostics (Diagnose, Diagnostics.Merge)
+// live in weighted.go, and docs/SAMPLING.md is the statistical
+// contract for the sampler and its estimators.
 //
 // TailProbCtx is the tail estimator the tail-yield kernels run: the
-// draws of SampleCtx reduced by TailProb and Diagnose, bit for bit, but
-// without the arithmetic no tail indicator reads. A draw whose
+// draws of SampleCtx reduced by the self-normalized tail estimator and
+// Diagnose, bit for bit, but without the arithmetic no tail indicator
+// reads. The package tests hold it to a reference that keeps every
+// draw (TailProb in weighted_test.go). A draw whose
 // quantile-map input lies at or below a censoring floor the caller
 // proves (ssta.Table.ChipFloor) cannot land above the target, so it is
 // neither pushed through the map nor, far enough below, through Φ; at
@@ -174,13 +175,15 @@ func SampleCtx(ctx context.Context, p Params, seed uint64, n int, fn func(u floa
 const zMargin = 1e-12
 
 // TailProbCtx estimates p = Pr[X > target] for X = fn(Φ(Z)), Z from
-// the proposal, and returns it with its delta-method standard error
-// and the weight diagnostics. The three equal, bit for bit, what
-// TailProb(xs, ws, target) and Diagnose(ws) return over the draws
-// SampleCtx(ctx, p, seed, n, fn) makes: it draws exactly as SampleCtx
-// does (sample i consumes the (seed, i) sub-stream) and reduces with
-// TailProb's and Diagnose's arithmetic in sample-index order. Like
-// Diagnose, it publishes the diagnostics to the package gauges.
+// the proposal, with the self-normalized estimator Σwᵢ·1{xᵢ>t}/Σwᵢ,
+// and returns it with its delta-method standard error
+// √(Σwᵢ²(1{xᵢ>t}−p̂)²)/Σwᵢ and the weight diagnostics. With unit
+// weights the two reduce to the binomial estimator and its standard
+// error. The three equal, bit for bit, what that estimator and
+// Diagnose(ws) return over the draws SampleCtx(ctx, p, seed, n, fn)
+// makes: it draws exactly as SampleCtx does (sample i consumes the
+// (seed, i) sub-stream) and sums in sample-index order. Like Diagnose,
+// it publishes the diagnostics to the package gauges.
 //
 // It keeps only each draw's (indicator, weight) pair, 2n floats, and
 // skips the arithmetic no indicator reads, in two stages:
@@ -221,7 +224,7 @@ func TailProbCtx(ctx context.Context, p Params, seed uint64, n int, fn func(u fl
 		return 0, 0, Diagnostics{}, err
 	}
 	samplesTotal.Add(float64(n))
-	// TailProb's and Diagnose's sums, each in sample-index order.
+	// The estimator's and Diagnose's sums, each in sample-index order.
 	var sumw, sumwh, sumw2, maxW float64
 	for i := 0; i < len(rows); i += 2 {
 		w := rows[i+1]

@@ -266,8 +266,8 @@ func TestMergeAll(t *testing.T) {
 }
 
 // TestPushforwardMatchesQuantile sanity-checks the probit framing
-// itself: weighted quantiles of the IS sample must agree with the
-// quantile function that generated it.
+// itself: the weighted tail mass of the IS sample above the generating
+// quantile function's q-point must be 1−q, within 4 standard errors.
 func TestPushforwardMatchesQuantile(t *testing.T) {
 	dist := stats.Normal{Mu: 5, Sigma: 2}
 	fn := func(u float64) float64 { return dist.Quantile(u) }
@@ -276,10 +276,9 @@ func TestPushforwardMatchesQuantile(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99} {
-		got := WeightedQuantile(xs, ws, q)
-		want := dist.Quantile(q)
-		if math.Abs(got-want) > 0.15 {
-			t.Errorf("WeightedQuantile(%g) = %v, want ≈ %v", q, got, want)
+		p, se := TailProb(xs, ws, dist.Quantile(q))
+		if math.Abs(p-(1-q)) > 4*se {
+			t.Errorf("Pr[X > Q(%g)] = %v ± %v, want %v within 4 standard errors", q, p, se, 1-q)
 		}
 	}
 }

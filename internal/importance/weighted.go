@@ -1,77 +1,5 @@
 package importance
 
-import (
-	"math"
-	"sort"
-)
-
-// TailProb estimates p = Pr[X > t] from weighted samples with the
-// self-normalized estimator Σwᵢ·1{xᵢ>t}/Σwᵢ and returns it with its
-// delta-method standard error √(Σwᵢ²(1{xᵢ>t}−p̂)²)/Σwᵢ. With unit
-// weights both reduce to the usual binomial estimator and its standard
-// error. xs and ws must have equal length.
-func TailProb(xs, ws []float64, t float64) (p, stderr float64) {
-	var sumw, sumwh float64
-	for i, x := range xs {
-		sumw += ws[i]
-		if x > t {
-			sumwh += ws[i]
-		}
-	}
-	if sumw == 0 {
-		return math.NaN(), math.NaN()
-	}
-	p = sumwh / sumw
-	var v float64
-	for i, x := range xs {
-		h := 0.0
-		if x > t {
-			h = 1.0
-		}
-		d := ws[i] * (h - p)
-		v += d * d
-	}
-	return p, math.Sqrt(v) / sumw
-}
-
-// WeightedQuantile returns the q-quantile of the weighted empirical
-// distribution: the smallest sample value whose cumulative normalized
-// weight reaches q. Samples are ordered by value with ties broken by
-// original index, so the result is deterministic for any input order
-// of equal (x, w) multisets. xs and ws must have equal length and ws
-// must carry positive total weight; NaN otherwise.
-func WeightedQuantile(xs, ws []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if xs[idx[a]] != xs[idx[b]] {
-			return xs[idx[a]] < xs[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	var sumw float64
-	for _, w := range ws {
-		sumw += w
-	}
-	if sumw <= 0 {
-		return math.NaN()
-	}
-	target := q * sumw
-	var cum float64
-	for _, i := range idx {
-		cum += ws[i]
-		if cum >= target {
-			return xs[i]
-		}
-	}
-	return xs[idx[len(idx)-1]]
-}
-
 // DegenerateESSFrac is the ESS/N ratio below which Diagnose flags a
 // weight population as degenerate. A defensive mixture with mix λ keeps
 // ESS/N near or above λ in practice, so this threshold only trips when

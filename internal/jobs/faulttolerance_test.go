@@ -245,8 +245,13 @@ func TestDrainFinishesInFlight(t *testing.T) {
 	drained := make(chan error, 1)
 	go func() { drained <- m.Drain(context.Background()) }()
 	// Submissions are rejected as soon as the drain begins.
+	draining := func() bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.closed
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for !m.Draining() {
+	for !draining() {
 		if time.Now().After(deadline) {
 			t.Fatal("manager never started draining")
 		}

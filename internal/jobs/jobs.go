@@ -491,14 +491,6 @@ func (m *Manager) Pending() int {
 // QueueDepth returns the number of submitted jobs waiting for a worker.
 func (m *Manager) QueueDepth() int { return len(m.queue) }
 
-// Draining reports whether the manager has stopped accepting
-// submissions (Close or Drain began).
-func (m *Manager) Draining() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.closed
-}
-
 // idKey carries the job id in the job's context.
 type idKey struct{}
 

@@ -11,8 +11,8 @@
 // once any worker observes it. A context that is never cancelled changes
 // nothing: the same sub-stream derivation runs in the same index order,
 // so context.Background() and a live context give bit-identical results.
-// The package also keeps a process-wide count of evaluated samples
-// (SamplesEvaluated) for service metrics.
+// The package also keeps a process-wide count of evaluated samples for
+// service metrics (ntvsim_mc_samples_evaluated_total).
 //
 // When the context carries a telemetry.Progress reporter, each entry
 // point announces its sample count on entry and every worker ticks the
@@ -66,10 +66,6 @@ const checkEvery = 64
 // samplesEvaluated counts every fn invocation completed by this package
 // across all entry points, for service-level metrics.
 var samplesEvaluated atomic.Uint64
-
-// SamplesEvaluated returns the process-wide number of Monte-Carlo sample
-// evaluations completed since startup.
-func SamplesEvaluated() uint64 { return samplesEvaluated.Load() }
 
 func init() {
 	telemetry.Default.CounterFunc("ntvsim_mc_samples_evaluated_total",

@@ -178,9 +178,9 @@ func TestSampleCtxPreCancelled(t *testing.T) {
 }
 
 func TestSamplesEvaluatedCounter(t *testing.T) {
-	before := SamplesEvaluated()
+	before := samplesEvaluated.Load()
 	sample(t, 9, 1234, func(r *rng.Stream) float64 { return r.Float64() })
-	if got := SamplesEvaluated() - before; got < 1234 {
+	if got := samplesEvaluated.Load() - before; got < 1234 {
 		t.Errorf("counter advanced by %d, want ≥ 1234", got)
 	}
 }

@@ -20,31 +20,11 @@ func NewTable(title string, headers ...string) *Table {
 	return &Table{Title: title, Headers: headers}
 }
 
-// AddRow appends a row; cells are formatted with %v.
-func (t *Table) AddRow(cells ...any) *Table {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row[i] = v
-		case float64:
-			row[i] = fmt.Sprintf("%.4g", v)
-		default:
-			row[i] = fmt.Sprint(v)
-		}
-	}
-	t.rows = append(t.rows, row)
-	return t
-}
-
 // AddRowf appends a row of preformatted cells.
 func (t *Table) AddRowf(cells ...string) *Table {
 	t.rows = append(t.rows, cells)
 	return t
 }
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // String renders the table.
 func (t *Table) String() string {

@@ -9,8 +9,8 @@ import (
 // rule width, right-alignment padding and the two-space gutter.
 func TestTableGolden(t *testing.T) {
 	tb := NewTable("corner signoff", "node", "derate", "delay")
-	tb.AddRow("45nm", 1.0716, 7.164e-9)
-	tb.AddRow("22nm PTM HP", 1.1163, 3.512e-9)
+	tb.AddRowf("45nm", "1.072", "7.164e-09")
+	tb.AddRowf("22nm PTM HP", "1.116", "3.512e-09")
 	want := "corner signoff\n" +
 		"       node  derate      delay\n" +
 		"--------------------------------\n" +

@@ -7,8 +7,8 @@ import (
 
 func TestTableAlignment(t *testing.T) {
 	tb := NewTable("demo", "name", "value")
-	tb.AddRow("x", 1.5)
-	tb.AddRow("longer-name", 22)
+	tb.AddRowf("x", "1.5")
+	tb.AddRowf("longer-name", "22")
 	out := tb.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 5 { // title, header, rule, 2 rows
@@ -21,8 +21,8 @@ func TestTableAlignment(t *testing.T) {
 	if len(lines[3]) != len(lines[4]) {
 		t.Errorf("rows unaligned:\n%s", out)
 	}
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Errorf("%d rows, want 2", len(tb.rows))
 	}
 }
 
@@ -34,15 +34,17 @@ func TestTableNoTitle(t *testing.T) {
 	}
 }
 
+// TestTableCellFormatting: AddRowf cells are preformatted, so they
+// render verbatim, unrounded and unpadded inside their column.
 func TestTableCellFormatting(t *testing.T) {
 	tb := NewTable("", "v")
-	tb.AddRow(3.14159265)
-	if !strings.Contains(tb.String(), "3.142") {
-		t.Errorf("float formatting wrong:\n%s", tb.String())
+	tb.AddRowf("3.14159265")
+	if !strings.Contains(tb.String(), "3.14159265\n") {
+		t.Errorf("preformatted cell changed:\n%s", tb.String())
 	}
-	tb.AddRow(42)
-	if !strings.Contains(tb.String(), "42") {
-		t.Error("int formatting wrong")
+	tb.AddRowf("42")
+	if !strings.Contains(tb.String(), "        42\n") {
+		t.Errorf("short cell not right-aligned to the column:\n%s", tb.String())
 	}
 }
 

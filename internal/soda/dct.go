@@ -120,67 +120,3 @@ func dct8Golden(x []int16) []uint16 {
 	}
 	return out
 }
-
-// MedianKernel builds a circular 3-tap median filter over one
-// 128-sample row using rotate shuffles (slots 0 and 1) and the lane-wise
-// min/max network med(a,b,c) = max(min(a,b), min(max(a,b), c)).
-func MedianKernel(x []uint16) Kernel {
-	if len(x) != Lanes {
-		panic("soda: MedianKernel needs a 128-sample row")
-	}
-	bld := NewBuilder()
-	bld.SLi(1, rowA).
-		VLoad(0, 1).          // v0 = b (center)
-		VImm(VSHUF, 1, 0, 0). // v1 = a (left neighbour)
-		VImm(VSHUF, 2, 0, 1). // v2 = c (right neighbour)
-		V3(VMIN, 3, 1, 0).    // min(a,b)
-		V3(VMAX, 4, 1, 0).    // max(a,b)
-		V3(VMIN, 5, 4, 2).    // min(max(a,b), c)
-		V3(VMAX, 6, 3, 5).    // median
-		SLi(2, rowOut).
-		VStore(6, 2).
-		Halt()
-	return Kernel{
-		Name:    "median3",
-		Program: bld.MustProgram(),
-		Setup: func(pe *PE) error {
-			// Slot 0: left neighbour (i−1); slot 1: right neighbour (i+1).
-			if err := pe.SSN.Store(0, rotateCfg(-1)); err != nil {
-				return err
-			}
-			if err := pe.SSN.Store(1, rotateCfg(+1)); err != nil {
-				return err
-			}
-			return pe.Mem.WriteRow(rowA, x)
-		},
-		Check: func(pe *PE) error {
-			var want [Lanes]uint16
-			for i := range want {
-				a := int16(x[(i-1+Lanes)%Lanes])
-				b := int16(x[i])
-				c := int16(x[(i+1)%Lanes])
-				lo, hi := a, b
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				if c < hi {
-					hi = c
-				}
-				if lo > hi {
-					hi = lo
-				}
-				want[i] = uint16(hi)
-			}
-			return expectRow(pe, rowOut, want[:])
-		},
-	}
-}
-
-// rotateCfg is a local alias of xram.Rotate semantics: out[j] = in[(j+k) mod 128].
-func rotateCfg(k int) []int {
-	cfg := make([]int, Lanes)
-	for j := range cfg {
-		cfg[j] = ((j+k)%Lanes + Lanes) % Lanes
-	}
-	return cfg
-}

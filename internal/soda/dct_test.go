@@ -97,57 +97,3 @@ func TestDCT8InputValidation(t *testing.T) {
 	x[0] = 256
 	DCT8Kernel(x)
 }
-
-func TestMedianKernel(t *testing.T) {
-	r := rng.New(3)
-	for trial := 0; trial < 5; trial++ {
-		x := randVec(r, Lanes, 1<<14)
-		if err := RunKernel(NewPE(), MedianKernel(x)); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-	}
-}
-
-func TestMedianRemovesImpulse(t *testing.T) {
-	// A single spike in a constant signal must vanish.
-	x := make([]uint16, Lanes)
-	for i := range x {
-		x[i] = 1000
-	}
-	x[50] = 30000
-	k := MedianKernel(x)
-	pe := NewPE()
-	if err := RunKernel(pe, k); err != nil {
-		t.Fatal(err)
-	}
-	var out [Lanes]uint16
-	if err := pe.Mem.ReadRow(rowOut, out[:]); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != 1000 {
-			t.Fatalf("lane %d = %d after median, spike survived", i, v)
-		}
-	}
-}
-
-func TestMedianPreservesMonotone(t *testing.T) {
-	// Median filtering a monotone ramp leaves the interior unchanged.
-	x := make([]uint16, Lanes)
-	for i := range x {
-		x[i] = uint16(i * 10)
-	}
-	pe := NewPE()
-	if err := RunKernel(pe, MedianKernel(x)); err != nil {
-		t.Fatal(err)
-	}
-	var out [Lanes]uint16
-	if err := pe.Mem.ReadRow(rowOut, out[:]); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < Lanes-1; i++ {
-		if out[i] != x[i] {
-			t.Fatalf("interior lane %d changed: %d → %d", i, x[i], out[i])
-		}
-	}
-}

@@ -46,13 +46,6 @@ func TestWriteRowPerBankRejectsBadGeometry(t *testing.T) {
 	}
 }
 
-func TestReadSliceOutOfRange(t *testing.T) {
-	m := NewSIMDMemory()
-	if _, err := m.ReadSlice(Banks*BankRows*BankLanes-1, 2); err == nil {
-		t.Error("slice crossing the end of memory accepted")
-	}
-}
-
 func TestMemCyclesClamps(t *testing.T) {
 	cases := []struct {
 		lat, ratio, want int

@@ -88,19 +88,6 @@ func (m *SIMDMemory) LoadSlice(addr int, words []uint16) error {
 	return nil
 }
 
-// ReadSlice bulk-reads n words starting at a flat element address.
-func (m *SIMDMemory) ReadSlice(addr, n int) ([]uint16, error) {
-	out := make([]uint16, n)
-	for i := range out {
-		w, err := m.ReadElem(addr + i)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = w
-	}
-	return out, nil
-}
-
 // Gather implements the data prefetcher: it assembles a 128-wide vector
 // from element addresses base, base+stride, base+2·stride, …, using the
 // 128-wide prefetch buffer and the alignment crossbar. It returns the

@@ -77,12 +77,12 @@ func TestLoadReadSlice(t *testing.T) {
 	if err := m.LoadSlice(130, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.ReadSlice(130, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := range data {
-		if got[i] != data[i] {
+		got, err := m.ReadElem(130 + i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != data[i] {
 			t.Fatalf("slice mismatch at %d", i)
 		}
 	}

@@ -158,7 +158,7 @@ func TestVREDGRPSegments(t *testing.T) {
 
 func TestVSHUFUsesStoredConfig(t *testing.T) {
 	pe := NewPE()
-	if err := pe.SSN.Store(3, xram.Reverse(Lanes)); err != nil {
+	if err := pe.SSN.Store(3, xram.Rotate(Lanes, 5)); err != nil {
 		t.Fatal(err)
 	}
 	for l := 0; l < Lanes; l++ {
@@ -168,8 +168,8 @@ func TestVSHUFUsesStoredConfig(t *testing.T) {
 	if err := pe.Run(prog, 10); err != nil {
 		t.Fatal(err)
 	}
-	if pe.VRF[0][0] != 127 || pe.VRF[0][127] != 0 {
-		t.Error("reverse shuffle wrong")
+	if pe.VRF[0][0] != 5 || pe.VRF[0][127] != 4 {
+		t.Error("rotate shuffle wrong")
 	}
 	if pe.Stats.SSNRoutes != 1 {
 		t.Error("SSN route not counted")

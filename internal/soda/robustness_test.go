@@ -81,7 +81,6 @@ func TestDisassembleParseable(t *testing.T) {
 		ScaleAddKernel(randVec(r, Lanes, 10), randVec(r, Lanes, 10), 2),
 		FIRKernel(randVec(r, Lanes, 10), []int16{1, -1}),
 		RGBToYCbCrKernel(randVec(r, Lanes, 10), randVec(r, Lanes, 10), randVec(r, Lanes, 10)),
-		MedianKernel(randVec(r, Lanes, 10)),
 		DCT8Kernel(make([]int16, Lanes)),
 		FFTKernel(make([]int16, Lanes), make([]int16, Lanes)),
 	}

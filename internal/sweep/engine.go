@@ -469,6 +469,15 @@ func (sw *Sweep) submitShard(idx int, key string) {
 			}
 			sw.shards[idx].jobID = id
 			sw.mu.Unlock()
+			if sw.ctx.Err() != nil {
+				// Cancel collected the shard job ids before this one was
+				// recorded, and a queued job sees its cancelled context
+				// only once a worker frees up: cancel it here, or the
+				// sweep stays running while the pool is busy.
+				if was, ok := sw.eng.jobs.Cancel(id); ok && was == jobs.Queued {
+					sw.finishShard(idx, ShardCancelled, nil, context.Canceled)
+				}
+			}
 			return
 		case errors.Is(err, jobs.ErrQueueFull):
 			select {

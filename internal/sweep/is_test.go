@@ -36,18 +36,6 @@ func TestSamplerKnobNormalization(t *testing.T) {
 		t.Errorf("defaults not resolved: tail %v shift %v mix %v", ns.TailSigma, ns.ISShift, ns.ISMix)
 	}
 
-	// The quantile kernel's default shift is z_0.99, not the tail sigma.
-	ns, err = Spec{Metric: "p99chipclock", Sampler: "is"}.Normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ns.Metric != "p99chipclock_is" || ns.TailSigma != 0 {
-		t.Errorf("p99 twin mapping: %+v", ns)
-	}
-	if math.Abs(ns.ISShift-2.326) > 0.01 {
-		t.Errorf("p99 default shift %v, want z_0.99", ns.ISShift)
-	}
-
 	// sampler:"mc" maps an IS kernel back to its plain twin.
 	ns, err = Spec{Metric: "yield_is", Sampler: "mc"}.Normalized()
 	if err != nil {
@@ -68,13 +56,14 @@ func TestSamplerKnobNormalization(t *testing.T) {
 
 	for _, bad := range []Spec{
 		{Metric: "tailyield", Sampler: "bogus"},
-		{Metric: "chain3sigma", Sampler: "is"}, // no IS variant
-		{Metric: "chain3sigma", TailSigma: 3},  // no tail target
-		{Metric: "tailyield", ISShift: 2},      // IS knob on plain kernel
-		{Metric: "yield_is", ISMix: 1.5},       // mixture weight out of range
-		{Metric: "yield_is", TailSigma: -1},    // negative sigma
-		{Experiment: "fig2", Sampler: "is"},    // experiments have no sampler
-		{Experiment: "fig2", TailSigma: 4},     // …or tail target
+		{Metric: "chain3sigma", Sampler: "is"},  // no IS variant
+		{Metric: "p99chipclock", Sampler: "is"}, // its IS variant is retired
+		{Metric: "chain3sigma", TailSigma: 3},   // no tail target
+		{Metric: "tailyield", ISShift: 2},       // IS knob on plain kernel
+		{Metric: "yield_is", ISMix: 1.5},        // mixture weight out of range
+		{Metric: "yield_is", TailSigma: -1},     // negative sigma
+		{Experiment: "fig2", Sampler: "is"},     // experiments have no sampler
+		{Experiment: "fig2", TailSigma: 4},      // …or tail target
 	} {
 		if _, err := bad.Normalized(); err == nil {
 			t.Errorf("Normalized(%+v) accepted, want error", bad)
@@ -144,33 +133,6 @@ func TestYieldISAgreesWithMC(t *testing.T) {
 	}
 	if math.Abs(pMC-pIS)/wantPPM > 0.25 {
 		t.Errorf("MC %v and IS %v ppm disagree", pMC, pIS)
-	}
-}
-
-// TestP99ISAgreesWithMC compares the max-of-lanes MC p99 clock against
-// the importance-weighted quantile of the analytic chip law — two
-// independent routes to the same distribution.
-func TestP99ISAgreesWithMC(t *testing.T) {
-	base := Spec{
-		Metric:  "p99chipclock",
-		Nodes:   []string{"22nm"},
-		Vdd:     &VddAxis{From: 0.50, To: 0.50, Step: 0.05},
-		Samples: []int{10000},
-		Seed:    777,
-	}
-	mc, err := RunSerial(context.Background(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	isv := base
-	isv.Sampler = "is"
-	is, err := RunSerial(context.Background(), isv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pMC, pIS := mc.Points[0].Value, is.Points[0].Value
-	if math.Abs(pMC-pIS)/pMC > 0.03 {
-		t.Errorf("p99 clock: MC %v FO4 vs IS %v FO4 (>3%%)", pMC, pIS)
 	}
 }
 

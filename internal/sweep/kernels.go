@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"sort"
 
 	"github.com/ntvsim/ntvsim/internal/device"
@@ -52,10 +53,6 @@ type Kernel struct {
 	// Tail marks a kernel whose target is the Options.TailSigma
 	// chip-delay quantile.
 	Tail bool
-	// DefaultShift is the proposal mean shift used when the spec leaves
-	// is_shift zero; zero means "use the resolved TailSigma" (IS
-	// kernels only).
-	DefaultShift float64
 
 	// Eval computes the metric. It must be a pure function of its
 	// arguments (deterministic seeded sampling) and honor ctx through
@@ -83,6 +80,17 @@ func (k Kernel) Modes() []string {
 
 // kernels is the metric registry, keyed by id.
 var kernels = map[string]Kernel{}
+
+// ErrKernelRetired marks a spec naming a metric kernel that has left
+// the registry; the error names the spec that answers in its place.
+var ErrKernelRetired = errors.New("metric kernel retired")
+
+// retiredKernels maps each retired metric id to its replacement.
+var retiredKernels = map[string]string{
+	// An importance-weighted 0.99-quantile of the chip law's own
+	// quantile table: the law's closed-form p99 with sampling noise.
+	"p99chipclock_is": `metric "p99chipclock" with mode "ssta"`,
+}
 
 func registerKernel(k Kernel) {
 	if _, dup := kernels[k.ID]; dup {
@@ -177,34 +185,12 @@ func init() {
 		ID:   "p99chipclock",
 		Kind: experiments.Architecture, Unit: "FO4", DefaultSamples: 10000,
 		Description: "99%-yield clock of a 128-wide SIMD datapath, in nominal FO4 units",
-		ISTwin:      "p99chipclock_is",
 		Eval: func(ctx context.Context, node tech.Node, vdd float64, samples int, seed uint64, _ Options) (float64, *importance.Diagnostics, error) {
 			v, err := simd.New(node).P99ChipDelayFO4Ctx(ctx, seed, samples, vdd, 0)
 			return v, nil, err
 		},
 		SSTA: func(node tech.Node, vdd float64, _ Options) (float64, error) {
 			return chipLaw(node, vdd).ChipQuantile(0.99) / node.Dev.NominalDelay(vdd), nil
-		},
-	})
-	registerKernel(Kernel{
-		ID:   "p99chipclock_is",
-		Kind: experiments.Architecture, Unit: "FO4", DefaultSamples: 10000,
-		Description: "99%-yield clock via importance-weighted quantile of the analytic chip law, in nominal FO4 units",
-		IS:          true, MCTwin: "p99chipclock",
-		// z_0.99: center the shifted component on the quantile of interest.
-		DefaultShift: 2.3263478740408408,
-		Eval: func(ctx context.Context, node tech.Node, vdd float64, samples int, seed uint64, opt Options) (float64, *importance.Diagnostics, error) {
-			dp := simd.New(node)
-			fn, err := dp.ChipQuantileFn(vdd)
-			if err != nil {
-				return 0, nil, err
-			}
-			xs, ws, err := importance.SampleCtx(ctx, opt.IS, seed, samples, fn)
-			if err != nil {
-				return 0, nil, err
-			}
-			diag := importance.Diagnose(ws)
-			return importance.WeightedQuantile(xs, ws, 0.99) / dp.FO4(vdd), &diag, nil
 		},
 	})
 	registerKernel(Kernel{

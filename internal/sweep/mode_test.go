@@ -81,7 +81,6 @@ func TestModeNormalization(t *testing.T) {
 func TestModeUnsupportedForISKernels(t *testing.T) {
 	for _, spec := range []Spec{
 		{Metric: "yield_is", Mode: ModeSSTA},
-		{Metric: "p99chipclock_is", Mode: ModeSSTA},
 		{Metric: "yield_is", Mode: ModeAuto, AutoThreshold: 100},
 		{Metric: "tailyield", Sampler: "is", Mode: ModeSSTA}, // twin mapping lands on yield_is
 	} {
@@ -96,6 +95,39 @@ func TestModeUnsupportedForISKernels(t *testing.T) {
 	// The sentinel must NOT leak into ordinary validation failures.
 	if _, err := (Spec{Metric: "nope"}).Normalized(); errors.Is(err, ErrModeUnsupported) {
 		t.Error("unknown-metric error classified as ErrModeUnsupported")
+	}
+}
+
+// TestRetiredKernel pins the typed rejection of a retired metric: with
+// or without the knobs it used to take, the spec fails with
+// ErrKernelRetired (the HTTP layer's kernel_retired envelope) and the
+// message names the replacement. The sentinel stays off unknown metrics
+// and mode rejections, and no retired id is still registered.
+func TestRetiredKernel(t *testing.T) {
+	for _, spec := range []Spec{
+		{Metric: "p99chipclock_is"},
+		{Metric: "p99chipclock_is", Mode: ModeSSTA},
+		// The normalized form a coordinator journal holds.
+		{Metric: "p99chipclock_is", Sampler: "is", ISShift: 2.3263478740408408, ISMix: 0.25},
+	} {
+		_, err := spec.Normalized()
+		if !errors.Is(err, ErrKernelRetired) {
+			t.Errorf("Normalized(%+v) = %v, want ErrKernelRetired", spec, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), `metric "p99chipclock" with mode "ssta"`) {
+			t.Errorf("retired-kernel error %q does not name the replacement", err)
+		}
+	}
+	for _, spec := range []Spec{{Metric: "nope"}, {Metric: "yield_is", Mode: ModeSSTA}} {
+		if _, err := spec.Normalized(); errors.Is(err, ErrKernelRetired) {
+			t.Errorf("Normalized(%+v) classified as ErrKernelRetired", spec)
+		}
+	}
+	for id := range retiredKernels {
+		if _, ok := kernels[id]; ok {
+			t.Errorf("retired kernel %q is still registered", id)
+		}
 	}
 }
 

@@ -124,8 +124,8 @@ type Spec struct {
 	// metrics without a tail target.
 	TailSigma float64 `json:"tail_sigma,omitempty"`
 	// ISShift is the proposal mean shift θ for importance-sampling
-	// kernels, in standard-normal units. Zero means the kernel default:
-	// the resolved TailSigma for yield_is, z_0.99 for p99chipclock_is.
+	// kernels, in standard-normal units. Zero means the resolved
+	// TailSigma: the shifted component centres on the tail target.
 	ISShift float64 `json:"is_shift,omitempty"`
 	// ISMix is the defensive mixture weight λ ∈ (0, 1] kept on the
 	// nominal distribution by importance-sampling kernels; it bounds
@@ -260,6 +260,9 @@ func (s Spec) Normalized() (Spec, error) {
 
 	k, ok := kernels[s.Metric]
 	if !ok {
+		if repl, retired := retiredKernels[s.Metric]; retired {
+			return Spec{}, fmt.Errorf("sweep: metric %q: %w; use %s", s.Metric, ErrKernelRetired, repl)
+		}
 		return Spec{}, fmt.Errorf("sweep: unknown metric %q (have %v)", s.Metric, KernelIDs())
 	}
 	// Map the sampler knob onto the kernel's twin, then resolve the
@@ -292,11 +295,7 @@ func (s Spec) Normalized() (Spec, error) {
 	}
 	if k.IS {
 		if s.ISShift == 0 {
-			if k.DefaultShift != 0 {
-				s.ISShift = k.DefaultShift
-			} else {
-				s.ISShift = s.TailSigma
-			}
+			s.ISShift = s.TailSigma
 		}
 		p, err := importance.Params{Shift: s.ISShift, Mix: s.ISMix}.Normalized()
 		if err != nil {

@@ -10,10 +10,7 @@
 // full output→input selection map, with one slot active at a time.
 package xram
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // DefaultSlots is the number of stored shuffle configurations; Diet
 // SODA's 128×128 XRAM stores its shuffle patterns at the crosspoints.
@@ -50,12 +47,6 @@ func New(n, slots int) (*Crossbar, error) {
 	return x, nil
 }
 
-// Size returns the port count n.
-func (x *Crossbar) Size() int { return x.n }
-
-// NumSlots returns the number of configuration slots.
-func (x *Crossbar) NumSlots() int { return len(x.slots) }
-
 // Store writes a configuration into a slot. cfg[j] is the input port
 // driving output j, or Disabled. The configuration is copied.
 func (x *Crossbar) Store(slot int, cfg []int) error {
@@ -83,9 +74,6 @@ func (x *Crossbar) Select(slot int) error {
 	x.selects++
 	return nil
 }
-
-// Active returns the active slot index.
-func (x *Crossbar) Active() int { return x.active }
 
 // Config returns a copy of the active configuration.
 func (x *Crossbar) Config() []int {
@@ -134,52 +122,6 @@ func Rotate(n, k int) []int {
 		cfg[j] = ((j+k)%n + n) % n
 	}
 	return cfg
-}
-
-// Broadcast returns the configuration feeding input src to every output.
-func Broadcast(n, src int) []int {
-	cfg := make([]int, n)
-	for j := range cfg {
-		cfg[j] = src
-	}
-	return cfg
-}
-
-// Reverse returns the bit-reversal-free simple reversal shuffle
-// out[j] = in[n-1-j].
-func Reverse(n int) []int {
-	cfg := make([]int, n)
-	for j := range cfg {
-		cfg[j] = n - 1 - j
-	}
-	return cfg
-}
-
-// EvenOdd returns the de-interleave shuffle: outputs 0..n/2-1 take the
-// even inputs, outputs n/2..n-1 the odd inputs. n must be even.
-func EvenOdd(n int) []int {
-	cfg := make([]int, n)
-	for j := 0; j < n/2; j++ {
-		cfg[j] = 2 * j
-		cfg[j+n/2] = 2*j + 1
-	}
-	return cfg
-}
-
-// Transpose2D returns the shuffle that reads an r×c row-major tile as
-// c×r column-major — the two-dimensional access pattern the Diet SODA
-// prefetcher supports for image kernels. r*c must equal n.
-func Transpose2D(n, r, c int) ([]int, error) {
-	if r*c != n {
-		return nil, fmt.Errorf("xram: Transpose2D %d×%d ≠ %d ports", r, c, n)
-	}
-	cfg := make([]int, n)
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			cfg[j*r+i] = i*c + j
-		}
-	}
-	return cfg, nil
 }
 
 // SpareMap assigns each of logical lanes 0..logical-1 a distinct healthy
@@ -281,18 +223,4 @@ func Bypass(physical int, faulty []int, data []uint16, op func(uint16) uint16) (
 	_ = x.Select(1)
 	_ = x.Route(phys, out)
 	return mapping, out[:len(data)], nil
-}
-
-// IsPermutation reports whether cfg is a full permutation (no multicast,
-// no disabled outputs) — useful for validating shuffle patterns that
-// must be reversible.
-func IsPermutation(cfg []int) bool {
-	seen := append([]int(nil), cfg...)
-	sort.Ints(seen)
-	for i, v := range seen {
-		if v != i {
-			return false
-		}
-	}
-	return true
 }
